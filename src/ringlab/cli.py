@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .core import (MAX_ORDER, LatticeTruncatedError, RingError, SizeError,
-                   canonical_fingerprint, mask_indices)
+from .core import (MAX_ORDER, RingError, SizeError, canonical_fingerprint,
+                   mask_indices)
 from . import cache as cache_mod
 from . import exprs
 from . import harness
@@ -162,9 +162,14 @@ def _load_corpus_file(path: str, max_order: int) -> harness.Corpus:
             if not line:
                 continue
             if line.startswith("random"):
-                opts = dict(kv.split("=") for kv in line.split()[1:])
-                extra.extend(harness.random_corpus(int(opts.get("seed", 0)),
-                                                   int(opts["count"]),
+                try:
+                    opts = dict(kv.split("=", 1) for kv in line.split()[1:])
+                    seed, count = int(opts.get("seed", 0)), int(opts["count"])
+                except (KeyError, ValueError):
+                    raise exprs.ExprError(
+                        f"{path}:{lineno}: expected 'random seed=N count=M', "
+                        f"got {line!r}", 1) from None
+                extra.extend(harness.random_corpus(seed, count,
                                                    max_order=max_order))
                 continue
             try:
@@ -261,9 +266,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (exprs.ExprError, props.UnknownPropertyError, SizeError,
-            LatticeTruncatedError, inv.NotAnIdealError, RingError,
-            OSError) as e:
+    except (exprs.ExprError, RingError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -15,22 +15,22 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (MAX_ORDER, FiniteRing, RingHom, SizeError, StructureError,
-                   mask_from_bool, mask_indices, mask_to_bool)
+from .core import (MAX_ORDER, FiniteRing, RingError, RingHom, SizeError,
+                   StructureError, mask_from_bool, mask_indices, mask_to_bool)
 from .invariants import NotAnIdealError, two_sided_ideal_violation
 
 
-class NotIdempotentError(Exception):
+class NotIdempotentError(RingError):
     pass
 
 
-class NotAHomomorphismError(Exception):
+class NotAHomomorphismError(RingError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
 
 
-class BimoduleLawError(Exception):
+class BimoduleLawError(RingError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness

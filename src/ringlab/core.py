@@ -278,8 +278,9 @@ def canonical_fingerprint(R: FiniteRing) -> str:
     if R._fingerprint is None:
         h = hashlib.sha256()
         h.update(f"ring-fp-v1 {R.order} {R.zero} {R.one}".encode())
-        h.update(R.add.astype("<i4").tobytes())
-        h.update(R.mul.astype("<i4").tobytes())
+        # hash the table buffers in place: a copy of each is 4 n^2 bytes
+        h.update(np.ascontiguousarray(R.add, dtype="<i4"))
+        h.update(np.ascontiguousarray(R.mul, dtype="<i4"))
         R._fingerprint = h.hexdigest()
     return R._fingerprint
 

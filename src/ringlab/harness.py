@@ -96,35 +96,49 @@ def default_corpus(max_order: int = MAX_ORDER) -> Corpus:
             bases.append(R)
         return R
 
+    cap = max_order
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16):
-        base(lambda n=n: z[n])
-    base(lambda: cons.matrix_ring(z[2], 2))
-    base(lambda: cons.matrix_ring(z[3], 2))
-    base(lambda: cons.upper_triangular(z[2], 2))
-    base(lambda: cons.upper_triangular(z[3], 2))
-    base(lambda: cons.upper_triangular(z[4], 2))
-    base(lambda: cons.upper_triangular(z[2], 3))
-    base(lambda: cons.constant_diagonal(z[2], 2))
-    base(lambda: cons.constant_diagonal(z[2], 3))
-    base(lambda: cons.constant_diagonal(z[4], 2))
-    base(lambda: cons.constant_diagonal(z[4], 3))
-    base(lambda: cons.direct_product(z[2], z[3]))
-    base(lambda: cons.direct_product(z[4], z[2]))
-    base(lambda: cons.direct_product(z[2], z[2]))
-    base(lambda: cons.example_weak_symmetric_component(0), "WSC(0)")
-    base(lambda: cons.dorroh(z[4], two_z4_bimodule()).ring, "Dorroh(Z(4), 2Z4)")
+        base(lambda n=n: cons.zmod(n, max_order=cap), f"Z({n})")
+    base(lambda: cons.matrix_ring(z[2], 2, max_order=cap), "M(2, Z(2))")
+    base(lambda: cons.matrix_ring(z[3], 2, max_order=cap), "M(2, Z(3))")
+    base(lambda: cons.upper_triangular(z[2], 2, max_order=cap), "T(2, Z(2))")
+    base(lambda: cons.upper_triangular(z[3], 2, max_order=cap), "T(2, Z(3))")
+    base(lambda: cons.upper_triangular(z[4], 2, max_order=cap), "T(2, Z(4))")
+    base(lambda: cons.upper_triangular(z[2], 3, max_order=cap), "T(3, Z(2))")
+    base(lambda: cons.constant_diagonal(z[2], 2, max_order=cap), "CD(2, Z(2))")
+    base(lambda: cons.constant_diagonal(z[2], 3, max_order=cap), "CD(3, Z(2))")
+    base(lambda: cons.constant_diagonal(z[4], 2, max_order=cap), "CD(2, Z(4))")
+    base(lambda: cons.constant_diagonal(z[4], 3, max_order=cap), "CD(3, Z(4))")
+    base(lambda: cons.direct_product(z[2], z[3], max_order=cap),
+         "Prod(Z(2), Z(3))")
+    base(lambda: cons.direct_product(z[4], z[2], max_order=cap),
+         "Prod(Z(4), Z(2))")
+    base(lambda: cons.direct_product(z[2], z[2], max_order=cap),
+         "Prod(Z(2), Z(2))")
+    base(lambda: cons.example_weak_symmetric_component(0, max_order=cap),
+         "WSC(0)")
+    base(lambda: cons.dorroh(z[4], two_z4_bimodule(), max_order=cap).ring,
+         "Dorroh(Z(4), 2Z4)")
     base(lambda: cons.trivial_morita(z[2], z[2], cons.ring_bimodule(z[2]),
-                                     cons.ring_bimodule(z[2])))
-    base(lambda: cons.formal_triangular(z[2], z[2], cons.ring_bimodule(z[2])))
+                                     cons.ring_bimodule(z[2]), max_order=cap),
+         "Morita(Z(2), Z(2), Z(2), Z(2))")
+    base(lambda: cons.formal_triangular(z[2], z[2], cons.ring_bimodule(z[2]),
+                                        max_order=cap), "Tri(Z(2), Z(2), Z(2))")
     base(lambda: cons.formal_triangular(
         z[4], z[2], cons.hom_bimodule(z[2], _reduction_map(4, 2),
-                                      np.arange(2), name="Z2")))
-    base(lambda: cons.truncated_skew_poly(z[2], np.arange(2), 2, hom_name="id"))
-    base(lambda: cons.truncated_skew_poly(z[2], np.arange(2), 3, hom_name="id"))
-    base(lambda: cons.truncated_skew_poly(z[4], np.arange(4), 2, hom_name="id"))
+                                      np.arange(2), name="Z2"),
+        max_order=cap), "Tri(Z(4), Z(2), Z2)")
+    for k in (2, 3):
+        base(lambda k=k: cons.truncated_skew_poly(z[2], np.arange(2), k,
+                                                  max_order=cap,
+                                                  hom_name="id"),
+             f"SkewTrunc(Z(2), id, {k})")
+    base(lambda: cons.truncated_skew_poly(z[4], np.arange(4), 2, max_order=cap,
+                                          hom_name="id"), "SkewTrunc(Z(4), id, 2)")
     z2xz2 = cons.direct_product(z[2], z[2])
     base(lambda: cons.truncated_skew_poly(z2xz2, _swap_map(2), 2,
-                                          hom_name="swap"))
+                                          max_order=cap, hom_name="swap"),
+         "SkewTrunc(Prod(Z(2), Z(2)), swap, 2)")
 
     # corners at every nonzero idempotent, quotients by J and both
     # nilradicals, of every base ring above (deduplicated by fingerprint)

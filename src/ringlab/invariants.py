@@ -13,14 +13,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FiniteRing, LatticeTruncatedError, mask_contains,
+from .core import (FiniteRing, LatticeTruncatedError, RingError, mask_contains,
                    mask_from_bool, mask_from_indices, mask_indices,
                    mask_size, mask_to_bool)
 
 DEFAULT_LATTICE_CAP = 20000
 
 
-class NotAnIdealError(Exception):
+class NotAnIdealError(RingError):
     """A mask fails an ideal closure property; carries a witness pair."""
 
     def __init__(self, message: str, witness: Optional[tuple] = None):

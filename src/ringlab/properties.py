@@ -2,6 +2,26 @@
 
 Scans iterate (a, b, c) lexicographically; a failing verdict carries the
 lexicographically least witness, re-checkable from the raw tables.
+
+The triple predicates (symmetric, semicommutative, gws, weak_symmetric,
+nj_symmetric) are written once, in ``TRIPLE_FORMS``: a triple is a witness
+when a premise and a conclusion both hold, each a membership test of one
+product of a, b and c in an element set (zero, nilpotent, outside J(R),
+...).  That table drives both the scan and ``reverify_witness``.  A scan
+decides each form in two steps:
+
+* the least a, from bit-packed planes.  Per element set S a packed table
+  holds, for every x, bits{c : x*c in S}, memoized on the ring.  The plane
+  of a product over all (b, c) is then a row gather: (ba)c in S is
+  ``table[mul[:, a]]``, and a premise AND a conclusion is a bitwise AND.
+  Blocks of a, as many as fit a fixed byte budget, are tested at once and
+  the first block with a set bit gives the least a.  Where the two terms
+  of a form come packed along different letters (acb or cba against abc),
+  one of them is bit-transposed in 8x8 blocks.
+* the least (b, c), from the boolean plane of that a, evaluated on the
+  tables directly, so every witness is the one a plain scan finds.  A
+  packed hit that the boolean plane does not confirm raises
+  InternalCheckError.
 """
 
 from __future__ import annotations
@@ -56,30 +76,245 @@ def _trivial(name: str, t0: float) -> PropertyVerdict:
                            "reduced")
 
 
-def _scan_triples(R: FiniteRing, plane: Callable[[int], np.ndarray],
-                  roles=("a", "b", "c")) -> Optional[dict]:
-    """First (a,b,c) with plane(a)[b,c] true, in lexicographic order."""
-    for a in range(R.order):
-        V = plane(a)
-        if V.any():
-            b, c = _first_true(V)
-            return {roles[0]: a, roles[1]: b, roles[2]: c}
+# ---------------------------------------------------------------------------
+# Triple predicates: one table of (premise, conclusion) forms
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TripleForm:
+    """(a, b, c) is a witness when both terms hold.
+
+    A term (S, p) holds when the product p lies in the element set S; p is
+    bracketed from the left, so "bac" is (ba)c and "ab" ignores c.  ``roles``
+    names a, b and c in the witness.
+    """
+    premise: tuple[str, str]
+    conclusion: tuple[str, str]
+    roles: tuple[str, str, str] = ("a", "b", "c")
+
+
+#: Each triple predicate fails exactly when its forms have a witness.  The
+#: first form gives the verdict's witness and is the one re-verified; the
+#: others are equivalent formulations that must agree with it.
+TRIPLE_FORMS: dict[str, tuple[TripleForm, ...]] = {
+    # abc = 0 implies bac = 0
+    "symmetric": (TripleForm(("zero", "abc"), ("nonzero", "bac")),),
+    # ab = 0 implies aRb = 0
+    "semicommutative": (TripleForm(("zero", "ab"), ("nonzero", "acb"),
+                                   ("a", "b", "r")),),
+    # abc = 0 implies bac nilpotent
+    "gws": (TripleForm(("zero", "abc"), ("not_nil", "bac")),),
+    # abc nilpotent implies acb (equivalently bac) nilpotent
+    "weak_symmetric": (TripleForm(("nil", "abc"), ("not_nil", "acb")),
+                       TripleForm(("nil", "abc"), ("not_nil", "bac"))),
+    # abc nilpotent implies bac (equivalently acb, cba) in J(R)
+    "nj_symmetric": (TripleForm(("nil", "abc"), ("not_jac", "bac")),
+                     TripleForm(("nil", "abc"), ("not_jac", "acb")),
+                     TripleForm(("nil", "abc"), ("not_jac", "cba"))),
+}
+
+_SETS: dict[str, Callable[[FiniteRing], np.ndarray]] = {
+    "zero": lambda R: np.arange(R.order) == R.zero,
+    "nonzero": lambda R: np.arange(R.order) != R.zero,
+    "nil": lambda R: inv.nilpotents_bool(R),
+    "not_nil": lambda R: ~inv.nilpotents_bool(R),
+    "not_jac": lambda R: ~inv.jacobson_bool(R),
+}
+
+#: Bytes of packed planes tested per block of a.
+_BLOCK_BYTES = 1 << 20
+
+
+def _holds(R: FiniteRing, term: tuple[str, str], a, b, c):
+    """The term at (a, b, c); numpy arrays broadcast to a plane."""
+    name, word = term
+    val = {"a": a, "b": b, "c": c}
+    x = val[word[0]]
+    for ch in word[1:]:
+        x = R.mul[x, val[ch]]
+    return _SETS[name](R)[x]
+
+
+def _form_plane(R: FiniteRing, form: TripleForm, a, b, c):
+    """Whether (a, b, c) is a witness of the form; arrays broadcast."""
+    return (_holds(R, form.premise, a, b, c)
+            & _holds(R, form.conclusion, a, b, c))
+
+
+def _packed_table(R: FiniteRing, name: str) -> np.ndarray:
+    """Row x holds bits{c : x*c in S}: bit j of byte k is c = 8k + j.
+
+    Row n is all zero; padding indices point there.
+    """
+    def compute():
+        n = R.order
+        members = _SETS[name](R)
+        out = np.zeros((n + 1, -(-n // 8)), dtype=np.uint8)
+        for rows in _row_chunks(n):
+            out[rows] = np.packbits(members[R.mul[rows]], axis=1,
+                                    bitorder="little")
+        out.setflags(write=False)
+        return out
+    return inv._cached(R, f"bits_{name}", compute)
+
+
+def _padded(idx: np.ndarray, fill) -> np.ndarray:
+    """idx with its last axis padded by fill to a multiple of 8."""
+    pad = -idx.shape[-1] % 8
+    if not pad:
+        return idx
+    return np.pad(idx, [(0, 0)] * (idx.ndim - 1) + [(0, pad)],
+                  constant_values=fill)
+
+
+_TRANSPOSE8_ROUNDS = tuple((np.uint64(s), np.uint64(m)) for s, m in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0)))
+
+
+def _transpose8(x: np.ndarray) -> np.ndarray:
+    """Transpose, in place, every 8x8 bit block held in a uint64.
+
+    Byte i of a block is its row i and bit j its column j.
+    """
+    for shift, mask in _TRANSPOSE8_ROUNDS:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x
+
+
+def _packed_term(R: FiniteRing, term: tuple[str, str], a0: int, a1: int,
+                 along: str, cba_index: Optional[np.ndarray]) -> np.ndarray:
+    """The term's planes for a in [a0, a1), packed along b or c.
+
+    Shape [a, rb, i, byte]: row 8*rb + i of the plane of a, as bits over
+    the other letter; rows past the order are zero.  A term's table gives
+    its planes packed along the last letter of its product; any other
+    packing costs a bit transpose.
+    """
+    name, word = term
+    n, mul = R.order, R.mul
+    k = a1 - a0
+    table = _packed_table(R, name)
+    if word == "ab":                    # bits over b, the same for every c
+        assert along == "b", "an ab term needs a conclusion packed along b"
+        return table[a0:a1].reshape(k, 1, 1, -1)
+    if word == "cba":
+        return _cba_planes(table, cba_index, a0, a1)
+    idx = mul[a0:a1] if word[0] == "a" else mul[:, a0:a1].T
+    planes = table[_padded(idx, n)]                   # [a, row, byte]
+    m = planes.shape[2]
+    planes = planes.reshape(k, m, 8, m)
+    if word[-1] == along:
+        return planes
+    blocks = np.ascontiguousarray(planes.transpose(0, 1, 3, 2))
+    blocks = _transpose8(blocks.view("<u8")[..., 0])
+    return blocks.view(np.uint8).reshape(k, m, m, 8).transpose(0, 2, 3, 1)
+
+
+def _cba_index(R: FiniteRing) -> np.ndarray:
+    """[bb, i, cb, j] -> c*b for b = 8*bb + i, c = 8*cb + j.
+
+    Past the order the entries are n, the zero row of the packed tables.
+    """
+    n = R.order
+    pad = -n % 8
+    mt = R.mul.T
+    if pad:
+        mt = np.pad(mt, [(0, pad), (0, pad)], constant_values=n)
+    m = mt.shape[0] // 8
+    return mt.reshape(m, 8, m, 8)
+
+
+def _cba_planes(table: np.ndarray, cba_index: np.ndarray, a0: int,
+                a1: int) -> np.ndarray:
+    # bit a of row cb says (cb)a is in S: these planes come packed along a,
+    # as one (c, a) bit matrix per b; transpose each into (a, c).  Rows b
+    # go in chunks so the gather's index stays within the byte budget.
+    cols = np.ascontiguousarray(table[:, a0 // 8:-(-a1 // 8)].T)  # [A, x]
+    kA, m = cols.shape[0], cba_index.shape[0]
+    out = np.empty((kA, 8, m, 8, m), dtype=np.uint8)   # [A, j, bb, i, cb]
+    step = max(1, _BLOCK_BYTES // (512 * m))
+    for s in range(0, m, step):
+        g = np.take(cols, cba_index[s:s + step], axis=1)   # [A, bb, i, cb, j]
+        blocks = _transpose8(g.view("<u8")[..., 0])        # bytes now over a
+        out[:, :, s:s + step] = blocks.view(np.uint8).reshape(
+            kA, -1, 8, m, 8).transpose(0, 4, 1, 2, 3)
+    return out.reshape(8 * kA, m, 8, m)[:a1 - a0]
+
+
+def _row_chunks(n: int) -> list[slice]:
+    """Row slices of an n x n gather whose intp index fits _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
+
+
+def _block_size(n: int) -> int:
+    """Values of a per block: a multiple of 8 within _BLOCK_BYTES."""
+    plane = n * -(-n // 8)
+    return max(8, _BLOCK_BYTES // plane // 8 * 8)
+
+
+def _first_witness(R: FiniteRing, form: TripleForm) -> Optional[dict]:
+    """The lexicographically least witness of the form, or None.
+
+    Blocks of packed planes give the least a; the boolean plane of that a
+    gives the least (b, c).
+    """
+    n = R.order
+    step = _block_size(n)
+    cba_index = _cba_index(R) if form.conclusion[1] == "cba" else None
+    # any packing of the plane shows whether it has a bit set: take the
+    # one that needs no transpose when both terms allow it
+    ends = {form.premise[1][-1], form.conclusion[1][-1]}
+    along = "b" if ends == {"b"} else "c"
+    for a0 in range(0, n, step):
+        a1 = min(a0 + step, n)
+        hits = (_packed_term(R, form.premise, a0, a1, along, cba_index)
+                & _packed_term(R, form.conclusion, a0, a1, along, cba_index)
+                ).any(axis=(1, 2, 3))
+        if hits.any():
+            a = a0 + int(np.argmax(hits))
+            return dict(zip(form.roles, (a, *_least_bc(R, form, a))))
     return None
 
 
-# Per-a product planes.  With mul the n x n table:
-#   ABC[b,c] = (ab)c        BAC[b,c] = (ba)c
-#   ACB[b,c] = (ac)b        CBA[b,c] = (cb)a
-def _abc(R: FiniteRing, a: int) -> np.ndarray:
-    return R.mul[R.mul[a]]
+def _least_bc(R: FiniteRing, form: TripleForm, a: int) -> tuple[int, int]:
+    """The least (b, c) on the boolean plane of a, read in row chunks."""
+    idx = np.arange(R.order)
+    for rows in _row_chunks(R.order):
+        plane = _form_plane(R, form, a, idx[rows, None], idx)
+        if plane.any():
+            b, c = _first_true(plane)
+            return rows.start + b, c
+    raise InternalCheckError(
+        f"packed and boolean planes disagree on {R.name} at a={a}: {form}")
 
 
-def _bac(R: FiniteRing, a: int) -> np.ndarray:
-    return R.mul[R.mul[:, a]]
+def _form_witnesses(R: FiniteRing, name: str) -> tuple[Optional[dict], ...]:
+    forms = TRIPLE_FORMS[name]
+    # tables before the first block: building them (J(R) above all) takes
+    # the largest temporaries of a scan, and freed before any block exists
+    # they leave no holes under the blocks that would raise peak memory
+    for f in forms:
+        _packed_table(R, f.premise[0])
+        _packed_table(R, f.conclusion[0])
+    return tuple(_first_witness(R, f) for f in forms)
 
 
-def _cba(R: FiniteRing, a: int) -> np.ndarray:
-    return R.mul[:, a][R.mul.T]
+def _triple_verdict(R: FiniteRing, name: str, t0: float,
+                    witnesses: tuple[Optional[dict], ...]) -> PropertyVerdict:
+    """The verdict from the first form; all forms must agree."""
+    if len({w is None for w in witnesses}) != 1:
+        forms = " ".join(f"{f.conclusion[1]}={w}" for f, w in
+                         zip(TRIPLE_FORMS[name], witnesses))
+        raise InternalCheckError(
+            f"{name} formulations disagree on {R.name}: {forms}")
+    return _done(name, witnesses[0], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +337,8 @@ def is_symmetric(R: FiniteRing) -> PropertyVerdict:
     t0 = time.perf_counter()
     if R.order == 1:
         return _trivial("symmetric", t0)
-    z = R.zero
-    w = _scan_triples(R, lambda a: (_abc(R, a) == z) & (_bac(R, a) != z))
-    return _done("symmetric", w, t0)
+    return _triple_verdict(R, "symmetric", t0,
+                           _form_witnesses(R, "symmetric"))
 
 
 def is_semicommutative(R: FiniteRing) -> PropertyVerdict:
@@ -112,27 +346,13 @@ def is_semicommutative(R: FiniteRing) -> PropertyVerdict:
     t0 = time.perf_counter()
     if R.order == 1:
         return _trivial("semicommutative", t0)
-    z = R.zero
-    mul = R.mul
-    for a in range(R.order):
-        ab = mul[a]
-        arb = mul[mul[a]]          # [r, b] = (ar)b
-        bad_b = (ab == z) & (arb != z).any(axis=0)
-        if bad_b.any():
-            b = int(np.argmax(bad_b))
-            r = int(np.argmax(arb[:, b] != z))
-            return _done("semicommutative", {"a": a, "b": b, "r": r}, t0)
-    return _done("semicommutative", None, t0)
+    return _triple_verdict(R, "semicommutative", t0,
+                           _form_witnesses(R, "semicommutative"))
 
 
 def weak_symmetric_forms(R: FiniteRing) -> tuple[Optional[dict], Optional[dict]]:
     """Witnesses for the two weak-symmetry formulations (acb / bac)."""
-    nil = inv.nilpotents_bool(R)
-    w_acb = _scan_triples(
-        R, lambda a: nil[_abc(R, a)] & ~nil[_abc(R, a).T])
-    w_bac = _scan_triples(
-        R, lambda a: nil[_abc(R, a)] & ~nil[_bac(R, a)])
-    return w_acb, w_bac
+    return _form_witnesses(R, "weak_symmetric")
 
 
 def is_weak_symmetric(R: FiniteRing) -> PropertyVerdict:
@@ -140,12 +360,7 @@ def is_weak_symmetric(R: FiniteRing) -> PropertyVerdict:
     t0 = time.perf_counter()
     if R.order == 1:
         return _trivial("weak_symmetric", t0)
-    w_acb, w_bac = weak_symmetric_forms(R)
-    if (w_acb is None) != (w_bac is None):
-        raise InternalCheckError(
-            f"weak-symmetric formulations disagree on {R.name}: "
-            f"acb={w_acb} bac={w_bac}")
-    return _done("weak_symmetric", w_acb, t0)
+    return _triple_verdict(R, "weak_symmetric", t0, weak_symmetric_forms(R))
 
 
 def is_gws(R: FiniteRing) -> PropertyVerdict:
@@ -153,20 +368,12 @@ def is_gws(R: FiniteRing) -> PropertyVerdict:
     t0 = time.perf_counter()
     if R.order == 1:
         return _trivial("gws", t0)
-    nil = inv.nilpotents_bool(R)
-    z = R.zero
-    w = _scan_triples(R, lambda a: (_abc(R, a) == z) & ~nil[_bac(R, a)])
-    return _done("gws", w, t0)
+    return _triple_verdict(R, "gws", t0, _form_witnesses(R, "gws"))
 
 
 def nj_symmetric_forms(R: FiniteRing) -> tuple[Optional[dict], ...]:
     """Witnesses for the three equivalent formulations (bac / acb / cba)."""
-    nil = inv.nilpotents_bool(R)
-    jac = inv.jacobson_bool(R)
-    w_bac = _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_bac(R, a)])
-    w_acb = _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_abc(R, a).T])
-    w_cba = _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_cba(R, a)])
-    return w_bac, w_acb, w_cba
+    return _form_witnesses(R, "nj_symmetric")
 
 
 def is_nj_symmetric(R: FiniteRing) -> PropertyVerdict:
@@ -178,13 +385,7 @@ def is_nj_symmetric(R: FiniteRing) -> PropertyVerdict:
     t0 = time.perf_counter()
     if R.order == 1:
         return _trivial("nj_symmetric", t0)
-    w_bac, w_acb, w_cba = nj_symmetric_forms(R)
-    verdicts = [w is None for w in (w_bac, w_acb, w_cba)]
-    if len(set(verdicts)) != 1:
-        raise InternalCheckError(
-            f"NJ-symmetric formulations disagree on {R.name}: "
-            f"bac={w_bac} acb={w_acb} cba={w_cba}")
-    return _done("nj_symmetric", w_bac, t0)
+    return _triple_verdict(R, "nj_symmetric", t0, nj_symmetric_forms(R))
 
 
 # ---------------------------------------------------------------------------
@@ -511,21 +712,9 @@ def reverify_witness(R: FiniteRing, v: PropertyVerdict) -> bool:
     name = v.name
     if name == "commutative":
         return mul[w["a"], w["b"]] != mul[w["b"], w["a"]]
-    if name == "symmetric":
-        a, b, c = w["a"], w["b"], w["c"]
-        return mul[mul[a, b], c] == z and mul[mul[b, a], c] != z
-    if name == "semicommutative":
-        a, b, r = w["a"], w["b"], w["r"]
-        return mul[a, b] == z and mul[mul[a, r], b] != z
-    if name == "weak_symmetric":
-        a, b, c = w["a"], w["b"], w["c"]
-        return bool(nil[mul[mul[a, b], c]] and not nil[mul[mul[a, c], b]])
-    if name == "gws":
-        a, b, c = w["a"], w["b"], w["c"]
-        return mul[mul[a, b], c] == z and not nil[mul[mul[b, a], c]]
-    if name == "nj_symmetric":
-        a, b, c = w["a"], w["b"], w["c"]
-        return bool(nil[mul[mul[a, b], c]] and not jac[mul[mul[b, a], c]])
+    if name in TRIPLE_FORMS:
+        form = TRIPLE_FORMS[name][0]
+        return bool(_form_plane(R, form, *(w[r] for r in form.roles)))
     if name in ("left_quasi_duo", "melt"):
         ideal = set(w["ideal"])
         return w["m"] in ideal and int(mul[w["m"], w["r"]]) not in ideal

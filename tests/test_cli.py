@@ -188,3 +188,47 @@ def test_max_order_flag(capsys):
     code, _, err = run(capsys, "analyze", "T(2, Z(4))", "--max-order", "10")
     assert code == 2
     assert "order" in err.lower()
+
+
+def test_library_errors_exit_2_without_traceback():
+    # a non-idempotent corner is a usage error, not "property fails"
+    import subprocess
+    import sys
+    out = subprocess.run(
+        [sys.executable, "-m", "ringlab.cli", "prop", "nj_symmetric",
+         "Corner(Z(4), 2)"], capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "not idempotent" in out.stderr
+
+
+def test_library_errors_are_ring_errors():
+    from ringlab import invariants as inv
+    from ringlab.core import RingError
+    for err in (cons.NotIdempotentError, cons.NotAHomomorphismError,
+                cons.BimoduleLawError, inv.NotAnIdealError):
+        assert issubclass(err, RingError), err
+
+
+@pytest.mark.parametrize("line", ["random seed=1", "random count=x",
+                                  "random seed"])
+def test_corpus_random_line_errors_name_file_and_line(tmp_path, capsys, line):
+    f = tmp_path / "corpus.txt"
+    f.write_text(f"Z(4)\n{line}\n")
+    code, out, err = run(capsys, "verify", "--corpus", str(f),
+                         "--rules", "R1")
+    assert code == 2
+    assert f"{f}:2" in err
+    assert out == ""
+
+
+def test_verify_max_order_skips_larger_default_rings(capsys):
+    code, out, _ = run(capsys, "verify", "--json", "--max-order", "64",
+                       "--rules", "R1", "--threads", "1")
+    assert code == 0
+    doc = json.loads(out)
+    skipped = dict(doc["corpus_skipped"])
+    assert set(skipped) == {"M(2, Z(3))", "CD(3, Z(4))"}
+    assert all("max order 64" in reason for reason in skipped.values())
+    rings = {e["ring"] for e in doc["entries"]}
+    assert rings and not rings & set(skipped)
