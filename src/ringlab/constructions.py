@@ -5,11 +5,18 @@ Every construction returns a fresh immutable FiniteRing whose ``name`` is a
 display expression.  Identity-like cases (corner at 1, product with the zero
 ring, quotient by {0}, ...) reproduce the input tables exactly under the
 canonical element ordering, so table comparison suffices in tests.
+
+Matrix-shaped rings (M, T, CD, WSC), Tri, Morita, Dorroh and SkewTrunc are
+coordinate rings: an element is a tuple of coordinates, each an index into a
+base table's carrier, and a sum or product is a coordinatewise formula of
+base-table lookups.  ``_coord_build`` evaluates those formulas as numpy
+gathers on whole blocks of table rows at once, within a fixed byte budget.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,20 +48,78 @@ def _check_order(n: int, max_order: int, what: str) -> None:
         raise SizeError(f"{what} would have order {n} > max order {max_order}")
 
 
-def _build(elements: list, add_fn: Callable, mul_fn: Callable, zero, one,
-           name: str, labels: Optional[Sequence[str]] = None) -> FiniteRing:
-    """Tabulate a ring from element values and python operation functions."""
-    n = len(elements)
-    index = {v: i for i, v in enumerate(elements)}
+# Rows of a table are built in blocks sized so that a block's int32 planes,
+# one per coordinate plus its element indices, take about this many bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def _coord_build(carriers: Sequence, add_fn: Callable, mul_fn: Callable,
+                 zero: Sequence[int], one: Sequence[int], name: str,
+                 labels: Optional[Sequence[str]] = None) -> FiniteRing:
+    """Tabulate a ring whose elements are tuples of coordinate values.
+
+    Coordinate c takes its values in ``carriers[c]`` (base-table indices).
+    Element i is the i-th tuple of ``itertools.product(*carriers)``, i.e. a
+    mixed-radix vector of carrier positions, first coordinate most
+    significant.  ``add_fn(X, Y)`` and ``mul_fn(X, Y)`` get each operand as
+    a list of per-coordinate value arrays, a block of rows as a column
+    against all elements as a row, and return the result's per-coordinate
+    value arrays, made by gathers on the base tables.  A value outside its
+    coordinate's carrier raises RingError.
+    """
+    carriers = [np.asarray(c, dtype=np.int32) for c in carriers]
+    radices = [len(c) for c in carriers]
+    n = math.prod(radices)
+    strides = [math.prod(radices[c + 1:]) for c in range(len(radices))]
+    # lut[v] is the stride-weighted position of v in the carrier, or -n
+    # off it, so an index sum is negative iff a coordinate left its carrier;
+    # values above the carrier clip onto the last slot, which is off it
+    luts = []
+    for carrier, stride in zip(carriers, strides):
+        lut = np.full(int(carrier.max()) + 2, -n, dtype=np.int32)
+        lut[carrier] = np.arange(len(carrier), dtype=np.int32) * stride
+        luts.append(lut)
+    idx = np.arange(n, dtype=np.int32)
+    values = [carrier[idx // stride % len(carrier)]
+              for carrier, stride in zip(carriers, strides)]
+
+    def index(coords, what: str) -> np.ndarray:
+        out = 0
+        for lut, v in zip(luts, coords):
+            out = out + lut.take(v, mode="clip")
+        out = np.asarray(out)
+        if out.min() < 0:
+            c = next(c for c, (lut, v) in enumerate(zip(luts, coords))
+                     if lut.take(v, mode="clip").min() < 0)
+            raise RingError(
+                f"{name}: {what} leaves the carrier of coordinate {c}")
+        return out
+
     add = np.empty((n, n), dtype=np.int32)
     mul = np.empty((n, n), dtype=np.int32)
-    for i, x in enumerate(elements):
-        arow, mrow = add[i], mul[i]
-        for j, y in enumerate(elements):
-            arow[j] = index[add_fn(x, y)]
-            mrow[j] = index[mul_fn(x, y)]
-    return FiniteRing(add, mul, index[zero], index[one], name=name,
-                      labels=labels)
+    step = max(1, _BLOCK_BYTES // (4 * n * (len(carriers) + 1)))
+    cols = [v[None, :] for v in values]
+    for r0 in range(0, n, step):
+        rows = [v[r0:r0 + step, None] for v in values]
+        add[r0:r0 + step] = index(add_fn(rows, cols), "a sum")
+        mul[r0:r0 + step] = index(mul_fn(rows, cols), "a product")
+    return FiniteRing(add, mul, int(index(zero, "zero")),
+                      int(index(one, "one")), name=name, labels=labels)
+
+
+def _op(T: np.ndarray) -> Callable:
+    """``T[x, y]`` on broadcast index arrays, as one flat gather."""
+    flat, width = T.ravel(), T.shape[1]
+    return lambda x, y: flat.take(x * width + y)
+
+
+def _coordwise(tables: Sequence[np.ndarray]) -> Callable:
+    """An operation that applies ``tables[c]`` to coordinate c alone."""
+    ops = [_op(T) for T in tables]
+
+    def op(X, Y):
+        return [f(x, y) for f, x, y in zip(ops, X, Y)]
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -77,48 +142,66 @@ def zmod(n: int, max_order: int = MAX_ORDER) -> FiniteRing:
 # ---------------------------------------------------------------------------
 # Matrix-shaped constructions
 #
-# Internally matrices are tuples of row tuples of base-ring indices; the
-# base tables are converted to python lists once per construction, which
-# keeps the double loop in _build fast.
+# A k x k shape lists, per coordinate, the grid cells it fills; every other
+# cell holds zero.  Sums are coordinatewise and products are matrix products
+# over the entry grids, one gather per nonzero term, on whole blocks of rows
+# at once (see _coord_build).
 # ---------------------------------------------------------------------------
 
-def _mat_ops(R: FiniteRing, k: int):
-    addL = R.add.tolist()
-    mulL = R.mul.tolist()
-    zero = R.zero
+def _matrix_mul(R: FiniteRing, k: int, cells: list) -> Callable:
+    """The matrix product on entry grids of the given shape over R.
 
-    def mat_add(A, B):
-        return tuple(tuple(addL[A[i][j]][B[i][j]] for j in range(k))
-                     for i in range(k))
+    Cell (i, j) of a coordinate is the sum over t of X[i][t] * Y[t][j] in
+    order of t; terms with a zero cell are left out, as they add zero.
+    """
+    add, mul = _op(R.add), _op(R.mul)
 
-    def mat_mul(A, B):
+    def grid(X):
+        g = [[None] * k for _ in range(k)]
+        for x, cs in zip(X, cells):
+            for i, j in cs:
+                g[i][j] = x
+        return g
+
+    def mul_fn(X, Y):
+        gx, gy = grid(X), grid(Y)
         out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = zero
-                for t in range(k):
-                    acc = addL[acc][mulL[A[i][t]][B[t][j]]]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        for (i, j), *_ in cells:
+            acc = None
+            for t in range(k):
+                if gx[i][t] is not None and gy[t][j] is not None:
+                    term = mul(gx[i][t], gy[t][j])
+                    acc = term if acc is None else add(acc, term)
+            out.append(acc)
+        return out
 
-    return mat_add, mat_mul
-
-
-def _identity_matrix(R: FiniteRing, k: int):
-    return tuple(tuple(R.one if i == j else R.zero for j in range(k))
-                 for i in range(k))
+    return mul_fn
 
 
-def _zero_matrix(R: FiniteRing, k: int):
-    return tuple((R.zero,) * k for _ in range(k))
+def _matrix_one(R: FiniteRing, cells: list) -> list[int]:
+    return [R.one if i == j else R.zero for (i, j), *_ in cells]
 
 
-def _matrix_labels(R: FiniteRing, elements) -> list[str]:
+def _matrix_shaped(R: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
+    """The ring of k x k matrices of a shape, every entry ranging over R."""
+    return _coord_build([range(R.order)] * len(cells),
+                        _coordwise([R.add] * len(cells)),
+                        _matrix_mul(R, k, cells), [R.zero] * len(cells),
+                        _matrix_one(R, cells), name=name,
+                        labels=_matrix_labels(R, k, cells))
+
+
+def _matrix_labels(R: FiniteRing, k: int, cells: list) -> list[str]:
     base = R.labels or [str(i) for i in range(R.order)]
-    return ["[" + "; ".join(" ".join(base[v] for v in row) for row in mat)
-            + "]" for mat in elements]
+    out = []
+    for vals in itertools.product(range(R.order), repeat=len(cells)):
+        mat = [[R.zero] * k for _ in range(k)]
+        for v, cs in zip(vals, cells):
+            for i, j in cs:
+                mat[i][j] = v
+        out.append("[" + "; ".join(" ".join(base[v] for v in row)
+                                   for row in mat) + "]")
+    return out
 
 
 def matrix_ring(R: FiniteRing, k: int, max_order: int = MAX_ORDER) -> FiniteRing:
@@ -126,13 +209,8 @@ def matrix_ring(R: FiniteRing, k: int, max_order: int = MAX_ORDER) -> FiniteRing
     if k < 1:
         raise ValueError("matrix size must be positive")
     _check_order(R.order ** (k * k), max_order, f"M({k}, {R.name})")
-    elements = [tuple(tuple(row) for row in
-                      zip(*[iter(flat)] * k))
-                for flat in itertools.product(range(R.order), repeat=k * k)]
-    mat_add, mat_mul = _mat_ops(R, k)
-    return _build(elements, mat_add, mat_mul, _zero_matrix(R, k),
-                  _identity_matrix(R, k), name=f"M({k}, {R.name})",
-                  labels=_matrix_labels(R, elements))
+    cells = [[(i, j)] for i in range(k) for j in range(k)]
+    return _matrix_shaped(R, k, cells, f"M({k}, {R.name})")
 
 
 def matrix_index(base_order: int, k: int, entries) -> int:
@@ -164,17 +242,8 @@ def upper_triangular(R: FiniteRing, k: int, max_order: int = MAX_ORDER) -> Finit
     if k < 1:
         raise ValueError("matrix size must be positive")
     _check_order(R.order ** (k * (k + 1) // 2), max_order, f"T({k}, {R.name})")
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    elements = []
-    for vals in itertools.product(range(R.order), repeat=len(positions)):
-        mat = [[R.zero] * k for _ in range(k)]
-        for (i, j), v in zip(positions, vals):
-            mat[i][j] = v
-        elements.append(tuple(tuple(row) for row in mat))
-    mat_add, mat_mul = _mat_ops(R, k)
-    return _build(elements, mat_add, mat_mul, _zero_matrix(R, k),
-                  _identity_matrix(R, k), name=f"T({k}, {R.name})",
-                  labels=_matrix_labels(R, elements))
+    cells = [[(i, j)] for i in range(k) for j in range(i, k)]
+    return _matrix_shaped(R, k, cells, f"T({k}, {R.name})")
 
 
 def triangular_index(base_order: int, k: int, entries) -> int:
@@ -192,18 +261,9 @@ def constant_diagonal(R: FiniteRing, k: int, max_order: int = MAX_ORDER) -> Fini
         raise ValueError("matrix size must be positive")
     _check_order(R.order ** (k * (k - 1) // 2 + 1), max_order,
                  f"CD({k}, {R.name})")
-    positions = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    elements = []
-    for vals in itertools.product(range(R.order), repeat=len(positions) + 1):
-        a, rest = vals[0], vals[1:]
-        mat = [[a if i == j else R.zero for j in range(k)] for i in range(k)]
-        for (i, j), v in zip(positions, rest):
-            mat[i][j] = v
-        elements.append(tuple(tuple(row) for row in mat))
-    mat_add, mat_mul = _mat_ops(R, k)
-    return _build(elements, mat_add, mat_mul, _zero_matrix(R, k),
-                  _identity_matrix(R, k), name=f"CD({k}, {R.name})",
-                  labels=_matrix_labels(R, elements))
+    cells = [[(i, i) for i in range(k)]] + [
+        [(i, j)] for i in range(k) for j in range(i + 1, k)]
+    return _matrix_shaped(R, k, cells, f"CD({k}, {R.name})")
 
 
 def direct_product(R1: FiniteRing, R2: FiniteRing,
@@ -329,6 +389,11 @@ class Bimodule:
             raise StructureError("right action table has wrong height")
         if self.internal_mul is not None and self.internal_mul.shape != (m, m):
             raise StructureError("internal mul table is not square")
+        for table in (self.add, self.left_act, self.right_act,
+                      self.internal_mul):
+            if table is not None and table.size and (
+                    table.min() < 0 or table.max() >= m):
+                raise StructureError("bimodule table entry out of range")
 
     @property
     def order(self) -> int:
@@ -463,22 +528,17 @@ def formal_triangular(R1: FiniteRing, R2: FiniteRing, M: Bimodule,
     M.validate(R1, R2)
     n = R1.order * M.order * R2.order
     _check_order(n, max_order, f"Tri({R1.name}, {R2.name}, {M.name})")
-    a1, aM, a2 = R1.add.tolist(), M.add.tolist(), R2.add.tolist()
-    m1, m2 = R1.mul.tolist(), R2.mul.tolist()
-    la, ra = M.left_act.tolist(), M.right_act.tolist()
-    elements = list(itertools.product(range(R1.order), range(M.order),
-                                      range(R2.order)))
+    M1, M2 = _op(R1.mul), _op(R2.mul)
+    AM, LA, RA = _op(M.add), _op(M.left_act), _op(M.right_act)
 
-    def add_fn(x, y):
-        return (a1[x[0]][y[0]], aM[x[1]][y[1]], a2[x[2]][y[2]])
+    def mul_fn(X, Y):
+        (r, m, s), (r2, m2, s2) = X, Y
+        return [M1(r, r2), AM(LA(r, m2), RA(m, s2)), M2(s, s2)]
 
-    def mul_fn(x, y):
-        return (m1[x[0]][y[0]], aM[la[x[0]][y[1]]][ra[x[1]][y[2]]],
-                m2[x[2]][y[2]])
-
-    return _build(elements, add_fn, mul_fn,
-                  (R1.zero, M.zero, R2.zero), (R1.one, M.zero, R2.one),
-                  name=f"Tri({R1.name}, {R2.name}, {M.name})")
+    return _coord_build([range(R1.order), range(M.order), range(R2.order)],
+                        _coordwise([R1.add, M.add, R2.add]), mul_fn,
+                        [R1.zero, M.zero, R2.zero], [R1.one, M.zero, R2.one],
+                        name=f"Tri({R1.name}, {R2.name}, {M.name})")
 
 
 def trivial_morita(R1: FiniteRing, R2: FiniteRing, M: Bimodule, P: Bimodule,
@@ -489,28 +549,20 @@ def trivial_morita(R1: FiniteRing, R2: FiniteRing, M: Bimodule, P: Bimodule,
     n = R1.order * M.order * P.order * R2.order
     _check_order(n, max_order,
                  f"Morita({R1.name}, {R2.name}, {M.name}, {P.name})")
-    a1, a2 = R1.add.tolist(), R2.add.tolist()
-    aM, aP = M.add.tolist(), P.add.tolist()
-    m1, m2 = R1.mul.tolist(), R2.mul.tolist()
-    laM, raM = M.left_act.tolist(), M.right_act.tolist()
-    laP, raP = P.left_act.tolist(), P.right_act.tolist()
-    elements = list(itertools.product(range(R1.order), range(M.order),
-                                      range(P.order), range(R2.order)))
+    M1, M2 = _op(R1.mul), _op(R2.mul)
+    AM, LAM, RAM = _op(M.add), _op(M.left_act), _op(M.right_act)
+    AP, LAP, RAP = _op(P.add), _op(P.left_act), _op(P.right_act)
 
-    def add_fn(x, y):
-        return (a1[x[0]][y[0]], aM[x[1]][y[1]], aP[x[2]][y[2]],
-                a2[x[3]][y[3]])
+    def mul_fn(X, Y):
+        (r, m, p, s), (r2, m2, p2, s2) = X, Y
+        return [M1(r, r2), AM(LAM(r, m2), RAM(m, s2)),
+                AP(RAP(p, r2), LAP(s, p2)), M2(s, s2)]
 
-    def mul_fn(x, y):
-        return (m1[x[0]][y[0]],
-                aM[laM[x[0]][y[1]]][raM[x[1]][y[3]]],
-                aP[raP[x[2]][y[0]]][laP[x[3]][y[2]]],
-                m2[x[3]][y[3]])
-
-    return _build(elements, add_fn, mul_fn,
-                  (R1.zero, M.zero, P.zero, R2.zero),
-                  (R1.one, M.zero, P.zero, R2.one),
-                  name=f"Morita({R1.name}, {R2.name}, {M.name}, {P.name})")
+    return _coord_build(
+        [range(R1.order), range(M.order), range(P.order), range(R2.order)],
+        _coordwise([R1.add, M.add, P.add, R2.add]), mul_fn,
+        [R1.zero, M.zero, P.zero, R2.zero], [R1.one, M.zero, P.zero, R2.one],
+        name=f"Morita({R1.name}, {R2.name}, {M.name}, {P.name})")
 
 
 @dataclass
@@ -525,26 +577,19 @@ def dorroh(R: FiniteRing, A: Bimodule, max_order: int = MAX_ORDER) -> DorrohExte
     A.validate(R, R, require_internal=True)
     n = R.order * A.order
     _check_order(n, max_order, f"Dorroh({R.name}, {A.name})")
-    aR, aA = R.add.tolist(), A.add.tolist()
-    mR = R.mul.tolist()
-    la, ra = A.left_act.tolist(), A.right_act.tolist()
-    im = A.internal_mul.tolist()
+    MR, AA, LA, RA, IM = (_op(T) for T in (R.mul, A.add, A.left_act,
+                                            A.right_act, A.internal_mul))
     zA = A.zero
-    elements = list(itertools.product(range(R.order), range(A.order)))
 
-    def add_fn(x, y):
-        return (aR[x[0]][y[0]], aA[x[1]][y[1]])
-
-    def mul_fn(x, y):
+    def mul_fn(X, Y):
         # (r,a)(s,w) = (rs, rw + as + aw)
-        return (mR[x[0]][y[0]],
-                aA[aA[la[x[0]][y[1]]][ra[x[1]][y[0]]]][im[x[1]][y[1]]])
+        (r, a), (s, w) = X, Y
+        return [MR(r, s), AA(AA(LA(r, w), RA(a, s)), IM(a, w))]
 
-    ring = _build(elements, add_fn, mul_fn, (R.zero, zA), (R.one, zA),
-                  name=f"Dorroh({R.name}, {A.name})")
-    quasi = all(
-        any(aA[aA[a][w]][im[a][w]] == zA for w in range(A.order))
-        for a in range(A.order))
+    ring = _coord_build([range(R.order), range(A.order)],
+                        _coordwise([R.add, A.add]), mul_fn, [R.zero, zA],
+                        [R.one, zA], name=f"Dorroh({R.name}, {A.name})")
+    quasi = bool((A.add[A.add, A.internal_mul] == zA).any(axis=1).all())
     return DorrohExtension(ring, quasi)
 
 
@@ -574,29 +619,22 @@ def truncated_skew_poly(R: FiniteRing, psi, k: int,
     pows = [np.arange(R.order, dtype=np.int32)]
     for _ in range(1, k):
         pows.append(hom.map[pows[-1]])
-    powsL = [p.tolist() for p in pows]
-    addL, mulL = R.add.tolist(), R.mul.tolist()
-    elements = list(itertools.product(range(R.order), repeat=k))
+    add, mul = _op(R.add), _op(R.mul)
 
-    def add_fn(x, y):
-        return tuple(addL[a][b] for a, b in zip(x, y))
+    def mul_fn(X, Y):
+        # coefficient d of the product: sum over i of x_i * psi^i(y_(d-i))
+        out = []
+        for d in range(k):
+            acc = mul(X[0], Y[d])
+            for i in range(1, d + 1):
+                acc = add(acc, mul(X[i], pows[i][Y[d - i]]))
+            out.append(acc)
+        return out
 
-    def mul_fn(x, y):
-        out = [R.zero] * k
-        for i in range(k):
-            xi = x[i]
-            if xi == R.zero:
-                continue
-            pw = powsL[i]
-            for j in range(k - i):
-                out[i + j] = addL[out[i + j]][mulL[xi][pw[y[j]]]]
-        return tuple(out)
-
-    zero = (R.zero,) * k
-    one = (R.one,) + (R.zero,) * (k - 1)
     label = hom_name or "psi"
-    return _build(elements, add_fn, mul_fn, zero, one,
-                  name=f"SkewTrunc({R.name}, {label}, {k})")
+    return _coord_build([range(R.order)] * k, _coordwise([R.add] * k), mul_fn,
+                        [R.zero] * k, [R.one] + [R.zero] * (k - 1),
+                        name=f"SkewTrunc({R.name}, {label}, {k})")
 
 
 def poly_index(base_order: int, coeffs: Sequence[int], k: int) -> int:
@@ -619,30 +657,16 @@ def example_weak_symmetric_component(n: int,
         raise ValueError("component index must be >= 0")
     k = n + 2
     D = truncated_skew_poly(zmod(2), np.arange(2), k, hom_name="id")
-    # tuple slot i holds the coefficient of x^i, so slot 0 is the constant
-    x_multiples = [i for i, tup in enumerate(
-        itertools.product(range(2), repeat=k)) if tup[0] == 0]
+    # the constant coefficient is the leading digit of an element of D, so
+    # the multiples of x are its first half
+    x_multiples = range(D.order // 2)
     order = (D.order ** 2) * (len(x_multiples) ** 2)
     _check_order(order, max_order, f"WSC({n})")
-    addL, mulL = D.add.tolist(), D.mul.tolist()
-    elements = [(a, b, c, d)
-                for a in range(D.order) for b in x_multiples
-                for c in x_multiples for d in range(D.order)]
-
-    def add_fn(X, Y):
-        return tuple(addL[u][v] for u, v in zip(X, Y))
-
-    def mul_fn(X, Y):
-        a, b, c, d = X
-        p, q, r, s = Y
-        return (addL[mulL[a][p]][mulL[b][r]],
-                addL[mulL[a][q]][mulL[b][s]],
-                addL[mulL[c][p]][mulL[d][r]],
-                addL[mulL[c][q]][mulL[d][s]])
-
-    z = D.zero
-    return _build(elements, add_fn, mul_fn, (z, z, z, z),
-                  (D.one, z, z, D.one), name=f"WSC({n})")
+    cells = [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
+    return _coord_build([range(D.order), x_multiples, x_multiples,
+                         range(D.order)], _coordwise([D.add] * 4),
+                        _matrix_mul(D, 2, cells), [D.zero] * 4,
+                        _matrix_one(D, cells), name=f"WSC({n})")
 
 
 # ---------------------------------------------------------------------------

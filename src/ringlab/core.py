@@ -94,7 +94,7 @@ class FiniteRing:
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "labels", "name",
-                 "_neg", "_fingerprint", "_cache")
+                 "_neg", "_fingerprint", "_cache", "__weakref__")
 
     def __init__(self, add, mul, zero: int, one: int, name: str = "",
                  labels: Optional[Sequence[str]] = None):

@@ -364,19 +364,16 @@ def _rule_r13(R: FiniteRing):
 
 def _rule_r14(R: FiniteRing):
     lhs = _holds(R, "nj_symmetric")
+    corners_nj = []
     for e in mask_indices(inv.idempotents(R)):
         if e == R.zero and R.order > 1:
             continue
-        C = cons.corner(R, e)
-        ok = _holds(C, "nj_symmetric")
+        ok = _holds(cons.corner(R, e), "nj_symmetric")
         if lhs and not ok:
             return "fail", {"direction": "ring->corner", "e": e}
+        corners_nj.append(ok)
     # converse: all corners NJ (e = 1 gives R itself) implies R NJ
-    all_corners_nj = all(
-        _holds(cons.corner(R, e), "nj_symmetric")
-        for e in mask_indices(inv.idempotents(R))
-        if not (e == R.zero and R.order > 1))
-    if all_corners_nj and not lhs:
+    if all(corners_nj) and not lhs:
         return "fail", {"direction": "corners->ring"}
     return "pass", None
 
@@ -718,12 +715,16 @@ def analyze(R: FiniteRing, cache=None,
     """Full report: radicals plus every property verdict.
 
     ``cache`` is an optional ReportCache; results are keyed by the table
-    fingerprint, so cache hits and misses agree.
+    fingerprint and carry the caller's ring name, so cache hits and misses
+    agree.
     """
     fp = canonical_fingerprint(R)
     if cache is not None:
         hit = cache.get(fp)
         if hit is not None:
+            # the key is the tables alone, so equal tables under another
+            # name hit: the report names the ring it was asked about
+            hit["ring"] = hit["radicals"]["ring"] = R.name
             return hit
     report = {
         "format": "analysis v1",

@@ -219,9 +219,12 @@ def two_sided_ideal_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
 
 @dataclass
 class IdealLattice:
-    """All (one- or two-sided) ideals of a ring, as masks, join-closed."""
+    """All (one- or two-sided) ideals of a ring, as masks, join-closed.
 
-    ring: FiniteRing
+    It holds no reference to its ring: the ring caches it, and a reference
+    back would put every ring with a lattice in a cycle.
+    """
+
     ideals: list = field(default_factory=list)
     generated_from: list = field(default_factory=list)
     truncated: bool = False
@@ -265,7 +268,7 @@ def all_left_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> IdealLatti
         cyclic = [mask_from_bool(np.isin(np.arange(R.order), R.mul[:, a]))
                   for a in range(R.order)]
         ideals, truncated = _join_lattice(R, cyclic, cap)
-        return IdealLattice(R, ideals, sorted(set(cyclic)), truncated)
+        return IdealLattice(ideals, sorted(set(cyclic)), truncated)
     return _cached(R, f"left_lattice_{cap}", compute)
 
 
@@ -274,7 +277,7 @@ def all_right_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> IdealLatt
         cyclic = [mask_from_bool(np.isin(np.arange(R.order), R.mul[a, :]))
                   for a in range(R.order)]
         ideals, truncated = _join_lattice(R, cyclic, cap)
-        return IdealLattice(R, ideals, sorted(set(cyclic)), truncated)
+        return IdealLattice(ideals, sorted(set(cyclic)), truncated)
     return _cached(R, f"right_lattice_{cap}", compute)
 
 
@@ -285,7 +288,7 @@ def all_two_sided_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> Ideal
                 R, mask_to_bool(1 << a, R.order), left=True, right=True))
             for a in range(R.order)})
         ideals, truncated = _join_lattice(R, cyclic, cap)
-        return IdealLattice(R, ideals, cyclic, truncated)
+        return IdealLattice(ideals, cyclic, truncated)
     return _cached(R, f"two_sided_lattice_{cap}", compute)
 
 

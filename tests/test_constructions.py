@@ -201,6 +201,17 @@ def test_bimodule_validation_catches_broken_action():
         bad.validate(Z2, Z2)
 
 
+@pytest.mark.parametrize("table, value", [
+    ("add", 2), ("left_act", -1), ("right_act", 5), ("internal_mul", -2)])
+def test_bimodule_rejects_entries_off_the_carrier(table, value):
+    M = cons.ring_bimodule(cons.zmod(2))
+    tables = {name: getattr(M, name).copy() for name in
+              ("add", "left_act", "right_act", "internal_mul")}
+    tables[table][0, 0] = value
+    with pytest.raises(core.StructureError, match="out of range"):
+        cons.Bimodule(**tables)
+
+
 def test_bimodule_serialization_round_trip():
     M = cons.ring_bimodule(cons.zmod(3))
     text = cons.serialize_bimodule(M, 3, 3)

@@ -168,6 +168,32 @@ def test_analyze_uses_cache(tmp_path):
     assert first == second
 
 
+def test_cache_hit_reports_the_name_asked_about(tmp_path):
+    from ringlab.cache import ReportCache
+    cache = ReportCache(tmp_path)
+    alias = cons.direct_product(zmod(2), zmod(1))
+    assert alias.name == "Prod(Z(2), Z(1))"
+    harness.analyze(alias, cache=cache)
+    hit = harness.analyze(zmod(2), cache=cache)
+    assert cache.hits == 1
+    assert hit == harness.analyze(zmod(2))
+    assert hit["ring"] == hit["radicals"]["ring"] == "Z(2)"
+
+
+def test_r14_builds_each_corner_once(monkeypatch):
+    R = upper_triangular(zmod(2), 2)
+    built = []
+    corner = cons.corner
+
+    def counting_corner(R, e):
+        built.append(e)
+        return corner(R, e)
+    monkeypatch.setattr(cons, "corner", counting_corner)
+    assert harness._rule_r14(R) == ("pass", None)
+    assert sorted(built) == sorted(set(built))
+    assert len(built) == 5          # the nonzero idempotents of T(2, Z(2))
+
+
 def test_cache_ignores_corrupt_and_stale_entries(tmp_path):
     from ringlab.cache import ReportCache
     cache = ReportCache(tmp_path)

@@ -181,3 +181,20 @@ def test_radical_report_rejects_unknown_version():
     d["format"] = "radical v9"
     with pytest.raises(ValueError):
         inv.RadicalReport.from_dict(d)
+
+
+def test_ring_with_cached_lattices_is_freed_without_the_collector():
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        R = upper_triangular(zmod(2), 2)
+        inv.radical_report(R)
+        for lattice in (inv.all_left_ideals, inv.all_right_ideals,
+                        inv.all_two_sided_ideals):
+            assert len(lattice(R)) > 1
+        ref = weakref.ref(R)
+        del R
+        assert ref() is None
+    finally:
+        gc.enable()
