@@ -1,19 +1,35 @@
-"""On-disk cache for analysis reports, keyed by table fingerprint.
+"""On-disk cache for analysis reports, keyed by table fingerprint and code.
 
-Reports are deterministic functions of the ring tables, so a fingerprint hit
-can be replayed without recomputation. The cache directory defaults to
-``~/.cache/ringlab`` and can be overridden with the RINGLAB_CACHE environment
-variable or the --cache flag.
+Reports are deterministic functions of the ring tables and of the code that
+computes them, so a hit on both can be replayed without recomputation.  The
+code enters the key as ``code_version()``, a digest of the package's own
+sources, so an edited predicate never reads a report an older one wrote.
+The cache directory defaults to ``~/.cache/ringlab`` and can be overridden
+with the RINGLAB_CACHE environment variable or the --cache flag.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Optional
 
 CACHE_VERSION = "analysis v1"
+
+
+@functools.lru_cache(maxsize=None)
+def code_version() -> str:
+    """sha256 of the package's ``*.py`` sources, taken once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        h.update(f"{path.name} {len(source)}\n".encode())
+        h.update(source)
+    return h.hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -30,7 +46,7 @@ class ReportCache:
         self.misses = 0
 
     def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
+        return self.directory / f"{fingerprint}.{code_version()}.json"
 
     def get(self, fingerprint: str) -> Optional[dict]:
         path = self._path(fingerprint)
@@ -50,8 +66,15 @@ class ReportCache:
     def put(self, fingerprint: str, report: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(fingerprint)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
+        # a temporary file of its own per write, so concurrent writers of
+        # one fingerprint never share one; the replace is atomic
+        fd, tmp = tempfile.mkstemp(dir=self.directory,
+                                   prefix=f"{fingerprint}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(report, f, indent=2, sort_keys=True)
+                f.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

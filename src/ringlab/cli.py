@@ -34,8 +34,9 @@ def _global_flags(p: argparse.ArgumentParser) -> None:
                    help="do not read or write the report cache")
     p.add_argument("--threads", type=int, metavar="N",
                    default=os.cpu_count() or 1,
-                   help="harness worker threads (output is identical for "
-                        "any value)")
+                   help="accepted for compatibility; the rule suite runs "
+                        "in one thread and the output is the same for any "
+                        "value")
 
 
 def _make_parser() -> argparse.ArgumentParser:

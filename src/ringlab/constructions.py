@@ -37,6 +37,10 @@ class NotAHomomorphismError(RingError):
         self.witness = witness
 
 
+class BadArgumentError(RingError, ValueError):
+    """A size, degree or index argument is below its least allowed value."""
+
+
 class BimoduleLawError(RingError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
@@ -46,6 +50,22 @@ class BimoduleLawError(RingError):
 def _check_order(n: int, max_order: int, what: str) -> None:
     if n > max_order:
         raise SizeError(f"{what} would have order {n} > max order {max_order}")
+
+
+def _check_power(base: int, coords: int, max_order: int, what: str) -> None:
+    """_check_order for base ** coords without forming a huge power.
+
+    Over the zero ring the order stays 1 however many coordinates there
+    are, but each costs work, so more than max_order of them are refused.
+    """
+    if base == 1 and coords > max_order:
+        raise SizeError(f"{what} would have {coords} coordinates > max order "
+                        f"{max_order}")
+    if base > 1 and coords > max_order.bit_length() + 64:
+        # base ** coords >= 2 ** coords, far past max_order
+        raise SizeError(f"{what} would have order {base}**{coords} > max "
+                        f"order {max_order}")
+    _check_order(base ** coords, max_order, what)
 
 
 # Rows of a table are built in blocks sized so that a block's int32 planes,
@@ -129,7 +149,7 @@ def _coordwise(tables: Sequence[np.ndarray]) -> Callable:
 def zmod(n: int, max_order: int = MAX_ORDER) -> FiniteRing:
     """The residue ring Z/nZ; zmod(1) is the zero ring."""
     if n < 1:
-        raise ValueError("order must be positive")
+        raise BadArgumentError("order must be positive")
     _check_order(n, max_order, "Z(n)")
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
@@ -207,8 +227,8 @@ def _matrix_labels(R: FiniteRing, k: int, cells: list) -> list[str]:
 def matrix_ring(R: FiniteRing, k: int, max_order: int = MAX_ORDER) -> FiniteRing:
     """Full k x k matrix ring over R."""
     if k < 1:
-        raise ValueError("matrix size must be positive")
-    _check_order(R.order ** (k * k), max_order, f"M({k}, {R.name})")
+        raise BadArgumentError("matrix size must be positive")
+    _check_power(R.order, k * k, max_order, f"M({k}, {R.name})")
     cells = [[(i, j)] for i in range(k) for j in range(k)]
     return _matrix_shaped(R, k, cells, f"M({k}, {R.name})")
 
@@ -240,8 +260,9 @@ def matrix_unit(base_order: int, k: int, i: int, j: int, value: int = 1) -> int:
 def upper_triangular(R: FiniteRing, k: int, max_order: int = MAX_ORDER) -> FiniteRing:
     """The ring of k x k upper triangular matrices over R."""
     if k < 1:
-        raise ValueError("matrix size must be positive")
-    _check_order(R.order ** (k * (k + 1) // 2), max_order, f"T({k}, {R.name})")
+        raise BadArgumentError("matrix size must be positive")
+    _check_power(R.order, k * (k + 1) // 2, max_order,
+                 f"T({k}, {R.name})")
     cells = [[(i, j)] for i in range(k) for j in range(i, k)]
     return _matrix_shaped(R, k, cells, f"T({k}, {R.name})")
 
@@ -258,8 +279,8 @@ def triangular_index(base_order: int, k: int, entries) -> int:
 def constant_diagonal(R: FiniteRing, k: int, max_order: int = MAX_ORDER) -> FiniteRing:
     """Upper triangular matrices with a single repeated diagonal entry."""
     if k < 1:
-        raise ValueError("matrix size must be positive")
-    _check_order(R.order ** (k * (k - 1) // 2 + 1), max_order,
+        raise BadArgumentError("matrix size must be positive")
+    _check_power(R.order, k * (k - 1) // 2 + 1, max_order,
                  f"CD({k}, {R.name})")
     cells = [[(i, i) for i in range(k)]] + [
         [(i, j)] for i in range(k) for j in range(i + 1, k)]
@@ -606,7 +627,7 @@ def truncated_skew_poly(R: FiniteRing, psi, k: int,
     truncation keeps the construction finite; the ideal (x) is nil.
     """
     if k < 1:
-        raise ValueError("truncation degree must be >= 1")
+        raise BadArgumentError("truncation degree must be >= 1")
     if isinstance(psi, RingHom):
         hom = psi
     else:
@@ -614,7 +635,7 @@ def truncated_skew_poly(R: FiniteRing, psi, k: int,
     v = hom.violation()
     if v is not None:
         raise NotAHomomorphismError(f"psi is not a ring endomorphism: {v}", v)
-    _check_order(R.order ** k, max_order, f"SkewTrunc({R.name}, ., {k})")
+    _check_power(R.order, k, max_order, f"SkewTrunc({R.name}, ., {k})")
     # psi^i tables for twisting coefficients past x^i
     pows = [np.arange(R.order, dtype=np.int32)]
     for _ in range(1, k):
@@ -654,14 +675,15 @@ def example_weak_symmetric_component(n: int,
                                      max_order: int = MAX_ORDER) -> FiniteRing:
     """Block subring of M2(D) with D = F2[x]/(x^(n+2)) and off-diagonal xD."""
     if n < 0:
-        raise ValueError("component index must be >= 0")
+        raise BadArgumentError("component index must be >= 0")
+    # two diagonal entries from D, of order 2^(n+2), and two off-diagonal
+    # ones from xD, of order 2^(n+1)
+    _check_power(2, 4 * n + 6, max_order, f"WSC({n})")
     k = n + 2
     D = truncated_skew_poly(zmod(2), np.arange(2), k, hom_name="id")
     # the constant coefficient is the leading digit of an element of D, so
     # the multiples of x are its first half
     x_multiples = range(D.order // 2)
-    order = (D.order ** 2) * (len(x_multiples) ** 2)
-    _check_order(order, max_order, f"WSC({n})")
     cells = [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
     return _coord_build([range(D.order), x_multiples, x_multiples,
                          range(D.order)], _coordwise([D.add] * 4),

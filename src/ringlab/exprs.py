@@ -58,7 +58,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if m is None:
             raise ExprError(f"unexpected character {text[pos]!r}", pos + 1)
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group()), pos + 1))
+            try:
+                value = int(m.group())
+            except ValueError:          # past int()'s digit limit
+                raise ExprError("integer literal too long", pos + 1) from None
+            tokens.append(("int", value, pos + 1))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group(), pos + 1))
         elif m.lastgroup == "str":
@@ -72,10 +76,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+#: Deepest constructor nesting accepted.  Parser and evaluator recurse once
+#: per level, so this keeps them far inside Python's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -102,6 +112,9 @@ class _Parser:
         if self.peek()[0] != "(":
             return Ident(name[1], name[2])
         self.take("(")
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"nested deeper than {MAX_DEPTH} calls", name[2])
         args = []
         if self.peek()[0] != ")":
             args.append(self.parse_expr())
@@ -109,6 +122,7 @@ class _Parser:
                 self.take(",")
                 args.append(self.parse_expr())
         self.take(")")
+        self.depth -= 1
         return Node(name[1], args, name[2])
 
     def parse_list(self):

@@ -7,7 +7,6 @@ the default corpus; a failing rule always means an implementation bug.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -619,33 +618,24 @@ def _quotient_conclusion(R: FiniteRing, concl: str):
 
 def run_rules(corpus: Corpus, rules: Optional[list] = None,
               threads: int = 1) -> RuleReport:
-    """Evaluate every rule on every applicable corpus ring."""
+    """Evaluate every rule on every applicable corpus ring, in order.
+
+    ``threads`` is accepted for compatibility and does not change the run.
+    """
     if rules is None:
         rules = rule_catalog()
-    jobs = []
+    entries = []
     for rule in rules:
-        if rule.per_ring:
-            for i, R in enumerate(corpus.rings):
-                jobs.append((rule, i, R))
-        else:
-            jobs.append((rule, -1, None))
-
-    def run(job):
-        rule, i, R = job
-        if R is None:
+        if not rule.per_ring:
             status, detail = rule.check()
-            return RuleEntry(rule.id, "-", "-", status, detail)
-        status, detail = rule.check(R)
-        return RuleEntry(rule.id, R.name, canonical_fingerprint(R),
-                         status, detail)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    # canonical order: catalog order, then corpus order (map preserves it)
-    return RuleReport(results, corpus_skipped=list(corpus.skipped))
+            entries.append(RuleEntry(rule.id, "-", "-", status, detail))
+            continue
+        for R in corpus.rings:
+            status, detail = rule.check(R)
+            entries.append(RuleEntry(rule.id, R.name, canonical_fingerprint(R),
+                                     status, detail))
+    # canonical order: catalog order, then corpus order
+    return RuleReport(entries, corpus_skipped=list(corpus.skipped))
 
 
 def diagnostic_dump(corpus: Corpus, entry: RuleEntry) -> str:

@@ -1,7 +1,11 @@
-"""Ring-class predicates, each returning a PropertyVerdict.
+"""Ring-class predicates, registered by name in ``PROPERTY_CHECKS``.
 
-Scans iterate (a, b, c) lexicographically; a failing verdict carries the
-lexicographically least witness, re-checkable from the raw tables.
+A predicate returns its failure witness, or None when the property holds.
+Scans iterate (a, b, c) lexicographically, so the witness is the
+lexicographically least one, re-checkable from the raw tables.  Each
+predicate is stated once, under ``@_property(name)``: the registered
+function times the call, settles the zero ring without running the
+predicate, and makes the witness a PropertyVerdict.
 
 The triple predicates (symmetric, semicommutative, gws, weak_symmetric,
 nj_symmetric) are written once, in ``TRIPLE_FORMS``: a triple is a witness
@@ -26,13 +30,14 @@ decides each form in two steps:
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FiniteRing, RingError, mask_contains, mask_indices, sub
+from .core import FiniteRing, RingError, mask_indices
 from . import invariants as inv
 
 
@@ -59,21 +64,34 @@ class PropertyVerdict:
                 "witness": self.witness, "method": self.method}
 
 
+#: Every registered property by name, in registration order.
+PROPERTY_CHECKS: dict[str, Callable[[FiniteRing], PropertyVerdict]] = {}
+
+
+def _property(name: str):
+    """Register a predicate, which returns its least witness or None.
+
+    The registered function times the call, holds on the zero ring without
+    running the predicate ("reduced"), and makes the witness a verdict.
+    """
+    def register(find_witness: Callable[[FiniteRing], Optional[dict]]):
+        @functools.wraps(find_witness)
+        def check(R: FiniteRing) -> PropertyVerdict:
+            t0 = time.perf_counter()
+            reduced = R.order == 1      # the zero ring has every property
+            witness = None if reduced else find_witness(R)
+            return PropertyVerdict(name, witness is None, witness,
+                                   time.perf_counter() - t0,
+                                   "reduced" if reduced else "exhaustive")
+        PROPERTY_CHECKS[name] = check
+        return check
+    return register
+
+
 def _first_true(mask2d: np.ndarray) -> tuple[int, int]:
     flat = int(np.argmax(mask2d.reshape(-1)))
     i, j = np.unravel_index(flat, mask2d.shape)
     return int(i), int(j)
-
-
-def _done(name: str, witness: Optional[dict], t0: float,
-          method: str = "exhaustive") -> PropertyVerdict:
-    return PropertyVerdict(name, witness is None, witness,
-                           time.perf_counter() - t0, method)
-
-
-def _trivial(name: str, t0: float) -> PropertyVerdict:
-    return PropertyVerdict(name, True, None, time.perf_counter() - t0,
-                           "reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -306,47 +324,31 @@ def _form_witnesses(R: FiniteRing, name: str) -> tuple[Optional[dict], ...]:
     return tuple(_first_witness(R, f) for f in forms)
 
 
-def _triple_verdict(R: FiniteRing, name: str, t0: float,
-                    witnesses: tuple[Optional[dict], ...]) -> PropertyVerdict:
-    """The verdict from the first form; all forms must agree."""
+def _triple_verdict(R: FiniteRing, name: str,
+                    witnesses: tuple[Optional[dict], ...]) -> Optional[dict]:
+    """The first form's witness; all forms must agree."""
     if len({w is None for w in witnesses}) != 1:
         forms = " ".join(f"{f.conclusion[1]}={w}" for f, w in
                          zip(TRIPLE_FORMS[name], witnesses))
         raise InternalCheckError(
             f"{name} formulations disagree on {R.name}: {forms}")
-    return _done(name, witnesses[0], t0)
+    return witnesses[0]
 
 
 # ---------------------------------------------------------------------------
 # Zero-annihilation symmetry conditions
 # ---------------------------------------------------------------------------
 
-def is_commutative(R: FiniteRing) -> PropertyVerdict:
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("commutative", t0)
-    bad = R.mul != R.mul.T
-    if bad.any():
-        a, b = _first_true(bad)
-        return _done("commutative", {"a": a, "b": b}, t0)
-    return _done("commutative", None, t0)
-
-
-def is_symmetric(R: FiniteRing) -> PropertyVerdict:
+@_property("symmetric")
+def is_symmetric(R: FiniteRing) -> Optional[dict]:
     """abc = 0 implies bac = 0."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("symmetric", t0)
-    return _triple_verdict(R, "symmetric", t0,
-                           _form_witnesses(R, "symmetric"))
+    return _triple_verdict(R, "symmetric", _form_witnesses(R, "symmetric"))
 
 
-def is_semicommutative(R: FiniteRing) -> PropertyVerdict:
+@_property("semicommutative")
+def is_semicommutative(R: FiniteRing) -> Optional[dict]:
     """ab = 0 implies aRb = 0."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("semicommutative", t0)
-    return _triple_verdict(R, "semicommutative", t0,
+    return _triple_verdict(R, "semicommutative",
                            _form_witnesses(R, "semicommutative"))
 
 
@@ -355,20 +357,16 @@ def weak_symmetric_forms(R: FiniteRing) -> tuple[Optional[dict], Optional[dict]]
     return _form_witnesses(R, "weak_symmetric")
 
 
-def is_weak_symmetric(R: FiniteRing) -> PropertyVerdict:
+@_property("weak_symmetric")
+def is_weak_symmetric(R: FiniteRing) -> Optional[dict]:
     """abc nilpotent implies acb nilpotent (equivalently bac nilpotent)."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("weak_symmetric", t0)
-    return _triple_verdict(R, "weak_symmetric", t0, weak_symmetric_forms(R))
+    return _triple_verdict(R, "weak_symmetric", weak_symmetric_forms(R))
 
 
-def is_gws(R: FiniteRing) -> PropertyVerdict:
+@_property("gws")
+def is_gws(R: FiniteRing) -> Optional[dict]:
     """abc = 0 implies bac nilpotent."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("gws", t0)
-    return _triple_verdict(R, "gws", t0, _form_witnesses(R, "gws"))
+    return _triple_verdict(R, "gws", _form_witnesses(R, "gws"))
 
 
 def nj_symmetric_forms(R: FiniteRing) -> tuple[Optional[dict], ...]:
@@ -376,16 +374,14 @@ def nj_symmetric_forms(R: FiniteRing) -> tuple[Optional[dict], ...]:
     return _form_witnesses(R, "nj_symmetric")
 
 
-def is_nj_symmetric(R: FiniteRing) -> PropertyVerdict:
+@_property("nj_symmetric")
+def is_nj_symmetric(R: FiniteRing) -> Optional[dict]:
     """abc nilpotent implies bac in the Jacobson radical.
 
     All three equivalent formulations (bac, acb, cba) are evaluated and must
     agree; disagreement is an implementation bug.
     """
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("nj_symmetric", t0)
-    return _triple_verdict(R, "nj_symmetric", t0, nj_symmetric_forms(R))
+    return _triple_verdict(R, "nj_symmetric", nj_symmetric_forms(R))
 
 
 # ---------------------------------------------------------------------------
@@ -406,58 +402,40 @@ def _two_sided_witness(R: FiniteRing, ideal_mask: int,
     return None
 
 
-def is_left_quasi_duo(R: FiniteRing) -> PropertyVerdict:
+@_property("left_quasi_duo")
+def is_left_quasi_duo(R: FiniteRing) -> Optional[dict]:
     """Every maximal left ideal is two-sided."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("left_quasi_duo", t0)
     for m in inv.maximal_left_ideals(R):
         w = _two_sided_witness(R, m, right_mult=True)
         if w is not None:
-            return _done("left_quasi_duo", w, t0)
-    return _done("left_quasi_duo", None, t0)
+            return w
+    return None
 
 
-def is_right_quasi_duo(R: FiniteRing) -> PropertyVerdict:
+@_property("right_quasi_duo")
+def is_right_quasi_duo(R: FiniteRing) -> Optional[dict]:
     """Every maximal right ideal is two-sided."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("right_quasi_duo", t0)
     for m in inv.maximal_right_ideals(R):
         w = _two_sided_witness(R, m, right_mult=False)
         if w is not None:
-            return _done("right_quasi_duo", w, t0)
-    return _done("right_quasi_duo", None, t0)
+            return w
+    return None
 
 
-def is_melt(R: FiniteRing) -> PropertyVerdict:
+@_property("melt")
+def is_melt(R: FiniteRing) -> Optional[dict]:
     """Every maximal essential left ideal is two-sided."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("melt", t0)
     for m in inv.maximal_left_ideals(R):
         if not inv.is_essential_left_ideal(R, m):
             continue
         w = _two_sided_witness(R, m, right_mult=True)
         if w is not None:
-            return _done("melt", w, t0)
-    return _done("melt", None, t0)
-
-
-def is_local(R: FiniteRing) -> PropertyVerdict:
-    """Exactly one maximal left ideal."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("local", t0)
-    ms = inv.maximal_left_ideals(R)
-    if len(ms) == 1:
-        return _done("local", None, t0)
-    w = {"ideals": [mask_indices(m) for m in ms[:2]]}
-    return _done("local", w, t0)
+            return w
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Element-decomposition conditions
+# Idempotents, units and the Jacobson radical
 # ---------------------------------------------------------------------------
 
 def _reachable_by_sums(R: FiniteRing, left: np.ndarray,
@@ -471,68 +449,57 @@ def _reachable_by_sums(R: FiniteRing, left: np.ndarray,
     return out
 
 
-def is_clean(R: FiniteRing) -> PropertyVerdict:
-    """Every element is idempotent + unit."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("clean", t0)
-    reach = _reachable_by_sums(R, inv.idempotents_bool(R), inv.units_bool(R))
-    if reach.all():
-        return _done("clean", None, t0)
-    return _done("clean", {"a": int(np.argmax(~reach))}, t0)
-
-
-def is_j_clean(R: FiniteRing) -> PropertyVerdict:
-    """Every element is idempotent + radical element."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("j_clean", t0)
-    reach = _reachable_by_sums(R, inv.idempotents_bool(R), inv.jacobson_bool(R))
-    if reach.all():
-        return _done("j_clean", None, t0)
-    return _done("j_clean", {"a": int(np.argmax(~reach))}, t0)
-
-
-def is_abelian(R: FiniteRing) -> PropertyVerdict:
+@_property("abelian")
+def is_abelian(R: FiniteRing) -> Optional[dict]:
     """All idempotents are central."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("abelian", t0)
     idem = inv.idempotents_bool(R)
     central = inv.center_bool(R)
     bad = idem & ~central
     if bad.any():
         e = int(np.argmax(bad))
         r = int(np.argmax(R.mul[e] != R.mul[:, e]))
-        return _done("abelian", {"e": e, "r": r}, t0)
-    return _done("abelian", None, t0)
+        return {"e": e, "r": r}
+    return None
 
 
-def is_exchange(R: FiniteRing) -> PropertyVerdict:
+@_property("clean")
+def is_clean(R: FiniteRing) -> Optional[dict]:
+    """Every element is idempotent + unit."""
+    reach = _reachable_by_sums(R, inv.idempotents_bool(R), inv.units_bool(R))
+    if reach.all():
+        return None
+    return {"a": int(np.argmax(~reach))}
+
+
+@_property("j_clean")
+def is_j_clean(R: FiniteRing) -> Optional[dict]:
+    """Every element is idempotent + radical element."""
+    reach = _reachable_by_sums(R, inv.idempotents_bool(R), inv.jacobson_bool(R))
+    if reach.all():
+        return None
+    return {"a": int(np.argmax(~reach))}
+
+
+@_property("exchange")
+def is_exchange(R: FiniteRing) -> Optional[dict]:
     """Every a has an idempotent e with e in Ra and 1-e in R(1-a)."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("exchange", t0)
     n = R.order
     neg = R.neg_table()
     one_minus = R.add[R.one, neg]       # 1 - x, per element
     idem = np.flatnonzero(inv.idempotents_bool(R))
-    arange = np.arange(n)
     for a in range(n):
         ra = np.zeros(n, dtype=bool)
         ra[R.mul[:, a]] = True
         r1a = np.zeros(n, dtype=bool)
         r1a[R.mul[:, one_minus[a]]] = True
         if not (ra[idem] & r1a[one_minus[idem]]).any():
-            return _done("exchange", {"a": a}, t0)
-    return _done("exchange", None, t0)
+            return {"a": a}
+    return None
 
 
-def is_j_quasipolar(R: FiniteRing) -> PropertyVerdict:
+@_property("j_quasipolar")
+def is_j_quasipolar(R: FiniteRing) -> Optional[dict]:
     """Every a has an idempotent f in its double commutant with a + f in J."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("j_quasipolar", t0)
     idem = inv.idempotents_bool(R)
     jac = inv.jacobson_bool(R)
     eq = R.mul == R.mul.T
@@ -541,46 +508,53 @@ def is_j_quasipolar(R: FiniteRing) -> PropertyVerdict:
         dc = eq[:, cm].all(axis=1)
         f = np.flatnonzero(dc & idem)
         if not jac[R.add[a, f]].any():
-            return _done("j_quasipolar", {"a": a}, t0)
-    return _done("j_quasipolar", None, t0)
+            return {"a": a}
+    return None
 
 
-def is_regular(R: FiniteRing) -> PropertyVerdict:
+@_property("local")
+def is_local(R: FiniteRing) -> Optional[dict]:
+    """Exactly one maximal left ideal."""
+    ms = inv.maximal_left_ideals(R)
+    if len(ms) == 1:
+        return None
+    return {"ideals": [mask_indices(m) for m in ms[:2]]}
+
+
+# ---------------------------------------------------------------------------
+# Regularity and periodicity
+# ---------------------------------------------------------------------------
+
+@_property("regular")
+def is_regular(R: FiniteRing) -> Optional[dict]:
     """a in aRa for every a."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("regular", t0)
     for a in range(R.order):
         if not (R.mul[R.mul[a], a] == a).any():
-            return _done("regular", {"a": a}, t0)
-    return _done("regular", None, t0)
+            return {"a": a}
+    return None
 
 
-def is_strongly_regular(R: FiniteRing) -> PropertyVerdict:
+@_property("strongly_regular")
+def is_strongly_regular(R: FiniteRing) -> Optional[dict]:
     """a in a^2 R for every a."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("strongly_regular", t0)
     for a in range(R.order):
         if not (R.mul[R.mul[a, a]] == a).any():
-            return _done("strongly_regular", {"a": a}, t0)
-    return _done("strongly_regular", None, t0)
+            return {"a": a}
+    return None
 
 
-def is_semiperiodic(R: FiniteRing) -> PropertyVerdict:
+@_property("semiperiodic")
+def is_semiperiodic(R: FiniteRing) -> Optional[dict]:
     """a^q - a^p nilpotent, q - p odd, for each a outside J(R) union Z(R).
 
     The exponent bound 3n+2 is complete: the power sequence has
     preperiod + period <= n, and shifting a witness pair into the window
     preserves the parity of q - p.
     """
-    t0 = time.perf_counter()
     n = R.order
-    if n == 1:
-        return _trivial("semiperiodic", t0)
     outside = ~(inv.jacobson_bool(R) | inv.center_bool(R))
     if not outside.any():
-        return _done("semiperiodic", None, t0)
+        return None
     nil = inv.nilpotents_bool(R)
     neg = R.neg_table()
     qmax = 3 * n + 2
@@ -595,105 +569,77 @@ def is_semiperiodic(R: FiniteRing) -> PropertyVerdict:
             cur = int(R.mul[cur, a])
         diff = R.add[pw[:, None], neg[pw][None, :]]   # a^q - a^p
         if not (nil[diff] & want).any():
-            return _done("semiperiodic", {"a": int(a)}, t0)
-    return _done("semiperiodic", None, t0)
+            return {"a": int(a)}
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Radical-comparison conditions
+# Radical comparison and commutativity
 # ---------------------------------------------------------------------------
 
-def is_reduced(R: FiniteRing) -> PropertyVerdict:
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("reduced", t0)
-    nil = inv.nilpotents_bool(R)
-    bad = nil.copy()
-    bad[R.zero] = False
-    if bad.any():
-        return _done("reduced", {"a": int(np.argmax(bad))}, t0)
-    return _done("reduced", None, t0)
-
-
-def is_2_primal(R: FiniteRing) -> PropertyVerdict:
+@_property("two_primal")
+def is_2_primal(R: FiniteRing) -> Optional[dict]:
     """N(R) equals the lower nilradical."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("two_primal", t0)
     lower = inv.lower_nilradical(R)
     bad = inv.nilpotents_bool(R).copy()
     for i in mask_indices(lower):
         bad[i] = False
     if bad.any():
-        return _done("two_primal", {"a": int(np.argmax(bad))}, t0)
-    return _done("two_primal", None, t0)
+        return {"a": int(np.argmax(bad))}
+    return None
 
 
-def is_semiprime(R: FiniteRing) -> PropertyVerdict:
+@_property("reduced")
+def is_reduced(R: FiniteRing) -> Optional[dict]:
+    nil = inv.nilpotents_bool(R)
+    bad = nil.copy()
+    bad[R.zero] = False
+    if bad.any():
+        return {"a": int(np.argmax(bad))}
+    return None
+
+
+@_property("semiprime")
+def is_semiprime(R: FiniteRing) -> Optional[dict]:
     """aRa = 0 implies a = 0."""
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("semiprime", t0)
     for a in range(R.order):
         if a == R.zero:
             continue
         if (R.mul[R.mul[a], a] == R.zero).all():
-            return _done("semiprime", {"a": a}, t0)
-    return _done("semiprime", None, t0)
+            return {"a": a}
+    return None
 
 
-def is_domain(R: FiniteRing) -> PropertyVerdict:
-    t0 = time.perf_counter()
-    if R.order == 1:
-        return _trivial("domain", t0)
+@_property("domain")
+def is_domain(R: FiniteRing) -> Optional[dict]:
     zd = R.mul == R.zero
     zd[R.zero, :] = False
     zd[:, R.zero] = False
     if zd.any():
         a, b = _first_true(zd)
-        return _done("domain", {"a": a, "b": b}, t0)
-    return _done("domain", None, t0)
+        return {"a": a, "b": b}
+    return None
+
+
+@_property("commutative")
+def is_commutative(R: FiniteRing) -> Optional[dict]:
+    bad = R.mul != R.mul.T
+    if bad.any():
+        a, b = _first_true(bad)
+        return {"a": a, "b": b}
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Registry and witness re-verification
+# Lookup and witness re-verification
 # ---------------------------------------------------------------------------
-
-PROPERTY_CHECKS: dict[str, Callable[[FiniteRing], PropertyVerdict]] = {
-    "symmetric": is_symmetric,
-    "semicommutative": is_semicommutative,
-    "weak_symmetric": is_weak_symmetric,
-    "gws": is_gws,
-    "nj_symmetric": is_nj_symmetric,
-    "left_quasi_duo": is_left_quasi_duo,
-    "right_quasi_duo": is_right_quasi_duo,
-    "melt": is_melt,
-    "abelian": is_abelian,
-    "clean": is_clean,
-    "j_clean": is_j_clean,
-    "exchange": is_exchange,
-    "j_quasipolar": is_j_quasipolar,
-    "local": is_local,
-    "regular": is_regular,
-    "strongly_regular": is_strongly_regular,
-    "semiperiodic": is_semiperiodic,
-    "two_primal": is_2_primal,
-    "reduced": is_reduced,
-    "semiprime": is_semiprime,
-    "domain": is_domain,
-    "commutative": is_commutative,
-}
-
 
 def check_property(R: FiniteRing, name: str) -> PropertyVerdict:
     try:
         fn = PROPERTY_CHECKS[name]
     except KeyError:
         raise UnknownPropertyError(f"unknown property: {name!r}") from None
-
-    def compute():
-        return fn(R)
-    return inv._cached(R, f"prop_{name}", compute)
+    return inv._cached(R, f"prop_{name}", lambda: fn(R))
 
 
 def all_verdicts(R: FiniteRing) -> dict[str, PropertyVerdict]:

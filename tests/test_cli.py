@@ -232,3 +232,25 @@ def test_verify_max_order_skips_larger_default_rings(capsys):
     assert all("max order 64" in reason for reason in skipped.values())
     rings = {e["ring"] for e in doc["entries"]}
     assert rings and not rings & set(skipped)
+
+
+@pytest.mark.parametrize("expr", ["Z(0)", "M(0, Z(2))", "T(0, Z(2))",
+                                  "CD(0, Z(2))", "SkewTrunc(Z(2), id, 0)"])
+def test_bad_construction_arguments_exit_2_without_traceback(expr):
+    import subprocess
+    import sys
+    out = subprocess.run(
+        [sys.executable, "-m", "ringlab.cli", "prop", "nj_symmetric", expr],
+        capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stdout == ""
+
+
+def test_bad_construction_arguments_are_ring_errors():
+    from ringlab.core import RingError, SizeError
+    assert issubclass(cons.BadArgumentError, RingError)
+    # not a SizeError: default_corpus skips those as "too large"
+    assert not issubclass(cons.BadArgumentError, SizeError)
+    with pytest.raises(cons.BadArgumentError):
+        cons.example_weak_symmetric_component(-1)

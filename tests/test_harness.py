@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 from ringlab import constructions as cons
@@ -198,12 +201,63 @@ def test_cache_ignores_corrupt_and_stale_entries(tmp_path):
     from ringlab.cache import ReportCache
     cache = ReportCache(tmp_path)
     fp = canonical_fingerprint(zmod(2))
-    (tmp_path / f"{fp}.json").write_text("not json")
+    cache._path(fp).write_text("not json")
     assert cache.get(fp) is None
     cache.put(fp, {"format": "analysis v1", "x": 1})
     assert cache.get(fp) == {"format": "analysis v1", "x": 1}
     cache.put(fp, {"format": "analysis v0"})
     assert cache.get(fp) is None
+
+
+def test_cache_entry_written_by_other_code_is_a_miss(tmp_path, monkeypatch):
+    from ringlab import cache as cache_mod
+    fp = canonical_fingerprint(zmod(2))
+    report = {"format": "analysis v1", "x": 1}
+    with monkeypatch.context() as m:
+        m.setattr(cache_mod, "code_version", lambda: "0" * 64)
+        cache_mod.ReportCache(tmp_path).put(fp, report)
+    cache = cache_mod.ReportCache(tmp_path)
+    assert cache.get(fp) is None and cache.misses == 1
+    cache.put(fp, report)
+    assert cache.get(fp) == report
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{fp}.{'0' * 64}.json", f"{fp}.{cache_mod.code_version()}.json"])
+
+
+def test_code_version_is_a_digest_of_the_package_sources():
+    from ringlab import cache as cache_mod
+    v = cache_mod.code_version()
+    assert len(v) == 64 and int(v, 16) >= 0
+    assert cache_mod.code_version() is v        # taken once per process
+
+
+def test_cache_writes_use_distinct_temporary_files(tmp_path, monkeypatch):
+    from ringlab import cache as cache_mod
+    sources = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(src)
+        replace(src, dst)
+    monkeypatch.setattr(cache_mod.os, "replace", recording_replace)
+    cache = cache_mod.ReportCache(tmp_path)
+    fp = canonical_fingerprint(zmod(3))
+    cache.put(fp, {"format": "analysis v1", "n": 1})
+    cache.put(fp, {"format": "analysis v1", "n": 2})
+    assert len(sources) == 2 and sources[0] != sources[1]
+    assert all(os.path.dirname(s) == str(tmp_path) for s in sources)
+    assert not list(tmp_path.glob("*.tmp"))
+    assert cache._path(fp).read_text() == json.dumps(
+        {"format": "analysis v1", "n": 2}, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path):
+    from ringlab.cache import ReportCache
+    cache = ReportCache(tmp_path)
+    fp = canonical_fingerprint(zmod(3))
+    with pytest.raises(TypeError):
+        cache.put(fp, {"format": "analysis v1", "bad": object()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diagnostic_dump_contains_tables(corpus):

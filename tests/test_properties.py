@@ -200,3 +200,51 @@ def test_verdict_dict_excludes_timing():
     assert "elapsed" not in d
     assert d["name"] == "nj_symmetric"
     assert d["holds"] is True
+
+
+# -- the registration contract -------------------------------------------------
+
+def test_registry_keeps_its_order():
+    # all_verdicts and the benchmark's metrics follow this order
+    assert tuple(props.PROPERTY_CHECKS) == (
+        "symmetric", "semicommutative", "weak_symmetric", "gws",
+        "nj_symmetric", "left_quasi_duo", "right_quasi_duo", "melt",
+        "abelian", "clean", "j_clean", "exchange", "j_quasipolar", "local",
+        "regular", "strongly_regular", "semiperiodic", "two_primal",
+        "reduced", "semiprime", "domain", "commutative")
+
+
+@pytest.mark.parametrize("name", list(props.PROPERTY_CHECKS))
+def test_zero_ring_is_reduced_through_either_entry_point(name):
+    R = zmod(1)
+    for v in (props.PROPERTY_CHECKS[name](R), props.check_property(R, name)):
+        assert (v.name, v.holds, v.witness, v.method) == (
+            name, True, None, "reduced")
+
+
+def test_zero_ring_shortcut_skips_the_predicate(monkeypatch):
+    monkeypatch.setattr(props, "PROPERTY_CHECKS", {})
+
+    def explode(R):
+        raise AssertionError(f"predicate ran on {R.name}")
+    check = props._property("probe")(explode)
+    assert props.PROPERTY_CHECKS == {"probe": check}
+    v = check(zmod(1))
+    assert (v.holds, v.witness, v.method) == (True, None, "reduced")
+    with pytest.raises(AssertionError, match="Z\\(2\\)"):
+        check(zmod(2))
+
+
+def test_registered_functions_are_the_module_attributes():
+    # the benchmark's tracer finds each entry by its module name
+    for name, fn in props.PROPERTY_CHECKS.items():
+        assert getattr(props, fn.__name__) is fn, name
+
+
+@pytest.mark.parametrize("name", list(props.PROPERTY_CHECKS))
+def test_registered_verdicts_carry_name_time_and_witness(name):
+    v = props.PROPERTY_CHECKS[name](M2Z2)
+    assert v.name == name and v.method == "exhaustive"
+    assert v.elapsed > 0
+    assert v.holds is (v.witness is None)
+    assert v.holds is EXPECTED.get((M2Z2, name), v.holds)
