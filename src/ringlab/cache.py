@@ -78,3 +78,8 @@ class ReportCache:
         except BaseException:
             os.unlink(tmp)
             raise
+        # this ring's entries from other code versions and older releases
+        for stale in [self.directory / f"{fingerprint}.json",
+                      *self.directory.glob(f"{fingerprint}.*.json")]:
+            if stale != path:
+                stale.unlink(missing_ok=True)

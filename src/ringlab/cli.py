@@ -8,6 +8,7 @@ failed, 2 usage, parse, size or truncation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,6 +40,8 @@ def _global_flags(p: argparse.ArgumentParser) -> None:
                         "value")
 
 
+# built once per process; building it took about 1.5 ms of every main() call
+@functools.lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringlab",

@@ -69,10 +69,8 @@ def mask_contains(mask: int, i: int) -> bool:
 
 
 def mask_from_bool(arr: np.ndarray) -> int:
-    m = 0
-    for i in np.flatnonzero(arr):
-        m |= 1 << int(i)
-    return m
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(),
+                          "little")
 
 
 def mask_to_bool(mask: int, n: int) -> np.ndarray:
@@ -90,7 +88,8 @@ class FiniteRing:
     """A finite associative unital ring given by explicit tables.
 
     Immutable after construction; all tables are read-only numpy arrays.
-    Safe to share across threads.
+    Values memoized in ``_cache`` are computed without a lock, so threads
+    sharing a ring may compute one of them twice.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "labels", "name",

@@ -700,8 +700,7 @@ def search_counterexample(hypotheses: list, negated_conclusion: str,
     return SearchResult(None, None, examined)
 
 
-def analyze(R: FiniteRing, cache=None,
-            cap: int = inv.DEFAULT_LATTICE_CAP) -> dict:
+def analyze(R: FiniteRing, cache=None) -> dict:
     """Full report: radicals plus every property verdict.
 
     ``cache`` is an optional ReportCache; results are keyed by the table
@@ -721,7 +720,7 @@ def analyze(R: FiniteRing, cache=None,
         "ring": R.name,
         "order": R.order,
         "fingerprint": fp,
-        "radicals": inv.radical_report(R, cap).to_dict(),
+        "radicals": inv.radical_report(R).to_dict(),
         "properties": {name: props.check_property(R, name).to_dict()
                        for name in sorted(props.PROPERTY_CHECKS)},
     }

@@ -13,11 +13,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FiniteRing, LatticeTruncatedError, RingError, mask_contains,
-                   mask_from_bool, mask_from_indices, mask_indices,
-                   mask_size, mask_to_bool)
+from .core import (FiniteRing, LatticeTruncatedError, RingError, _first_true,
+                   mask_contains, mask_from_bool, mask_from_indices,
+                   mask_indices, mask_size, mask_to_bool)
 
 DEFAULT_LATTICE_CAP = 20000
+_BLOCK_BYTES = 1 << 20      # bound on one block's temporaries
 
 
 class NotAnIdealError(RingError):
@@ -142,17 +143,15 @@ def right_annihilator(R: FiniteRing, a: int) -> int:
 # Ideal generation and lattices
 # ---------------------------------------------------------------------------
 
-def _closure_bool(R: FiniteRing, seed: np.ndarray, left: bool,
-                  right: bool) -> np.ndarray:
-    """Close a subset under addition and the requested multiplications."""
+def _closure_bool(R: FiniteRing, seed: np.ndarray, right: bool) -> np.ndarray:
+    """Close a subset under addition, left and, if asked, right multiples."""
     members = seed.copy()
     members[R.zero] = True
     while True:
         idx = np.flatnonzero(members)
         new = members.copy()
         new[R.add[np.ix_(idx, idx)].ravel()] = True
-        if left:
-            new[R.mul[:, idx].ravel()] = True
+        new[R.mul[:, idx].ravel()] = True
         if right:
             new[R.mul[idx, :].ravel()] = True
         if (new == members).all():
@@ -162,17 +161,12 @@ def _closure_bool(R: FiniteRing, seed: np.ndarray, left: bool,
 
 def left_ideal_generated(R: FiniteRing, S: int) -> int:
     return mask_from_bool(
-        _closure_bool(R, mask_to_bool(S, R.order), left=True, right=False))
-
-
-def right_ideal_generated(R: FiniteRing, S: int) -> int:
-    return mask_from_bool(
-        _closure_bool(R, mask_to_bool(S, R.order), left=False, right=True))
+        _closure_bool(R, mask_to_bool(S, R.order), right=False))
 
 
 def two_sided_ideal_generated(R: FiniteRing, S: int) -> int:
     return mask_from_bool(
-        _closure_bool(R, mask_to_bool(S, R.order), left=True, right=True))
+        _closure_bool(R, mask_to_bool(S, R.order), right=True))
 
 
 def subgroup_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
@@ -203,18 +197,23 @@ def left_ideal_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
     return None
 
 
+def _right_escape(mul: np.ndarray, inside: np.ndarray) -> Optional[tuple]:
+    """First (m, r), m in the set, with m*r outside it under table ``mul``
+    (under the opposite ring's table R.mul.T, m*r reads r*m)."""
+    members = np.flatnonzero(inside)
+    bad = ~inside[mul[members]]
+    if not bad.any():
+        return None
+    i, r = _first_true(bad)
+    return int(members[i]), r
+
+
 def two_sided_ideal_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
     v = left_ideal_violation(R, mask)
     if v is not None:
         return v
-    b = mask_to_bool(mask, R.order)
-    idx = np.flatnonzero(b)
-    prods = R.mul[idx, :]
-    bad = ~b[prods]
-    if bad.any():
-        i, r = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return ("right-mul", int(idx[i]), int(r))
-    return None
+    hit = _right_escape(R.mul, mask_to_bool(mask, R.order))
+    return None if hit is None else ("right-mul", *hit)
 
 
 @dataclass
@@ -226,69 +225,77 @@ class IdealLattice:
     """
 
     ideals: list = field(default_factory=list)
-    generated_from: list = field(default_factory=list)
     truncated: bool = False
 
     def __len__(self) -> int:
         return len(self.ideals)
 
 
-def _join_lattice(R: FiniteRing, cyclic_masks: list[int], cap: int) -> tuple:
-    """Close a set of ideals under pairwise join (sum).
+def _cyclic_left_ideals(R: FiniteRing, opposite: bool) -> list[int]:
+    """Sorted distinct Ra of R, or of its opposite ring (the aR of R)."""
+    def compute():
+        n = R.order
+        mul = R.mul.T if opposite else R.mul     # opposite ring: a*b = b*a
+        step = max(1, _BLOCK_BYTES // (8 * n))   # intp index of one block
+        cyclic = set()
+        for a0 in range(0, n, step):             # row a of block: True at r*a
+            cols = mul[:, a0:a0 + step]
+            block = np.zeros((cols.shape[1], n), dtype=bool)
+            block[np.arange(cols.shape[1]), cols] = True
+            cyclic.update(mask_from_bool(row) for row in block)
+        return sorted(cyclic)
+    return _cached(R, f"cyclic_left_{opposite}", compute)
 
-    Joining against the cyclic generators suffices: every ideal is a join of
-    cyclic ones, so iterated generator-joins reach the whole lattice.
+
+def _join_lattice(R: FiniteRing, opposite: bool, cap: int) -> IdealLattice:
+    """The left ideals of R, or of its opposite ring (the right ideals of R).
+
+    Every left ideal is a sum of cyclic ones, so joining each ideal found
+    with every cyclic ideal reaches the whole lattice.  Past ``cap`` ideals
+    the lattice is returned truncated.
     """
-    gens = sorted(set(cyclic_masks))
+    gens = _cyclic_left_ideals(R, opposite)
     if len(gens) > cap:
-        return gens[:cap], True
+        return IdealLattice(gens[:cap], True)
     gen_idx = [np.array(mask_indices(g), dtype=np.intp) for g in gens]
     ideals = set(gens)
     work = list(gens)
-    truncated = False
-    while work and not truncated:
+    while work:
         m = work.pop()
         m_idx = np.array(mask_indices(m), dtype=np.intp)
         for g, g_idx in zip(gens, gen_idx):
             if g | m == m or m | g == g:
                 continue  # comparable: join is the larger one, already present
-            summed = R.add[np.ix_(m_idx, g_idx)]
-            j = mask_from_bool(np.isin(np.arange(R.order), summed))
+            summed = np.zeros(R.order, dtype=bool)
+            summed[R.add[m_idx[:, None], g_idx]] = True
+            j = mask_from_bool(summed)
             if j not in ideals:
                 if len(ideals) >= cap:
-                    truncated = True
-                    break
+                    return IdealLattice(sorted(ideals), True)
                 ideals.add(j)
                 work.append(j)
-    return sorted(ideals), truncated
+    return IdealLattice(sorted(ideals), False)
 
 
 def all_left_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> IdealLattice:
-    def compute():
-        cyclic = [mask_from_bool(np.isin(np.arange(R.order), R.mul[:, a]))
-                  for a in range(R.order)]
-        ideals, truncated = _join_lattice(R, cyclic, cap)
-        return IdealLattice(ideals, sorted(set(cyclic)), truncated)
-    return _cached(R, f"left_lattice_{cap}", compute)
+    return _cached(R, f"left_lattice_{cap}",
+                   lambda: _join_lattice(R, False, cap))
 
 
 def all_right_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> IdealLattice:
-    def compute():
-        cyclic = [mask_from_bool(np.isin(np.arange(R.order), R.mul[a, :]))
-                  for a in range(R.order)]
-        ideals, truncated = _join_lattice(R, cyclic, cap)
-        return IdealLattice(ideals, sorted(set(cyclic)), truncated)
-    return _cached(R, f"right_lattice_{cap}", compute)
+    return _cached(R, f"right_lattice_{cap}",
+                   lambda: _join_lattice(R, True, cap))
 
 
 def all_two_sided_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> IdealLattice:
+    """The left ideals closed under right multiplication; truncated
+    exactly when the left lattice under the same ``cap`` is."""
     def compute():
-        cyclic = sorted({
-            mask_from_bool(_closure_bool(
-                R, mask_to_bool(1 << a, R.order), left=True, right=True))
-            for a in range(R.order)})
-        ideals, truncated = _join_lattice(R, cyclic, cap)
-        return IdealLattice(ideals, cyclic, truncated)
+        left = all_left_ideals(R, cap)
+        return IdealLattice(
+            [m for m in left.ideals
+             if _right_escape(R.mul, mask_to_bool(m, R.order)) is None],
+            left.truncated)
     return _cached(R, f"two_sided_lattice_{cap}", compute)
 
 
@@ -323,19 +330,15 @@ def maximal_right_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> list[
 def is_essential_left_ideal(R: FiniteRing, L: int) -> bool:
     """L meets every nonzero left ideal nontrivially.
 
-    Cyclic ideals suffice: any nonzero left ideal contains a nonzero Ra.
+    Cyclic ideals suffice: any nonzero left ideal contains a nonzero Ra,
+    and Ra is nonzero exactly when a is, since a = 1a lies in it.
     """
     v = left_ideal_violation(R, L)
     if v is not None:
         raise NotAnIdealError("not a left ideal", v)
-    nonzero = ~(1 << R.zero)
-    for a in range(R.order):
-        if a == R.zero:
-            continue
-        ra = mask_from_bool(np.isin(np.arange(R.order), R.mul[:, a]))
-        if L & ra & nonzero == 0:
-            return False
-    return True
+    zero = 1 << R.zero
+    return all(L & g & ~zero for g in _cyclic_left_ideals(R, False)
+               if g != zero)
 
 
 def jacobson_via_maximal_left_ideals(R: FiniteRing,

@@ -37,7 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FiniteRing, RingError, mask_indices
+from .core import (FiniteRing, RingError, _first_true, mask_indices,
+                   mask_to_bool)
 from . import invariants as inv
 
 
@@ -86,12 +87,6 @@ def _property(name: str):
         PROPERTY_CHECKS[name] = check
         return check
     return register
-
-
-def _first_true(mask2d: np.ndarray) -> tuple[int, int]:
-    flat = int(np.argmax(mask2d.reshape(-1)))
-    i, j = np.unravel_index(flat, mask2d.shape)
-    return int(i), int(j)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +386,11 @@ def is_nj_symmetric(R: FiniteRing) -> Optional[dict]:
 def _two_sided_witness(R: FiniteRing, ideal_mask: int,
                        right_mult: bool) -> Optional[dict]:
     """First (m, r) with m*r (or r*m) escaping the one-sided ideal."""
-    b = np.zeros(R.order, dtype=bool)
-    members = mask_indices(ideal_mask)
-    b[members] = True
-    prods = R.mul[members, :] if right_mult else R.mul[:, members].T
-    bad = ~b[prods]
-    if bad.any():
-        i, r = _first_true(bad)
-        return {"ideal": members, "m": members[i], "r": int(r)}
-    return None
+    hit = inv._right_escape(R.mul if right_mult else R.mul.T,
+                            mask_to_bool(ideal_mask, R.order))
+    if hit is None:
+        return None
+    return {"ideal": mask_indices(ideal_mask), "m": hit[0], "r": hit[1]}
 
 
 @_property("left_quasi_duo")
@@ -547,28 +538,24 @@ def is_strongly_regular(R: FiniteRing) -> Optional[dict]:
 def is_semiperiodic(R: FiniteRing) -> Optional[dict]:
     """a^q - a^p nilpotent, q - p odd, for each a outside J(R) union Z(R).
 
-    The exponent bound 3n+2 is complete: the power sequence has
-    preperiod + period <= n, and shifting a witness pair into the window
-    preserves the parity of q - p.
+    The powers a, a^2, ... first repeat at a^(s+k) = a^s (preperiod s,
+    period k), and from a^s on they repeat with period 2k without changing
+    the parity of the exponent, so exponents 1 .. s+2k-1 already give every
+    (power, parity) pair.  a^q - a^p is nilpotent exactly when a^p - a^q
+    is, so the order of q and p does not matter.
     """
-    n = R.order
     outside = ~(inv.jacobson_bool(R) | inv.center_bool(R))
-    if not outside.any():
-        return None
     nil = inv.nilpotents_bool(R)
     neg = R.neg_table()
-    qmax = 3 * n + 2
-    parity_odd = (np.arange(qmax)[:, None] - np.arange(qmax)[None, :]) % 2 == 1
-    upper = np.arange(qmax)[:, None] > np.arange(qmax)[None, :]
-    want = parity_odd & upper
     for a in np.flatnonzero(outside):
-        pw = np.empty(qmax, dtype=np.int32)   # pw[t] = a^(t+1)
-        cur = a
-        for t in range(qmax):
-            pw[t] = cur
-            cur = int(R.mul[cur, a])
-        diff = R.add[pw[:, None], neg[pw][None, :]]   # a^q - a^p
-        if not (nil[diff] & want).any():
+        pw, seen = [int(a)], {int(a)}        # pw[t] = a^(t+1)
+        while (cur := int(R.mul[pw[-1], a])) not in seen:
+            pw.append(cur)
+            seen.add(cur)
+        pw = np.array(pw + pw[pw.index(cur):])   # exponents 1 .. s+2k-1
+        t = np.arange(len(pw))
+        odd = (t[:, None] - t[None, :]) % 2 == 1
+        if not (nil[R.add[pw[:, None], neg[pw][None, :]]] & odd).any():
             return {"a": int(a)}
     return None
 

@@ -134,6 +134,17 @@ def test_mask_helpers_round_trip():
     assert core.mask_from_bool(arr) == mask
 
 
+@given(st.lists(st.booleans(), max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_mask_from_bool_matches_the_bit_loop(bits):
+    # the packed conversion against the per-bit loop it replaced
+    arr = np.array(bits, dtype=bool)
+    want = 0
+    for i in np.flatnonzero(arr):
+        want |= 1 << int(i)
+    assert core.mask_from_bool(arr) == want
+
+
 @given(st.integers(min_value=1, max_value=30), st.data())
 @settings(max_examples=40, deadline=None)
 def test_power_respects_exponent_addition(n, data):

@@ -220,8 +220,34 @@ def test_cache_entry_written_by_other_code_is_a_miss(tmp_path, monkeypatch):
     assert cache.get(fp) is None and cache.misses == 1
     cache.put(fp, report)
     assert cache.get(fp) == report
+    # the put replaced the other code's entry
+    assert [p.name for p in tmp_path.iterdir()] == \
+        [f"{fp}.{cache_mod.code_version()}.json"]
+
+
+def test_cache_put_leaves_only_the_current_name_of_its_fingerprint(
+        tmp_path, monkeypatch):
+    from pathlib import Path
+    from ringlab import cache as cache_mod
+    fp = canonical_fingerprint(zmod(2))
+    other = canonical_fingerprint(zmod(3))
+    keep = [f"{fp}.writer.tmp",                 # a concurrent writer's file
+            f"{other}.{'0' * 64}.json", f"{other}.json"]
+    for name in keep + [f"{fp}.json", f"{fp}.{'0' * 64}.json",
+                        f"{fp}.{'1' * 64}.json"]:
+        (tmp_path / name).write_text("{}")
+    real_glob = Path.glob
+
+    def glob_with_vanished(self, pattern):
+        yield from real_glob(self, pattern)
+        # listed, then removed by another process before this put gets to it
+        yield self / f"{fp}.{'2' * 64}.json"
+    monkeypatch.setattr(Path, "glob", glob_with_vanished)
+    cache = cache_mod.ReportCache(tmp_path)
+    cache.put(fp, {"format": "analysis v1"})
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [f"{fp}.{'0' * 64}.json", f"{fp}.{cache_mod.code_version()}.json"])
+        keep + [cache._path(fp).name])
+    assert cache.get(fp) == {"format": "analysis v1"}
 
 
 def test_code_version_is_a_digest_of_the_package_sources():

@@ -248,3 +248,45 @@ def test_registered_verdicts_carry_name_time_and_witness(name):
     assert v.elapsed > 0
     assert v.holds is (v.witness is None)
     assert v.holds is EXPECTED.get((M2Z2, name), v.holds)
+
+
+# -- semiperiodic: the power-cycle window against the fixed 3n+2 walk ---------
+
+def _semiperiodic_3n2(R):
+    """The walk ringlab used before the power-cycle window, as the oracle:
+    powers a^1 .. a^(3n+2) and every pair q > p with q - p odd."""
+    import numpy as np
+    n = R.order
+    outside = ~(inv.jacobson_bool(R) | inv.center_bool(R))
+    nil = inv.nilpotents_bool(R)
+    neg = R.neg_table()
+    qmax = 3 * n + 2
+    t = np.arange(qmax)
+    want = ((t[:, None] - t[None, :]) % 2 == 1) & (t[:, None] > t[None, :])
+    for a in np.flatnonzero(outside):
+        pw = np.empty(qmax, dtype=np.int32)
+        cur = a
+        for i in range(qmax):
+            pw[i] = cur
+            cur = int(R.mul[cur, a])
+        if not (nil[R.add[pw[:, None], neg[pw][None, :]]] & want).any():
+            return {"a": int(a)}
+    return None
+
+
+def test_semiperiodic_matches_the_3n2_walk():
+    from ringlab import exprs, harness
+    rings = (harness.default_corpus().rings
+             + [R for seed in range(6) for R in harness.random_corpus(seed, 5)]
+             + [exprs.build(e) for e in (   # the analyze-cached workload
+                 "Z(4)", "Z(2)", "T(3, Z(2))", "WSC(0)", "CD(4, Z(2))",
+                 "M(2, Z(4))", "CD(3, Prod(Z(2), Z(2)))",
+                 "SkewTrunc(Prod(Z(2), Z(2)), swap, 4)", "T(2, Z(4))")])
+    failing = 0
+    for R in rings:
+        if R.order == 1:
+            continue
+        want = _semiperiodic_3n2(R)
+        assert props.is_semiperiodic(R).witness == want, R.name
+        failing += want is not None
+    assert failing > 0
