@@ -23,8 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (MAX_ORDER, FiniteRing, RingError, RingHom, SizeError,
-                   StructureError, mask_from_bool, mask_indices, mask_to_bool)
-from .invariants import NotAnIdealError, two_sided_ideal_violation
+                   StructureError, mask_indices, mask_to_bool)
+from .invariants import (NotAnIdealError, _coset_quotient,
+                         two_sided_ideal_violation)
 
 
 class NotIdempotentError(RingError):
@@ -319,20 +320,10 @@ def quotient(R: FiniteRing, ideal_mask: int,
     v = two_sided_ideal_violation(R, ideal_mask)
     if v is not None:
         raise NotAnIdealError(f"not a two-sided ideal: closure fails at {v}", v)
-    members = np.array(mask_indices(ideal_mask), dtype=np.intp)
-    rep_of = R.add[:, members].min(axis=1)
-    reps = np.unique(rep_of)
-    lut = np.full(R.order, -1, dtype=np.int32)
-    lut[reps] = np.arange(len(reps))
-    qadd = lut[rep_of[R.add[np.ix_(reps, reps)]]]
-    qmul = lut[rep_of[R.mul[np.ix_(reps, reps)]]]
     spec = ideal_name if ideal_name is not None else \
         "gen(" + ",".join(str(i) for i in mask_indices(ideal_mask)) + ")"
-    Q = FiniteRing(qadd, qmul, int(lut[rep_of[R.zero]]),
-                   int(lut[rep_of[R.one]]),
-                   name=f"Quo({R.name}, {spec})")
-    proj = RingHom(R, Q, lut[rep_of])
-    return Q, proj
+    Q, proj = _coset_quotient(R, ideal_mask, f"Quo({R.name}, {spec})")
+    return Q, RingHom(R, Q, proj)
 
 
 def corner(R: FiniteRing, e: int) -> FiniteRing:

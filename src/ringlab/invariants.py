@@ -1,9 +1,17 @@
 """Element sets and ideal-theoretic structure of a finite ring.
 
-Units, nilpotents, idempotents, center, Jacobson radical, commutants,
-annihilators, one-sided ideal lattices, maximal/essential ideals, and the
-nilradicals.  All results are subset masks (see ``core``); computations are
-memoized on the ring object, which is immutable.
+Units, nilpotents, idempotents, center, Jacobson radical, one-sided ideal
+lattices, maximal/essential ideals, and the nilradicals.  All results are
+subset masks (see ``core``); computations are memoized on the ring object,
+which is immutable.
+
+A finite ring is Artinian, so J(R) is nilpotent and R/J(R) is semisimple.
+Hence the lower nilradical, the upper nilradical and J(R) are one ideal,
+and every maximal one-sided ideal of R contains J(R): it is the preimage of
+a maximal one-sided ideal of R/J(R).  The nilradicals are therefore read
+off J(R), and the maximal ideals off the (usually tiny) lattices of R/J(R),
+which one memoized projection serves; only the lattice functions build the
+lattices of R itself.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import numpy as np
 
 from .core import (FiniteRing, LatticeTruncatedError, RingError, _first_true,
                    mask_contains, mask_from_bool, mask_from_indices,
-                   mask_indices, mask_size, mask_to_bool)
+                   mask_indices, mask_to_bool)
 
 DEFAULT_LATTICE_CAP = 20000
 _BLOCK_BYTES = 1 << 20      # bound on one block's temporaries
@@ -106,12 +114,19 @@ def center(R: FiniteRing) -> int:
 
 
 def jacobson_bool(R: FiniteRing) -> np.ndarray:
-    """x is quasi-regular for every left multiple: 1 - r*x a unit for all r."""
+    """x is quasi-regular for every left multiple: 1 - r*x a unit for all r.
+
+    Rows r are taken in blocks within ``_BLOCK_BYTES``, so the n x n plane
+    of 1 - r*x is never held whole.
+    """
     def compute():
-        neg = R.neg_table()
-        one_row = R.add[R.one]
-        V = one_row[neg[R.mul]]          # V[r, x] = 1 - r*x
-        j = units_bool(R)[V].all(axis=0)
+        n = R.order
+        one_minus = R.add[R.one][R.neg_table()]    # one_minus[y] = 1 - y
+        unit = units_bool(R)
+        step = max(1, _BLOCK_BYTES // (8 * n))     # intp index of one block
+        j = np.ones(n, dtype=bool)
+        for r0 in range(0, n, step):
+            j &= unit[one_minus[R.mul[r0:r0 + step]]].all(axis=0)
         j.setflags(write=False)
         return j
     return _cached(R, "jac_b", compute)
@@ -121,52 +136,23 @@ def jacobson_radical(R: FiniteRing) -> int:
     return mask_from_bool(jacobson_bool(R))
 
 
-def commutant(R: FiniteRing, a: int) -> int:
-    return mask_from_bool(R.mul[a] == R.mul[:, a])
-
-
-def double_commutant(R: FiniteRing, a: int) -> int:
-    cm = np.flatnonzero(R.mul[a] == R.mul[:, a])
-    eq = R.mul == R.mul.T
-    return mask_from_bool(eq[:, cm].all(axis=1))
-
-
-def left_annihilator(R: FiniteRing, a: int) -> int:
-    return mask_from_bool(R.mul[:, a] == R.zero)
-
-
-def right_annihilator(R: FiniteRing, a: int) -> int:
-    return mask_from_bool(R.mul[a] == R.zero)
-
-
 # ---------------------------------------------------------------------------
 # Ideal generation and lattices
 # ---------------------------------------------------------------------------
 
-def _closure_bool(R: FiniteRing, seed: np.ndarray, right: bool) -> np.ndarray:
-    """Close a subset under addition, left and, if asked, right multiples."""
-    members = seed.copy()
+def two_sided_ideal_generated(R: FiniteRing, S: int) -> int:
+    """Close a subset under addition and left and right multiples."""
+    members = mask_to_bool(S, R.order)
     members[R.zero] = True
     while True:
         idx = np.flatnonzero(members)
         new = members.copy()
         new[R.add[np.ix_(idx, idx)].ravel()] = True
         new[R.mul[:, idx].ravel()] = True
-        if right:
-            new[R.mul[idx, :].ravel()] = True
+        new[R.mul[idx, :].ravel()] = True
         if (new == members).all():
-            return members
+            return mask_from_bool(members)
         members = new
-
-
-def left_ideal_generated(R: FiniteRing, S: int) -> int:
-    return mask_from_bool(
-        _closure_bool(R, mask_to_bool(S, R.order), right=False))
-
-
-def two_sided_ideal_generated(R: FiniteRing, S: int) -> int:
-    return mask_from_bool(
-        _closure_bool(R, mask_to_bool(S, R.order), right=True))
 
 
 def subgroup_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
@@ -183,29 +169,29 @@ def subgroup_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
     return None
 
 
-def left_ideal_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
-    v = subgroup_violation(R, mask)
-    if v is not None:
-        return v
-    b = mask_to_bool(mask, R.order)
-    idx = np.flatnonzero(b)
-    prods = R.mul[:, idx]
-    bad = ~b[prods]
-    if bad.any():
-        r, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return ("left-mul", int(r), int(idx[i]))
-    return None
-
-
-def _right_escape(mul: np.ndarray, inside: np.ndarray) -> Optional[tuple]:
+def _right_escape(mul: np.ndarray, inside: np.ndarray,
+                  least_r_first: bool = False) -> Optional[tuple]:
     """First (m, r), m in the set, with m*r outside it under table ``mul``
-    (under the opposite ring's table R.mul.T, m*r reads r*m)."""
+    (under the opposite ring's table R.mul.T, m*r reads r*m): the least m
+    and then the least r, or the least r and then the least m."""
     members = np.flatnonzero(inside)
     bad = ~inside[mul[members]]
     if not bad.any():
         return None
-    i, r = _first_true(bad)
+    if least_r_first:
+        r, i = _first_true(bad.T)
+    else:
+        i, r = _first_true(bad)
     return int(members[i]), r
+
+
+def left_ideal_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
+    v = subgroup_violation(R, mask)
+    if v is not None:
+        return v
+    hit = _right_escape(R.mul.T, mask_to_bool(mask, R.order),
+                        least_r_first=True)
+    return None if hit is None else ("left-mul", hit[1], hit[0])
 
 
 def two_sided_ideal_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
@@ -315,16 +301,54 @@ def _full_mask(R: FiniteRing) -> int:
     return (1 << R.order) - 1
 
 
-def maximal_left_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
+def _coset_quotient(R: FiniteRing, ideal_mask: int,
+                    name: str) -> tuple[FiniteRing, np.ndarray]:
+    """R / I with least-index coset representatives, and the projection
+    table; the caller vouches that ``ideal_mask`` is a two-sided ideal."""
+    members = np.array(mask_indices(ideal_mask), dtype=np.intp)
+    rep_of = R.add[:, members].min(axis=1)
+    reps = np.unique(rep_of)
+    lut = np.full(R.order, -1, dtype=np.int32)
+    lut[reps] = np.arange(len(reps))
+    proj = lut[rep_of]
+    Q = FiniteRing(proj[R.add[np.ix_(reps, reps)]],
+                   proj[R.mul[np.ix_(reps, reps)]],
+                   int(proj[R.zero]), int(proj[R.one]), name=name)
+    return Q, proj
+
+
+def _mod_jacobson(R: FiniteRing) -> tuple[FiniteRing, Optional[np.ndarray]]:
+    """R/J(R) and the projection table, memoized; (R, None) when J = 0."""
     def compute():
-        return _maximal_members(all_left_ideals(R, cap), _full_mask(R))
-    return _cached(R, f"max_left_{cap}", compute)
+        J = jacobson_radical(R)
+        if J == 1 << R.zero:
+            return None      # R itself: caching R on R would be a cycle
+        return _coset_quotient(R, J, f"Quo({R.name}, J)")
+    hit = _cached(R, "mod_J", compute)
+    return (R, None) if hit is None else hit
+
+
+def _maximal_one_sided(R: FiniteRing, opposite: bool, cap: int) -> list[int]:
+    """Maximal left (right) ideals: those of R/J(R), pulled back to R."""
+    Q, proj = _mod_jacobson(R)
+    lattice = (all_right_ideals if opposite else all_left_ideals)(Q, cap)
+    maximal = _maximal_members(lattice, _full_mask(Q))
+    if proj is None:
+        return maximal
+    return sorted(mask_from_bool(mask_to_bool(m, Q.order)[proj])
+                  for m in maximal)
+
+
+def maximal_left_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
+    """Sorted masks; ``cap`` bounds the lattice of R/J(R), not of R."""
+    return _cached(R, f"max_left_{cap}",
+                   lambda: _maximal_one_sided(R, False, cap))
 
 
 def maximal_right_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
-    def compute():
-        return _maximal_members(all_right_ideals(R, cap), _full_mask(R))
-    return _cached(R, f"max_right_{cap}", compute)
+    """Sorted masks; ``cap`` bounds the lattice of R/J(R), not of R."""
+    return _cached(R, f"max_right_{cap}",
+                   lambda: _maximal_one_sided(R, True, cap))
 
 
 def is_essential_left_ideal(R: FiniteRing, L: int) -> bool:
@@ -341,63 +365,23 @@ def is_essential_left_ideal(R: FiniteRing, L: int) -> bool:
                if g != zero)
 
 
-def jacobson_via_maximal_left_ideals(R: FiniteRing,
-                                     cap: int = DEFAULT_LATTICE_CAP) -> int:
-    """Test oracle: J(R) as the intersection of all maximal left ideals."""
-    acc = _full_mask(R)
-    for m in maximal_left_ideals(R, cap):
-        acc &= m
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Nilradicals
 # ---------------------------------------------------------------------------
 
-def _is_prime_ideal(R: FiniteRing, P: int) -> bool:
-    """P prime iff for all a, b outside P some a*r*b stays outside P."""
-    if P == _full_mask(R):
-        return False
-    inP = mask_to_bool(P, R.order)
-    out = np.flatnonzero(~inP)
-    for a in out:
-        arb = R.mul[R.mul[a]][:, out]    # [r, j] = (a*r) * out[j]
-        ok_b = (~inP[arb]).any(axis=0)
-        if not ok_b.all():
-            return False
-    return True
+def lower_nilradical(R: FiniteRing) -> int:
+    """Intersection of all prime two-sided ideals.
+
+    It lies in the upper nilradical, which lies in J(R); and J(R), being
+    nilpotent in a finite ring, lies in every prime ideal.  So all three
+    are J(R).
+    """
+    return jacobson_radical(R)
 
 
-def lower_nilradical(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> int:
-    """Intersection of all prime two-sided ideals."""
-    def compute():
-        lattice = all_two_sided_ideals(R, cap)
-        if lattice.truncated:
-            raise LatticeTruncatedError("two-sided ideal lattice truncated")
-        acc = _full_mask(R)
-        for P in lattice.ideals:
-            if _is_prime_ideal(R, P):
-                acc &= P
-        return acc
-    return _cached(R, f"lower_nil_{cap}", compute)
-
-
-def upper_nilradical(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> int:
-    """Largest nil two-sided ideal (join of all nil ideals)."""
-    def compute():
-        lattice = all_two_sided_ideals(R, cap)
-        if lattice.truncated:
-            raise LatticeTruncatedError("two-sided ideal lattice truncated")
-        nil = nilpotents_bool(R)
-        best = 1 << R.zero
-        for m in lattice.ideals:
-            if nil[mask_indices(m)].all():
-                # sum of nil ideals is nil, so candidates are totally joined
-                # inside the lattice; the largest one wins.
-                if mask_size(m) > mask_size(best):
-                    best = m
-        return best
-    return _cached(R, f"upper_nil_{cap}", compute)
+def upper_nilradical(R: FiniteRing) -> int:
+    """Largest nil two-sided ideal: J(R), as ``lower_nilradical`` shows."""
+    return jacobson_radical(R)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +432,12 @@ class RadicalReport:
         )
 
 
-def radical_report(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> RadicalReport:
+def radical_report(R: FiniteRing) -> RadicalReport:
     return RadicalReport(
         ring_name=R.name, order=R.order,
         units=units(R), nilpotents=nilpotents(R),
         idempotents=idempotents(R), center=center(R),
         jacobson=jacobson_radical(R),
-        lower_nil=lower_nilradical(R, cap),
-        upper_nil=upper_nilradical(R, cap),
+        lower_nil=lower_nilradical(R),
+        upper_nil=upper_nilradical(R),
     )

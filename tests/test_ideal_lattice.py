@@ -1,11 +1,16 @@
-"""Differential tests: the one left-ideal join against the per-side builders.
+"""Differential tests: the fast routes to ideals and radicals against the
+slow ones they replaced.
 
-The reference below is how ringlab built its lattices before every lattice
-went through one join of cyclic left ideals: an ``np.isin`` mask per cyclic
-ideal on each side, two-sided cyclic ideals grown by a closure fixpoint, and
-``np.isin`` joins.  It stays here as the oracle for the three lattices and
-for everything read from them: maximal ideals, the nilradicals, essential
-left ideals and the quasi-duo and MELT witnesses.
+The first reference below is how ringlab built its lattices before every
+lattice went through one join of cyclic left ideals: an ``np.isin`` mask per
+cyclic ideal on each side, two-sided cyclic ideals grown by a closure
+fixpoint, and ``np.isin`` joins.  The second is how it read the radicals and
+maximal ideals off R's own lattices before it read them off J(R) and the
+lattices of R/J(R): the nilradicals from the two-sided lattice (prime ideals
+by ``_is_prime_ideal``), the maximal one-sided ideals from the full one-sided
+lattices, and J(R) as their intersection.  Both stay here as the oracle for
+the lattices and for everything read from them: maximal ideals, the
+nilradicals, essential left ideals and the quasi-duo and MELT witnesses.
 """
 
 from typing import Optional
@@ -16,8 +21,8 @@ import pytest
 from ringlab import exprs, harness
 from ringlab import invariants as inv
 from ringlab import properties as props
-from ringlab.core import (FiniteRing, mask_from_bool, mask_indices,
-                          mask_size, mask_to_bool)
+from ringlab.core import (FiniteRing, LatticeTruncatedError, mask_from_bool,
+                          mask_indices, mask_size, mask_to_bool)
 
 # -- the slow reference --------------------------------------------------------
 
@@ -118,6 +123,77 @@ def _first_witness(R: FiniteRing, ideals: list, right_mult: bool,
     return None
 
 
+# -- the full-lattice route to radicals and maximal ideals -------------------
+
+
+def _is_prime_ideal(R: FiniteRing, P: int) -> bool:
+    """P prime iff for all a, b outside P some a*r*b stays outside P."""
+    if P == (1 << R.order) - 1:
+        return False
+    inP = mask_to_bool(P, R.order)
+    out = np.flatnonzero(~inP)
+    for a in out:
+        arb = R.mul[R.mul[a]][:, out]    # [r, j] = (a*r) * out[j]
+        if not (~inP[arb]).any(axis=0).all():
+            return False
+    return True
+
+
+def lattice_lower_nilradical(R: FiniteRing, two_sided: list) -> int:
+    """Intersection of the prime ideals among all two-sided ideals."""
+    acc = (1 << R.order) - 1
+    for P in two_sided:
+        if _is_prime_ideal(R, P):
+            acc &= P
+    return acc
+
+
+def lattice_upper_nilradical(R: FiniteRing, two_sided: list) -> int:
+    """The largest nil ideal among all two-sided ideals."""
+    nil = inv.nilpotents_bool(R)
+    return max((m for m in two_sided if nil[mask_indices(m)].all()),
+               key=mask_size)
+
+
+def full_lattice_maximal_ideals(R: FiniteRing, side: str,
+                                cap: int = inv.DEFAULT_LATTICE_CAP) -> list:
+    """The maximal members of R's own left or right lattice."""
+    build = inv.all_left_ideals if side == "left" else inv.all_right_ideals
+    lattice = build(R, cap)
+    if lattice.truncated:
+        raise LatticeTruncatedError(f"{side} ideal lattice truncated")
+    return _maximal(lattice.ideals, (1 << R.order) - 1)
+
+
+def jacobson_via_maximal_left_ideals(R: FiniteRing,
+                                     cap: int = inv.DEFAULT_LATTICE_CAP) -> int:
+    """J(R) as the intersection of all maximal left ideals of R's lattice."""
+    acc = (1 << R.order) - 1
+    for m in full_lattice_maximal_ideals(R, "left", cap):
+        acc &= m
+    return acc
+
+
+def _left_ideal_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
+    """The left ideal check with its own left-multiplication scan."""
+    v = inv.subgroup_violation(R, mask)
+    if v is not None:
+        return v
+    b = mask_to_bool(mask, R.order)
+    idx = np.flatnonzero(b)
+    bad = ~b[R.mul[:, idx]]
+    if bad.any():
+        r, i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return ("left-mul", int(r), int(idx[i]))
+    return None
+
+
+def _jacobson_whole(R: FiniteRing) -> np.ndarray:
+    """J(R) from the whole n x n plane of 1 - r*x at once."""
+    V = R.add[R.one][R.neg_table()[R.mul]]
+    return inv.units_bool(R)[V].all(axis=0)
+
+
 # -- the comparison ------------------------------------------------------------
 
 def _fresh(R: FiniteRing) -> FiniteRing:
@@ -138,8 +214,11 @@ def assert_same_structure(R: FiniteRing) -> None:
             (R.name, side)
     max_left = _maximal(want["left"][0], full)
     max_right = _maximal(want["right"][0], full)
-    assert inv.maximal_left_ideals(R) == max_left, R.name
-    assert inv.maximal_right_ideals(R) == max_right, R.name
+    # pulled back from R/J(R) against the maximal members of R's lattices
+    assert inv.maximal_left_ideals(R) == max_left \
+        == full_lattice_maximal_ideals(R, "left"), R.name
+    assert inv.maximal_right_ideals(R) == max_right \
+        == full_lattice_maximal_ideals(R, "right"), R.name
     for m in max_left:
         assert inv.is_essential_left_ideal(R, m) is _essential(R, m), R.name
     for m in want["left"][0]:
@@ -147,15 +226,12 @@ def assert_same_structure(R: FiniteRing) -> None:
             _right_mul_violation(R, m), R.name
 
     two = want["two_sided"][0]
-    lower = full
-    for P in two:
-        if inv._is_prime_ideal(R, P):
-            lower &= P
-    nil = inv.nilpotents_bool(R)
-    upper = max((m for m in two if nil[mask_indices(m)].all()),
-                key=mask_size)
-    assert inv.lower_nilradical(R) == lower, R.name
-    assert inv.upper_nilradical(R) == upper, R.name
+    jac = inv.jacobson_radical(R)
+    assert jac == jacobson_via_maximal_left_ideals(R), R.name
+    assert inv.lower_nilradical(R) == lattice_lower_nilradical(R, two) \
+        == jac, R.name
+    assert inv.upper_nilradical(R) == lattice_upper_nilradical(R, two) \
+        == jac, R.name
 
     if R.order == 1:
         return
@@ -191,9 +267,25 @@ ANALYZE_CACHED = ["Z(4)", "Z(2)", "T(3, Z(2))", "WSC(0)", "CD(4, Z(2))",
                   "M(2, Z(4))", "CD(3, Prod(Z(2), Z(2)))",
                   "SkewTrunc(Prod(Z(2), Z(2)), swap, 4)", "T(2, Z(4))"]
 
+
+def _relabelled(R: FiniteRing, seed: int) -> FiniteRing:
+    """R with its elements renumbered by a seeded permutation."""
+    p = np.random.default_rng(seed).permutation(R.order)
+    add, mul = np.empty_like(R.add), np.empty_like(R.mul)
+    add[np.ix_(p, p)] = p[R.add]
+    mul[np.ix_(p, p)] = p[R.mul]
+    return FiniteRing(add, mul, int(p[R.zero]), int(p[R.one]),
+                      name=f"relabelled({R.name}, {seed})")
+
+
+# in every constructed ring above, the maximal ideals of R/J pulled back in
+# lattice order already come out sorted as masks of R; in these renumbered
+# rings they do not, so the sort after the pull-back is tested
 RINGS = (harness.default_corpus().rings
          + [R for seed in (0, 1, 2) for R in harness.random_corpus(seed, 4)]
-         + [exprs.build(e) for e in ANALYZE_CACHED])
+         + [exprs.build(e) for e in ANALYZE_CACHED]
+         + [_relabelled(exprs.build(e), 0)
+            for e in ("Z(12)", "T(3, Z(2))", "WSC(0)")])
 CAPS = (1, 2, 3, 5, 8, 13)
 
 
@@ -225,3 +317,69 @@ def test_two_sided_lattice_of_m2z2_at_cap_2_is_truncated():
     two = inv.all_two_sided_ideals(R, cap=2)
     assert two.truncated and two.ideals == [1 << R.zero]
     assert len(inv.all_two_sided_ideals(R, cap=5).ideals) == 2
+
+
+_LATTICE_KEYS = ("left_lattice_", "right_lattice_", "two_sided_lattice_")
+
+
+@pytest.mark.parametrize("expr", ["T(3, Z(2))", "WSC(0)", "T(2, Z(4))"])
+def test_analyze_and_radical_report_build_no_lattice_of_the_ring(expr):
+    # J(R) != 0, so the maximal ideals come from R/J(R)'s lattices
+    R = exprs.build(expr)
+    assert inv.jacobson_radical(R) != 1 << R.zero
+    inv.radical_report(R)
+    assert not [k for k in R._cache if k.startswith(_LATTICE_KEYS)]
+    harness.analyze(R)
+    assert not [k for k in R._cache if k.startswith(_LATTICE_KEYS)]
+
+
+def test_maximal_ideal_cap_bounds_the_lattice_of_r_mod_j():
+    # T(3, Z(2)) has 8 left ideals modulo J but many more of its own: a
+    # cap between the two used to raise and now gives the uncapped result
+    R = exprs.build("T(3, Z(2))")
+    Q, _ = inv._mod_jacobson(R)
+    small = len(inv.all_left_ideals(Q))
+    own = len(inv.all_left_ideals(_fresh(R)))
+    assert small < own
+    with pytest.raises(LatticeTruncatedError):
+        full_lattice_maximal_ideals(_fresh(R), "left", cap=small)
+    for cap in (small, own - 1):
+        for side, maximal in (("left", inv.maximal_left_ideals),
+                              ("right", inv.maximal_right_ideals)):
+            assert maximal(_fresh(R), cap) == \
+                full_lattice_maximal_ideals(R, side), (side, cap)
+    with pytest.raises(LatticeTruncatedError):
+        inv.maximal_left_ideals(_fresh(R), small - 1)
+
+
+def _additive_subgroup(R: FiniteRing, a: int) -> int:
+    """The additive subgroup generated by a."""
+    mask, cur = 1 << R.zero, a
+    while not mask >> cur & 1:
+        mask |= 1 << cur
+        cur = int(R.add[cur, a])
+    return mask
+
+
+def test_left_ideal_violation_matches_its_own_scan():
+    import random
+    rnd = random.Random(0)
+    left_mul = 0
+    for R in RINGS:
+        n = R.order
+        candidates = (inv.all_left_ideals(R).ideals
+                      + inv.all_right_ideals(R).ideals
+                      + [_additive_subgroup(R, a) for a in range(n)]
+                      + [rnd.getrandbits(n) | 1 << R.zero for _ in range(8)]
+                      + [rnd.getrandbits(n) for _ in range(8)])
+        for mask in candidates:
+            want = _left_ideal_violation(R, mask)
+            assert inv.left_ideal_violation(R, mask) == want, (R.name, mask)
+            left_mul += want is not None and want[0] == "left-mul"
+    assert left_mul > 100
+
+
+def test_blocked_jacobson_matches_whole_array(block_bytes):
+    for R in RINGS + [exprs.build("T(4, Z(2))")]:
+        got = inv.jacobson_bool(_fresh(R))
+        assert (got == _jacobson_whole(R)).all(), R.name

@@ -1,11 +1,51 @@
+import numpy as np
 import pytest
 
 from ringlab import constructions as cons
 from ringlab import invariants as inv
-from ringlab.core import (LatticeTruncatedError, mask_from_indices,
-                          mask_indices, mask_size)
+from ringlab.core import (FiniteRing, LatticeTruncatedError, mask_from_bool,
+                          mask_from_indices, mask_indices, mask_size,
+                          mask_to_bool)
 from ringlab.constructions import (matrix_ring, matrix_unit, upper_triangular,
                                    zmod)
+from test_ideal_lattice import jacobson_via_maximal_left_ideals
+
+# -- helpers used only by these tests ------------------------------------------
+
+
+def left_ideal_generated(R: FiniteRing, S: int) -> int:
+    """Close a subset under addition and left multiples."""
+    members = mask_to_bool(S, R.order)
+    members[R.zero] = True
+    while True:
+        idx = np.flatnonzero(members)
+        new = members.copy()
+        new[R.add[np.ix_(idx, idx)].ravel()] = True
+        new[R.mul[:, idx].ravel()] = True
+        if (new == members).all():
+            return mask_from_bool(members)
+        members = new
+
+
+def commutant(R: FiniteRing, a: int) -> int:
+    return mask_from_bool(R.mul[a] == R.mul[:, a])
+
+
+def double_commutant(R: FiniteRing, a: int) -> int:
+    cm = np.flatnonzero(R.mul[a] == R.mul[:, a])
+    eq = R.mul == R.mul.T
+    return mask_from_bool(eq[:, cm].all(axis=1))
+
+
+def left_annihilator(R: FiniteRing, a: int) -> int:
+    return mask_from_bool(R.mul[:, a] == R.zero)
+
+
+def right_annihilator(R: FiniteRing, a: int) -> int:
+    return mask_from_bool(R.mul[a] == R.zero)
+
+
+# -- tests ---------------------------------------------------------------------
 
 
 def test_units_of_z6():
@@ -64,7 +104,7 @@ def test_jacobson_radical_values():
 def test_jacobson_equals_intersection_of_maximal_left_ideals():
     for R in (zmod(6), zmod(8), matrix_ring(zmod(2), 2),
               upper_triangular(zmod(3), 2)):
-        assert inv.jacobson_via_maximal_left_ideals(R) == \
+        assert jacobson_via_maximal_left_ideals(R) == \
             inv.jacobson_radical(R)
 
 
@@ -107,13 +147,13 @@ def test_ideal_violation_witnesses():
     assert inv.left_ideal_violation(R, mask_from_indices([0, 2, 4])) is None
     T = upper_triangular(zmod(2), 2)
     e11 = cons.triangular_index(2, 2, [[1, 0], [0, 0]])
-    left_only = inv.left_ideal_generated(R=T, S=mask_from_indices([e11]))
+    left_only = left_ideal_generated(R=T, S=mask_from_indices([e11]))
     assert inv.two_sided_ideal_violation(T, left_only) is not None
 
 
 def test_ideal_closures():
     R = zmod(12)
-    assert mask_indices(inv.left_ideal_generated(R, mask_from_indices([8]))) \
+    assert mask_indices(left_ideal_generated(R, mask_from_indices([8]))) \
         == [0, 4, 8]
     assert mask_indices(
         inv.two_sided_ideal_generated(R, mask_from_indices([9, 8]))) \
@@ -153,19 +193,19 @@ def test_essential_left_ideals():
 
 def test_annihilators():
     R = zmod(6)
-    assert mask_indices(inv.left_annihilator(R, 2)) \
+    assert mask_indices(left_annihilator(R, 2)) \
         == [0, 3]
-    assert mask_indices(inv.right_annihilator(R, 3)) \
+    assert mask_indices(right_annihilator(R, 3)) \
         == [0, 2, 4]
 
 
 def test_commutant_and_double_commutant():
     R = matrix_ring(zmod(2), 2)
     e11 = matrix_unit(2, 2, 0, 0)
-    comm = inv.commutant(R, e11)
+    comm = commutant(R, e11)
     # diagonal matrices commute with e11
     assert mask_size(comm) == 4
-    dc = inv.double_commutant(R, e11)
+    dc = double_commutant(R, e11)
     assert dc & comm == dc
 
 
@@ -188,13 +228,17 @@ def test_ring_with_cached_lattices_is_freed_without_the_collector():
     import weakref
     gc.disable()
     try:
-        R = upper_triangular(zmod(2), 2)
-        inv.radical_report(R)
-        for lattice in (inv.all_left_ideals, inv.all_right_ideals,
-                        inv.all_two_sided_ideals):
-            assert len(lattice(R)) > 1
-        ref = weakref.ref(R)
-        del R
-        assert ref() is None
+        # J != 0 caches R/J on R; J = 0 caches nothing that points back at R
+        for build in (upper_triangular, matrix_ring):
+            R = build(zmod(2), 2)
+            inv.radical_report(R)
+            inv.maximal_left_ideals(R)
+            inv.maximal_right_ideals(R)
+            for lattice in (inv.all_left_ideals, inv.all_right_ideals,
+                            inv.all_two_sided_ideals):
+                assert len(lattice(R)) > 1
+            ref = weakref.ref(R)
+            del R
+            assert ref() is None
     finally:
         gc.enable()
