@@ -342,13 +342,14 @@ def _rule_r12(R: FiniteRing):
 
 
 def _rule_r13(R: FiniteRing):
-    Q, _ = cons.quotient(R, inv.upper_nilradical(R), ideal_name="Nstar")
+    Q, _ = inv._mod_jacobson(R)      # N*(R) = J(R) in a finite ring
     if not _holds(Q, "nj_symmetric"):
         return "vacuous", None
     v = props.check_property(R, "nj_symmetric")
     if v.holds:
         return "pass", None
-    return "fail", {"ideal": mask_indices(nil_ideal), "witness": v.witness}
+    return "fail", {"ideal": mask_indices(inv.upper_nilradical(R)),
+                    "witness": v.witness}
 
 
 def _rule_r14(R: FiniteRing):

@@ -121,12 +121,12 @@ def jacobson_bool(R: FiniteRing) -> np.ndarray:
     """
     def compute():
         n = R.order
-        one_minus = R.add[R.one][R.neg_table()]    # one_minus[y] = 1 - y
-        unit = units_bool(R)
-        step = max(1, _BLOCK_BYTES // (8 * n))     # intp index of one block
+        # quasi[y]: 1 - y is a unit
+        quasi = units_bool(R)[R.add[R.one][R.neg_table()]]
+        step = max(1, _BLOCK_BYTES // (9 * n))     # intp index + bool per cell
         j = np.ones(n, dtype=bool)
         for r0 in range(0, n, step):
-            j &= unit[one_minus[R.mul[r0:r0 + step]]].all(axis=0)
+            j &= quasi[R.mul[r0:r0 + step]].all(axis=0)
         j.setflags(write=False)
         return j
     return _cached(R, "jac_b", compute)

@@ -5,8 +5,9 @@ import pytest
 
 from ringlab import constructions as cons
 from ringlab import harness
+from ringlab import invariants as inv
 from ringlab import properties as props
-from ringlab.core import canonical_fingerprint, verify_axioms
+from ringlab.core import canonical_fingerprint, mask_indices, verify_axioms
 from ringlab.constructions import matrix_ring, upper_triangular, zmod
 
 
@@ -195,6 +196,38 @@ def test_r14_builds_each_corner_once(monkeypatch):
     assert harness._rule_r14(R) == ("pass", None)
     assert sorted(built) == sorted(set(built))
     assert len(built) == 5          # the nonzero idempotents of T(2, Z(2))
+
+
+@pytest.mark.parametrize("rule", [harness._rule_r12, harness._rule_r13])
+def test_quotient_rules_report_a_counterexample(rule, monkeypatch):
+    # R/J(R) is NJ-symmetric; pretend R is not, so the fail branch runs
+    R = upper_triangular(zmod(2), 2)
+    check = props.check_property
+
+    def check_with_fake_counterexample(S, name):
+        if S is R and name == "nj_symmetric":
+            return props.PropertyVerdict(name, False, {"a": 1})
+        return check(S, name)
+    monkeypatch.setattr(props, "check_property", check_with_fake_counterexample)
+    status, detail = rule(R)
+    assert status == "fail"
+    assert detail["witness"] == {"a": 1}
+    if rule is harness._rule_r13:
+        assert detail["ideal"] == mask_indices(inv.upper_nilradical(R))
+
+
+def test_r12_and_r13_share_one_quotient_by_j(monkeypatch):
+    R = upper_triangular(zmod(2), 3)
+    built = []
+    coset_quotient = inv._coset_quotient
+
+    def counting_quotient(R, ideal, name):
+        built.append(ideal)
+        return coset_quotient(R, ideal, name)
+    monkeypatch.setattr(inv, "_coset_quotient", counting_quotient)
+    monkeypatch.setattr(cons, "_coset_quotient", counting_quotient)
+    assert harness._rule_r12(R)[0] == harness._rule_r13(R)[0] == "pass"
+    assert built == [inv.jacobson_radical(R)]
 
 
 def test_cache_ignores_corrupt_and_stale_entries(tmp_path):
