@@ -294,11 +294,14 @@ def direct_product(R1: FiniteRing, R2: FiniteRing,
                  f"Prod({R1.name}, {R2.name})")
     n2 = R2.order
     n = R1.order * n2
-    i1 = np.arange(n) // n2
-    i2 = np.arange(n) % n2
-    add = R1.add[np.ix_(i1, i1)] * n2 + R2.add[np.ix_(i2, i2)]
-    mul = R1.mul[np.ix_(i1, i1)] * n2 + R2.mul[np.ix_(i2, i2)]
-    return FiniteRing(add, mul, R1.zero * n2 + R2.zero,
+
+    def table(t1, t2):
+        # [i1, i2, j1, j2] -> (i1, i2) op (j1, j2), the pair (x1, x2) being
+        # element x1 * n2 + x2
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n, n)
+
+    return FiniteRing(table(R1.add, R2.add), table(R1.mul, R2.mul),
+                      R1.zero * n2 + R2.zero,
                       R1.one * n2 + R2.one,
                       name=f"Prod({R1.name}, {R2.name})")
 

@@ -74,10 +74,11 @@ def mask_from_bool(arr: np.ndarray) -> int:
 
 
 def mask_to_bool(mask: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    for i in mask_indices(mask):
-        out[i] = True
-    return out
+    mask = int(mask)
+    if mask >> n:
+        raise IndexError(f"mask has members outside 0..{n - 1}")
+    raw = np.frombuffer(mask.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def mask_size(mask: int) -> int:

@@ -62,13 +62,12 @@ def units(R: FiniteRing) -> int:
 
 def nilpotents_bool(R: FiniteRing) -> np.ndarray:
     def compute():
-        n = R.order
-        idx = np.arange(n)
-        cur = idx.copy()
-        nil = np.zeros(n, dtype=bool)
-        for _ in range(n):  # powers cycle within n steps (pigeonhole)
-            cur = R.mul[cur, idx]
-            nil |= cur == R.zero
+        # x^1 .. x^(m-1) are distinct and nonzero when x^m is the first zero
+        # power, so m <= n: x is nilpotent iff x^(2^k) = 0 for 2^k >= n
+        cur = np.arange(R.order)
+        for _ in range((R.order - 1).bit_length()):
+            cur = R.mul[cur, cur]
+        nil = cur == R.zero
         nil.setflags(write=False)
         return nil
     return _cached(R, "nilp_b", compute)

@@ -14,14 +14,17 @@ product of a, b and c in an element set (zero, nilpotent, outside J(R),
 ...).  That table drives both the scan and ``reverify_witness``.  A scan
 decides each form in two steps:
 
-* the least a, from bit-packed planes.  Per element set S a packed table
-  holds, for every x, bits{c : x*c in S}, memoized on the ring.  The plane
-  of a product over all (b, c) is then a row gather: (ba)c in S is
-  ``table[mul[:, a]]``, and a premise AND a conclusion is a bitwise AND.
+* the least a, from bit-packed planes.  Per element set S a row table
+  holds, for every y, bits{x : y*x in S} and a column table bits{x : x*y
+  in S}, both memoized on the ring.  The plane of a product over all
+  (b, c) is then a row gather: (ba)c in S is ``row[mul[:, a]]`` and c(ba)
+  in S is ``column[mul[:, a]]``, both packed along c.  A nilpotent product
+  may also be rotated, since xy is nilpotent exactly when yx is
+  ((yx)^(k+1) = y(xy)^k x): abc nilpotent is read as (ca)b, packed along b
+  like (ac)b.  ``_scan_plan`` reads both terms of a form packed along the
+  same letter, so premise AND conclusion is a bitwise AND of two gathers.
   Blocks of a, as many as fit a fixed byte budget, are tested at once and
-  the first block with a set bit gives the least a.  Where the two terms
-  of a form come packed along different letters (acb or cba against abc),
-  one of them is bit-transposed in 8x8 blocks.
+  the first block with a set bit gives the least a.
 * the least (b, c), from the boolean plane of that a, evaluated on the
   tables directly, so every witness is the one a plain scan finds.  A
   packed hit that the boolean plane does not confirm raises
@@ -137,6 +140,10 @@ _SETS: dict[str, Callable[[FiniteRing], np.ndarray]] = {
 #: Bytes of packed planes tested per block of a.
 _BLOCK_BYTES = 1 << 20
 
+#: Element sets that a rotated product stays in: xy is nilpotent exactly
+#: when yx is, since (yx)^(k+1) = y(xy)^k x.
+_ROTATION_INVARIANT = frozenset({"nil", "not_nil"})
+
 
 def _holds(R: FiniteRing, term: tuple[str, str], a, b, c):
     """The term at (a, b, c); numpy arrays broadcast to a plane."""
@@ -154,110 +161,78 @@ def _form_plane(R: FiniteRing, form: TripleForm, a, b, c):
             & _holds(R, form.conclusion, a, b, c))
 
 
-def _packed_table(R: FiniteRing, name: str) -> np.ndarray:
-    """Row x holds bits{c : x*c in S}: bit j of byte k is c = 8k + j.
+@dataclass(frozen=True)
+class _Reading:
+    """A term as a scan reads it: ``word`` is the term's product or, for a
+    rotation-invariant set, a rotation of it, read as (xy)z through the row
+    table or as x(yz) through the column table."""
+    name: str
+    word: str
+    column: bool
 
-    Row n is all zero; padding indices point there.
+    @property
+    def along(self) -> str:
+        """The letter the table packs the term's planes along."""
+        return self.word[0] if self.column else self.word[-1]
+
+
+def _readings(term: tuple[str, str]) -> list[_Reading]:
+    """Every reading of the term not packed along a; row tables first."""
+    name, word = term
+    words = [word]
+    if name in _ROTATION_INVARIANT:
+        words += [word[i:] + word[:i] for i in range(1, len(word))]
+    return [r for column in (False, True) for w in words
+            if (r := _Reading(name, w, column)).along != "a"]
+
+
+@functools.cache
+def _scan_plan(form: TripleForm) -> tuple[_Reading, _Reading]:
+    """Readings of the premise and conclusion packed along one letter.
+
+    The conclusion's first reading fixes the letter and the premise takes
+    its first reading along it: readings come through the row table before
+    the column table, the written product before its rotations.
     """
+    for q in _readings(form.conclusion):
+        for p in _readings(form.premise):
+            if p.along == q.along:
+                return p, q
+    raise AssertionError(f"no common packing for {form}")
+
+
+def _packed_table(R: FiniteRing, name: str, column: bool) -> np.ndarray:
+    """Row y holds bits{x : y*x in S}, or bits{x : x*y in S} for the column
+    table: bit j of byte k is x = 8k + j."""
     def compute():
         n = R.order
         members = _SETS[name](R)
-        out = np.zeros((n + 1, -(-n // 8)), dtype=np.uint8)
+        mul = R.mul.T if column else R.mul
+        out = np.empty((n, -(-n // 8)), dtype=np.uint8)
         for rows in _row_chunks(n):
-            out[rows] = np.packbits(members[R.mul[rows]], axis=1,
+            out[rows] = np.packbits(members[mul[rows]], axis=1,
                                     bitorder="little")
         out.setflags(write=False)
         return out
-    return inv._cached(R, f"bits_{name}", compute)
+    return inv._cached(R, f"{'col' if column else 'row'}bits_{name}", compute)
 
 
-def _padded(idx: np.ndarray, fill) -> np.ndarray:
-    """idx with its last axis padded by fill to a multiple of 8."""
-    pad = -idx.shape[-1] % 8
-    if not pad:
-        return idx
-    return np.pad(idx, [(0, 0)] * (idx.ndim - 1) + [(0, pad)],
-                  constant_values=fill)
+def _packed_planes(R: FiniteRing, reading: _Reading, a0: int, a1: int,
+                   out: np.ndarray) -> np.ndarray:
+    """The reading's planes for a in [a0, a1): [a, row, byte].
 
-
-_TRANSPOSE8_ROUNDS = tuple((np.uint64(s), np.uint64(m)) for s, m in (
-    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-    (28, 0x00000000F0F0F0F0)))
-
-
-def _transpose8(x: np.ndarray) -> np.ndarray:
-    """Transpose, in place, every 8x8 bit block held in a uint64.
-
-    Byte i of a block is its row i and bit j its column j.
+    Row r of the plane of a holds the term's bits over the letter it is
+    packed along, r running over the third letter; a two-letter product
+    does not depend on that letter and has one row.  A gather is written
+    into ``out``.
     """
-    for shift, mask in _TRANSPOSE8_ROUNDS:
-        t = x >> shift
-        t ^= x
-        t &= mask
-        x ^= t
-        t <<= shift
-        x ^= t
-    return x
-
-
-def _packed_term(R: FiniteRing, term: tuple[str, str], a0: int, a1: int,
-                 along: str, cba_index: Optional[np.ndarray]) -> np.ndarray:
-    """The term's planes for a in [a0, a1), packed along b or c.
-
-    Shape [a, rb, i, byte]: row 8*rb + i of the plane of a, as bits over
-    the other letter; rows past the order are zero.  A term's table gives
-    its planes packed along the last letter of its product; any other
-    packing costs a bit transpose.
-    """
-    name, word = term
-    n, mul = R.order, R.mul
-    k = a1 - a0
-    table = _packed_table(R, name)
-    if word == "ab":                    # bits over b, the same for every c
-        assert along == "b", "an ab term needs a conclusion packed along b"
-        return table[a0:a1].reshape(k, 1, 1, -1)
-    if word == "cba":
-        return _cba_planes(table, cba_index, a0, a1)
-    idx = mul[a0:a1] if word[0] == "a" else mul[:, a0:a1].T
-    planes = table[_padded(idx, n)]                   # [a, row, byte]
-    m = planes.shape[2]
-    planes = planes.reshape(k, m, 8, m)
-    if word[-1] == along:
-        return planes
-    blocks = np.ascontiguousarray(planes.transpose(0, 1, 3, 2))
-    blocks = _transpose8(blocks.view("<u8")[..., 0])
-    return blocks.view(np.uint8).reshape(k, m, m, 8).transpose(0, 2, 3, 1)
-
-
-def _cba_index(R: FiniteRing) -> np.ndarray:
-    """[bb, i, cb, j] -> c*b for b = 8*bb + i, c = 8*cb + j.
-
-    Past the order the entries are n, the zero row of the packed tables.
-    """
-    n = R.order
-    pad = -n % 8
-    mt = R.mul.T
-    if pad:
-        mt = np.pad(mt, [(0, pad), (0, pad)], constant_values=n)
-    m = mt.shape[0] // 8
-    return mt.reshape(m, 8, m, 8)
-
-
-def _cba_planes(table: np.ndarray, cba_index: np.ndarray, a0: int,
-                a1: int) -> np.ndarray:
-    # bit a of row cb says (cb)a is in S: these planes come packed along a,
-    # as one (c, a) bit matrix per b; transpose each into (a, c).  Rows b
-    # go in chunks so the gather's index stays within the byte budget.
-    cols = np.ascontiguousarray(table[:, a0 // 8:-(-a1 // 8)].T)  # [A, x]
-    kA, m = cols.shape[0], cba_index.shape[0]
-    out = np.empty((kA, 8, m, 8, m), dtype=np.uint8)   # [A, j, bb, i, cb]
-    step = max(1, _BLOCK_BYTES // (512 * m))
-    for s in range(0, m, step):
-        g = np.take(cols, cba_index[s:s + step], axis=1)   # [A, bb, i, cb, j]
-        blocks = _transpose8(g.view("<u8")[..., 0])        # bytes now over a
-        out[:, :, s:s + step] = blocks.view(np.uint8).reshape(
-            kA, -1, 8, m, 8).transpose(0, 4, 1, 2, 3)
-    return out.reshape(8 * kA, m, 8, m)[:a1 - a0]
+    table = _packed_table(R, reading.name, reading.column)
+    rest = reading.word.replace(reading.along, "")     # the table's row index
+    if rest == "a":
+        return table[a0:a1, None]
+    idx = R.mul[a0:a1] if rest[0] == "a" else R.mul[:, a0:a1].T
+    # every index is in range, and "clip" lets take write to out unbuffered
+    return np.take(table, idx, axis=0, out=out[:a1 - a0], mode="clip")
 
 
 def _row_chunks(n: int) -> list[slice]:
@@ -267,9 +242,8 @@ def _row_chunks(n: int) -> list[slice]:
 
 
 def _block_size(n: int) -> int:
-    """Values of a per block: a multiple of 8 within _BLOCK_BYTES."""
-    plane = n * -(-n // 8)
-    return max(8, _BLOCK_BYTES // plane // 8 * 8)
+    """Values of a per block: as many packed planes as fit _BLOCK_BYTES."""
+    return max(1, min(n, _BLOCK_BYTES // (n * -(-n // 8))))
 
 
 def _first_witness(R: FiniteRing, form: TripleForm) -> Optional[dict]:
@@ -280,16 +254,16 @@ def _first_witness(R: FiniteRing, form: TripleForm) -> Optional[dict]:
     """
     n = R.order
     step = _block_size(n)
-    cba_index = _cba_index(R) if form.conclusion[1] == "cba" else None
-    # any packing of the plane shows whether it has a bit set: take the
-    # one that needs no transpose when both terms allow it
-    ends = {form.premise[1][-1], form.conclusion[1][-1]}
-    along = "b" if ends == {"b"} else "c"
+    # one pair of block buffers for the whole scan: blocks allocated afresh
+    # are each returned to the system and faulted in again
+    bufs = np.empty((2, step, n, -(-n // 8)), dtype=np.uint8)
+    premise, conclusion = _scan_plan(form)
     for a0 in range(0, n, step):
         a1 = min(a0 + step, n)
-        hits = (_packed_term(R, form.premise, a0, a1, along, cba_index)
-                & _packed_term(R, form.conclusion, a0, a1, along, cba_index)
-                ).any(axis=(1, 2, 3))
+        both = np.bitwise_and(_packed_planes(R, premise, a0, a1, bufs[0]),
+                              _packed_planes(R, conclusion, a0, a1, bufs[1]),
+                              out=bufs[1, :a1 - a0])
+        hits = both.any(axis=(1, 2))
         if hits.any():
             a = a0 + int(np.argmax(hits))
             return dict(zip(form.roles, (a, *_least_bc(R, form, a))))
@@ -314,8 +288,8 @@ def _form_witnesses(R: FiniteRing, name: str) -> tuple[Optional[dict], ...]:
     # the largest temporaries of a scan, and freed before any block exists
     # they leave no holes under the blocks that would raise peak memory
     for f in forms:
-        _packed_table(R, f.premise[0])
-        _packed_table(R, f.conclusion[0])
+        for reading in _scan_plan(f):
+            _packed_table(R, reading.name, reading.column)
     return tuple(_first_witness(R, f) for f in forms)
 
 

@@ -67,6 +67,27 @@ def test_product_index_layout():
     assert P.mul[a, b] == cons.product_index(3, 2, 2)
 
 
+def _ix_direct_product(R1, R2):
+    # the index-gather build that the broadcast one replaced
+    n2 = R2.order
+    i1 = np.arange(R1.order * n2) // n2
+    i2 = np.arange(R1.order * n2) % n2
+    return (R1.add[np.ix_(i1, i1)] * n2 + R2.add[np.ix_(i2, i2)],
+            R1.mul[np.ix_(i1, i1)] * n2 + R2.mul[np.ix_(i2, i2)])
+
+
+def test_direct_product_matches_index_gather_build():
+    from ringlab import harness
+    rings = [R for R in harness.default_corpus().rings if R.order <= 16]
+    for R1 in rings:
+        for R2 in rings:
+            P = cons.direct_product(R1, R2)
+            add, mul = _ix_direct_product(R1, R2)
+            assert (P.add == add).all() and (P.mul == mul).all(), P.name
+            assert P.zero == R1.zero * R2.order + R2.zero
+            assert P.one == R1.one * R2.order + R2.one
+
+
 def test_quotient_of_z8_by_four_matches_z4():
     Z8 = cons.zmod(8)
     Q, pi = cons.quotient(Z8, mask_from_indices([0, 4]))

@@ -145,6 +145,22 @@ def test_mask_from_bool_matches_the_bit_loop(bits):
     assert core.mask_from_bool(arr) == want
 
 
+@given(st.lists(st.booleans(), max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_mask_to_bool_matches_the_bit_loop(bits):
+    # the unpacked conversion against the per-bit loop it replaced
+    want = np.array(bits, dtype=bool)
+    mask = 0
+    for i in np.flatnonzero(want):
+        mask |= 1 << int(i)
+    got = core.mask_to_bool(mask, len(bits))
+    assert got.dtype == bool and got.shape == want.shape
+    assert (got == want).all()
+    got[:] = True                   # callers fill in the result
+    with pytest.raises(IndexError):
+        core.mask_to_bool(mask | 1 << len(bits), len(bits))
+
+
 @given(st.integers(min_value=1, max_value=30), st.data())
 @settings(max_examples=40, deadline=None)
 def test_power_respects_exponent_addition(n, data):

@@ -61,6 +61,26 @@ def test_nilpotents_of_z4():
     assert mask_indices(inv.nilpotents(zmod(4))) == [0, 2]
 
 
+def _nilpotents_by_powers(R):
+    # the n-step power walk that repeated squaring replaced
+    idx = np.arange(R.order)
+    cur = idx.copy()
+    nil = np.zeros(R.order, dtype=bool)
+    for _ in range(R.order):
+        cur = R.mul[cur, idx]
+        nil |= cur == R.zero
+    return nil
+
+
+def test_nilpotents_match_the_power_walk():
+    from ringlab import harness
+    rings = (harness.default_corpus().rings
+             + [R for seed in (0, 1, 2) for R in harness.random_corpus(seed, 30)]
+             + [zmod(1), zmod(2)])
+    for R in rings:
+        assert (inv.nilpotents_bool(R) == _nilpotents_by_powers(R)).all(), R.name
+
+
 def test_nilpotency_index():
     S = cons.truncated_skew_poly(zmod(2), [0, 1], 3, hom_name="id")
     x = cons.poly_index(2, [0, 1, 0], 3)

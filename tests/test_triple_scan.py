@@ -66,25 +66,31 @@ def _semicommutative(R: FiniteRing) -> Optional[dict]:
     return None
 
 
-def oracle_forms(R: FiniteRing) -> dict[str, tuple[Optional[dict], ...]]:
-    """Witnesses of every triple form, in the order of TRIPLE_FORMS."""
+def oracle_planes(R: FiniteRing) -> dict[str, tuple[Callable, ...]]:
+    """Per-a witness planes [b, c] of the three-letter triple forms, in the
+    order of TRIPLE_FORMS."""
     nil = inv.nilpotents_bool(R)
     jac = inv.jacobson_bool(R)
     z = R.zero
     return {
-        "symmetric": (_scan_triples(
-            R, lambda a: (_abc(R, a) == z) & (_bac(R, a) != z)),),
-        "semicommutative": (_semicommutative(R),),
-        "gws": (_scan_triples(
-            R, lambda a: (_abc(R, a) == z) & ~nil[_bac(R, a)]),),
+        "symmetric": (lambda a: (_abc(R, a) == z) & (_bac(R, a) != z),),
+        "gws": (lambda a: (_abc(R, a) == z) & ~nil[_bac(R, a)],),
         "weak_symmetric": (
-            _scan_triples(R, lambda a: nil[_abc(R, a)] & ~nil[_abc(R, a).T]),
-            _scan_triples(R, lambda a: nil[_abc(R, a)] & ~nil[_bac(R, a)])),
+            lambda a: nil[_abc(R, a)] & ~nil[_abc(R, a).T],
+            lambda a: nil[_abc(R, a)] & ~nil[_bac(R, a)]),
         "nj_symmetric": (
-            _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_bac(R, a)]),
-            _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_abc(R, a).T]),
-            _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_cba(R, a)])),
+            lambda a: nil[_abc(R, a)] & ~jac[_bac(R, a)],
+            lambda a: nil[_abc(R, a)] & ~jac[_abc(R, a).T],
+            lambda a: nil[_abc(R, a)] & ~jac[_cba(R, a)]),
     }
+
+
+def oracle_forms(R: FiniteRing) -> dict[str, tuple[Optional[dict], ...]]:
+    """Witnesses of every triple form, in the order of TRIPLE_FORMS."""
+    forms = {name: tuple(_scan_triples(R, plane) for plane in planes)
+             for name, planes in oracle_planes(R).items()}
+    forms["semicommutative"] = (_semicommutative(R),)
+    return forms
 
 
 # -- the comparison ------------------------------------------------------------
@@ -117,7 +123,7 @@ _DEFAULT = harness.default_corpus().rings
 
 @pytest.fixture(params=[None, 64], ids=["budget", "tiny-blocks"])
 def block_bytes(request, monkeypatch):
-    """The default block budget, and one so small each block holds 8 a."""
+    """The default block budget, and one so small most blocks hold one a."""
     if request.param is not None:
         monkeypatch.setattr(props, "_BLOCK_BYTES", request.param)
     return request.param
@@ -157,18 +163,82 @@ def test_late_witness_in_a_later_block():
                                                       "c": 128}
 
 
-@pytest.mark.parametrize("rows,cols", [(8, 8), (13, 21), (64, 40), (3, 1)])
-def test_transpose8_matches_boolean_transpose(rows, cols):
-    rng = np.random.default_rng(rows * 100 + cols)
-    B = rng.random((2, 8 * -(-rows // 8), 8 * -(-cols // 8))) < 0.4
-    B[:, rows:, :] = False
-    B[:, :, cols:] = False
-    packed = np.packbits(B, axis=-1, bitorder="little")    # [k, row, byte]
-    k, r, m = packed.shape
-    words = np.ascontiguousarray(
-        packed.reshape(k, r // 8, 8, m).transpose(0, 1, 3, 2))
-    words = props._transpose8(words.view("<u8")[..., 0])   # [k, rb, cb]
-    out = words.view(np.uint8).reshape(k, r // 8, m, 8).transpose(0, 2, 3, 1)
-    out = np.unpackbits(out.reshape(k, 8 * m, r // 8), axis=-1,
-                        bitorder="little")
-    assert (out == B.transpose(0, 2, 1)).all()
+@pytest.mark.parametrize("expr", ["M(2, Z(2))",
+                                  "Prod(M(2, Z(2)), T(2, Z(4)))"])
+def test_failing_rings_match_oracle_in_every_form(expr, monkeypatch):
+    # rings where the acb and cba forms have witnesses to compare
+    from ringlab import exprs
+    R = exprs.build(expr)
+    planes = oracle_planes(R)
+    want = {name: tuple(_scan_triples(R, plane) for plane in planes[name])
+            for name in ("weak_symmetric", "nj_symmetric")}
+    assert None not in want["weak_symmetric"] + want["nj_symmetric"]
+    for budget in (props._BLOCK_BYTES, 64):
+        monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+        S = _fresh(R)
+        assert props.weak_symmetric_forms(S) == want["weak_symmetric"]
+        assert props.nj_symmetric_forms(S) == want["nj_symmetric"]
+
+
+# -- the scan plan -------------------------------------------------------------
+
+#: The definitional planes [b, c] of each product, and its element sets.
+_PRODUCTS = {"abc": _abc, "bac": _bac, "cba": _cba,
+             "acb": lambda R, a: _abc(R, a).T,
+             "ab": lambda R, a: np.broadcast_to(R.mul[a][:, None],
+                                                (R.order, R.order))}
+_SETS = {"zero": lambda R: np.arange(R.order) == R.zero,
+         "nonzero": lambda R: np.arange(R.order) != R.zero,
+         "nil": inv.nilpotents_bool,
+         "not_nil": lambda R: ~inv.nilpotents_bool(R),
+         "not_jac": lambda R: ~inv.jacobson_bool(R)}
+
+
+def test_every_plan_packs_both_terms_along_one_letter():
+    for name, forms in props.TRIPLE_FORMS.items():
+        for form in forms:
+            premise, conclusion = props._scan_plan(form)
+            assert premise.along == conclusion.along != "a", (name, form)
+            for term, reading in zip((form.premise, form.conclusion),
+                                     (premise, conclusion)):
+                set_name, word = term
+                assert reading.name == set_name
+                # a product is rotated only inside a set that rotation keeps
+                if reading.word != word:
+                    assert set_name in ("nil", "not_nil")
+                    assert reading.word in {word[i:] + word[:i]
+                                            for i in range(1, len(word))}
+
+
+def _unpacked(R: FiniteRing, reading, a0: int, a1: int) -> np.ndarray:
+    """The reading's packed planes of a in [a0, a1) as boolean [a, b, c]."""
+    out = np.empty((a1 - a0, R.order, -(-R.order // 8)), dtype=np.uint8)
+    planes = props._packed_planes(R, reading, a0, a1, out)
+    bits = np.unpackbits(planes, axis=-1, count=R.order,
+                         bitorder="little").astype(bool)
+    bits = np.broadcast_to(bits, (a1 - a0, R.order, R.order))
+    return bits if reading.along == "c" else bits.transpose(0, 2, 1)
+
+
+def assert_planes_match_definition(R: FiniteRing) -> None:
+    R = _fresh(R)
+    n = R.order
+    step = props._block_size(n)
+    for forms in props.TRIPLE_FORMS.values():
+        for form in forms:
+            for (name, word), reading in zip((form.premise, form.conclusion),
+                                             props._scan_plan(form)):
+                members = _SETS[name](R)
+                for a0 in range(0, n, step):
+                    a1 = min(a0 + step, n)
+                    want = np.stack([members[_PRODUCTS[word](R, a)]
+                                     for a in range(a0, a1)])
+                    got = _unpacked(R, reading, a0, a1)
+                    assert (got == want).all(), (R.name, form, reading, a0)
+
+
+def test_scan_planes_match_definition(block_bytes):
+    rings = (_DEFAULT + [R for seed in (0, 1, 2)
+                         for R in harness.random_corpus(seed, 4)])
+    for R in rings:
+        assert_planes_match_definition(R)
