@@ -7,10 +7,10 @@ Quick start::
     check_property(R, "nj_symmetric").holds   # False, with a witness triple
 """
 
-from .core import (MAX_ORDER, AxiomReport, FiniteRing, LatticeTruncatedError,
-                   RingError, RingHom, SizeError, StructureError,
-                   canonical_fingerprint, mask_from_indices, mask_indices,
-                   parse_ring, serialize_ring, verify_axioms)
+from .core import (MAX_ORDER, AxiomReport, FiniteRing, RingError, RingHom,
+                   SizeError, StructureError, canonical_fingerprint,
+                   mask_from_indices, mask_indices, parse_ring,
+                   serialize_ring, verify_axioms)
 from .constructions import (Bimodule, DorrohExtension, constant_diagonal,
                             corner, direct_product, dorroh,
                             example_weak_symmetric_component,
@@ -39,8 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomReport", "Bimodule", "Corpus", "DorrohExtension", "ExprError",
-    "FiniteRing", "IdealLattice", "InternalCheckError",
-    "LatticeTruncatedError", "MAX_ORDER", "NotAnIdealError",
+    "FiniteRing", "IdealLattice", "InternalCheckError", "MAX_ORDER",
+    "NotAnIdealError",
     "PROPERTY_CHECKS", "PropertyVerdict", "RadicalReport", "ReportCache",
     "RingError", "RingHom", "Rule", "RuleReport", "SizeError",
     "StructureError", "UnknownPropertyError", "all_left_ideals",

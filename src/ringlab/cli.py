@@ -2,7 +2,7 @@
 
 Subcommands: analyze, prop, radical, verify, search, ideals. Exit codes:
 0 success (property holds / no rule failures), 1 property fails or a rule
-failed, 2 usage, parse, size or truncation errors.
+failed, 2 usage, parse, size or other bad-argument errors.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _cmd_verify(args) -> int:
         if bad:
             raise exprs.ExprError(f"unknown rule ids: {sorted(bad)}", 1)
         rules = [r for r in rules if r.id in wanted]
-    report = harness.run_rules(corpus, rules, threads=args.threads)
+    report = harness.run_rules(corpus, rules)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

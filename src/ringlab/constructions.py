@@ -22,8 +22,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (MAX_ORDER, FiniteRing, RingError, RingHom, SizeError,
-                   StructureError, mask_indices, mask_to_bool)
+from .core import (MAX_ORDER, BadArgumentError, FiniteRing, RingError,
+                   RingHom, SizeError, StructureError, mask_indices,
+                   mask_to_bool)
 from .invariants import (NotAnIdealError, _coset_quotient,
                          two_sided_ideal_violation)
 
@@ -36,10 +37,6 @@ class NotAHomomorphismError(RingError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class BadArgumentError(RingError, ValueError):
-    """A size, degree or index argument is below its least allowed value."""
 
 
 class BimoduleLawError(RingError):
@@ -308,6 +305,12 @@ def direct_product(R1: FiniteRing, R2: FiniteRing,
 
 def product_index(R2_order: int, a: int, b: int) -> int:
     return a * R2_order + b
+
+
+def _swap_map(n: int) -> np.ndarray:
+    """The coordinate-swap automorphism of Prod(R, R) with |R| = n."""
+    idx = np.arange(n * n)
+    return (idx % n) * n + idx // n
 
 
 # ---------------------------------------------------------------------------

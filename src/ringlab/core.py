@@ -34,8 +34,8 @@ class SizeError(RingError):
     """A construction would exceed the maximum supported order."""
 
 
-class LatticeTruncatedError(RingError):
-    """An ideal-lattice computation hit its cap; raise the cap to proceed."""
+class BadArgumentError(RingError, ValueError):
+    """A size, degree, index, cap or budget is below its least allowed value."""
 
 
 # ---------------------------------------------------------------------------

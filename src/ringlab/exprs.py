@@ -222,8 +222,7 @@ def _skew_map(node: Node, R: FiniteRing, spec,
         n = int(round(R.order ** 0.5))
         if n * n != R.order:
             raise ExprError("swap needs equal-order factors", spec.offset)
-        idx = np.arange(R.order)
-        return (idx % n) * n + idx // n, "swap"
+        return cons._swap_map(n), "swap"
     if isinstance(spec, str):
         try:
             with open(spec) as f:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (MAX_ORDER, FiniteRing, LatticeTruncatedError, SizeError,
+from .core import (MAX_ORDER, BadArgumentError, FiniteRing, SizeError,
                    canonical_fingerprint, mask_contains, mask_from_indices,
                    mask_indices, serialize_ring)
 from . import constructions as cons
@@ -39,12 +39,6 @@ class Corpus:
 
     def __len__(self):
         return len(self.rings)
-
-
-def _swap_map(n: int) -> np.ndarray:
-    """The coordinate-swap automorphism of R x R with |R| = n."""
-    idx = np.arange(n * n)
-    return (idx % n) * n + idx // n
 
 
 def _reduction_map(n: int, m: int) -> np.ndarray:
@@ -135,24 +129,20 @@ def default_corpus(max_order: int = MAX_ORDER) -> Corpus:
     base(lambda: cons.truncated_skew_poly(z[4], np.arange(4), 2, max_order=cap,
                                           hom_name="id"), "SkewTrunc(Z(4), id, 2)")
     z2xz2 = cons.direct_product(z[2], z[2])
-    base(lambda: cons.truncated_skew_poly(z2xz2, _swap_map(2), 2,
+    base(lambda: cons.truncated_skew_poly(z2xz2, cons._swap_map(2), 2,
                                           max_order=cap, hom_name="swap"),
          "SkewTrunc(Prod(Z(2), Z(2)), swap, 2)")
 
-    # corners at every nonzero idempotent, quotients by J and both
-    # nilradicals, of every base ring above (deduplicated by fingerprint)
+    # corners at every nonzero idempotent and the quotient by J (which is
+    # both nilradicals) of every base ring above, deduplicated by fingerprint
     for R in list(bases):
         for e in mask_indices(inv.idempotents(R)):
             if e == R.zero and R.order > 1:
                 continue
             put(lambda R=R, e=e: cons.corner(R, e), f"Corner({R.name}, {e})")
     for R in list(bases):
-        for spec, mask_fn in (("J", inv.jacobson_radical),
-                              ("Nstar", inv.upper_nilradical),
-                              ("Nlower", inv.lower_nilradical)):
-            put(lambda R=R, s=spec, f=mask_fn:
-                cons.quotient(R, f(R), ideal_name=s)[0],
-                f"Quo({R.name}, {spec})")
+        put(lambda R=R: cons.quotient(R, inv.jacobson_radical(R),
+                                      ideal_name="J")[0], f"Quo({R.name}, J)")
     return Corpus(rings, skipped)
 
 
@@ -277,18 +267,15 @@ def _implication(rule_id, description, hyp_names, concl_names,
     """Rule: conjunction of named hypotheses implies named conclusions."""
 
     def check(R: FiniteRing):
-        try:
-            if not all(_holds(R, h) for h in hyp_names):
-                return "vacuous", None
-            if structural_hyp is not None and not structural_hyp(R):
-                return "vacuous", None
-            for c in concl_names:
-                v = props.check_property(R, c)
-                if not v.holds:
-                    return "fail", {"conclusion": c, "witness": v.witness}
-            return "pass", None
-        except LatticeTruncatedError as e:
-            return "skipped", {"reason": str(e)}
+        if not all(_holds(R, h) for h in hyp_names):
+            return "vacuous", None
+        if structural_hyp is not None and not structural_hyp(R):
+            return "vacuous", None
+        for c in concl_names:
+            v = props.check_property(R, c)
+            if not v.holds:
+                return "fail", {"conclusion": c, "witness": v.witness}
+        return "pass", None
 
     return Rule(rule_id, description, "implication", True, check)
 
@@ -314,14 +301,10 @@ def _rule_r22(R: FiniteRing):
 
 
 def _rule_r10(R: FiniteRing):
-    try:
-        if not _holds(R, "nj_symmetric"):
-            return "vacuous", None
-        maximal = inv.maximal_left_ideals(R)
-    except LatticeTruncatedError as e:
-        return "skipped", {"reason": str(e)}
+    if not _holds(R, "nj_symmetric"):
+        return "vacuous", None
     applicable = False
-    for m in maximal:
+    for m in inv.maximal_left_ideals(R):
         if inv.is_essential_left_ideal(R, m):
             continue
         applicable = True
@@ -342,14 +325,10 @@ def _rule_r12(R: FiniteRing):
 
 
 def _rule_r13(R: FiniteRing):
-    Q, _ = inv._mod_jacobson(R)      # N*(R) = J(R) in a finite ring
-    if not _holds(Q, "nj_symmetric"):
-        return "vacuous", None
-    v = props.check_property(R, "nj_symmetric")
-    if v.holds:
-        return "pass", None
-    return "fail", {"ideal": mask_indices(inv.upper_nilradical(R)),
-                    "witness": v.witness}
+    status, detail = _rule_r12(R)    # N*(R) = J(R) in a finite ring
+    if status == "fail":
+        detail["ideal"] = mask_indices(inv.upper_nilradical(R))
+    return status, detail
 
 
 def _rule_r14(R: FiniteRing):
@@ -607,12 +586,8 @@ def _quotient_conclusion(R: FiniteRing, concl: str):
     return "fail", {"conclusion": concl, "witness": v.witness}
 
 
-def run_rules(corpus: Corpus, rules: Optional[list] = None,
-              threads: int = 1) -> RuleReport:
-    """Evaluate every rule on every applicable corpus ring, in order.
-
-    ``threads`` is accepted for compatibility and does not change the run.
-    """
+def run_rules(corpus: Corpus, rules: Optional[list] = None) -> RuleReport:
+    """Evaluate every rule on every applicable corpus ring, in order."""
     if rules is None:
         rules = rule_catalog()
     entries = []
@@ -672,17 +647,16 @@ def search_counterexample(hypotheses: list, negated_conclusion: str,
     rings = list(corpus.rings)
     if budget is None:
         budget = len(rings)
+    if budget < 0:
+        raise BadArgumentError(f"search budget must be >= 0, got {budget}")
     if budget > len(rings):
         rings.extend(random_corpus(seed, budget - len(rings)))
     examined = 0
     for R in rings[:budget]:
         examined += 1
-        try:
-            if not all(_holds(R, h) for h in hypotheses):
-                continue
-            v = props.check_property(R, negated_conclusion)
-        except LatticeTruncatedError:
+        if not all(_holds(R, h) for h in hypotheses):
             continue
+        v = props.check_property(R, negated_conclusion)
         if not v.holds:
             verdicts = {h: props.check_property(R, h)
                         for h in hypotheses}

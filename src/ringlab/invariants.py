@@ -8,10 +8,11 @@ which is immutable.
 A finite ring is Artinian, so J(R) is nilpotent and R/J(R) is semisimple.
 Hence the lower nilradical, the upper nilradical and J(R) are one ideal,
 and every maximal one-sided ideal of R contains J(R): it is the preimage of
-a maximal one-sided ideal of R/J(R).  The nilradicals are therefore read
-off J(R), and the maximal ideals off the (usually tiny) lattices of R/J(R),
-which one memoized projection serves; only the lattice functions build the
-lattices of R itself.
+a maximal one-sided ideal of R/J(R).  Each one-sided ideal of the
+semisimple R/J(R) is generated by an idempotent, so it is cyclic.  The
+nilradicals are therefore read off J(R), and the maximal ideals off the
+cyclic one-sided ideals of R/J(R), through one memoized projection; only
+the lattice functions join ideals into lattices.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FiniteRing, LatticeTruncatedError, RingError, _first_true,
+from .core import (BadArgumentError, FiniteRing, RingError, _first_true,
                    mask_contains, mask_from_bool, mask_from_indices,
                    mask_indices, mask_to_bool)
 
@@ -239,6 +240,8 @@ def _join_lattice(R: FiniteRing, opposite: bool, cap: int) -> IdealLattice:
     with every cyclic ideal reaches the whole lattice.  Past ``cap`` ideals
     the lattice is returned truncated.
     """
+    if cap < 1:
+        raise BadArgumentError(f"lattice cap must be >= 1, got {cap}")
     gens = _cyclic_left_ideals(R, opposite)
     if len(gens) > cap:
         return IdealLattice(gens[:cap], True)
@@ -284,22 +287,6 @@ def all_two_sided_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> Ideal
     return _cached(R, f"two_sided_lattice_{cap}", compute)
 
 
-def _maximal_members(lattice: IdealLattice, full: int) -> list[int]:
-    if lattice.truncated:
-        raise LatticeTruncatedError(
-            "ideal lattice truncated; raise the cap to enumerate maximal ideals")
-    proper = [m for m in lattice.ideals if m != full]
-    out = []
-    for m in proper:
-        if not any(m != o and (m | o) == o for o in proper):
-            out.append(m)
-    return sorted(out)
-
-
-def _full_mask(R: FiniteRing) -> int:
-    return (1 << R.order) - 1
-
-
 def _coset_quotient(R: FiniteRing, ideal_mask: int,
                     name: str) -> tuple[FiniteRing, np.ndarray]:
     """R / I with least-index coset representatives, and the projection
@@ -327,27 +314,31 @@ def _mod_jacobson(R: FiniteRing) -> tuple[FiniteRing, Optional[np.ndarray]]:
     return (R, None) if hit is None else hit
 
 
-def _maximal_one_sided(R: FiniteRing, opposite: bool, cap: int) -> list[int]:
-    """Maximal left (right) ideals: those of R/J(R), pulled back to R."""
+def _maximal_one_sided(R: FiniteRing, opposite: bool) -> list[int]:
+    """Maximal left (right) ideals: those of R/J(R), pulled back to R.
+
+    The one-sided ideals of R/J(R) are all cyclic, so its maximal ones are
+    the maximal proper members of its cyclic ideals.
+    """
     Q, proj = _mod_jacobson(R)
-    lattice = (all_right_ideals if opposite else all_left_ideals)(Q, cap)
-    maximal = _maximal_members(lattice, _full_mask(Q))
+    full = (1 << Q.order) - 1
+    proper = [m for m in _cyclic_left_ideals(Q, opposite) if m != full]
+    maximal = [m for m in proper
+               if not any(m != o and m | o == o for o in proper)]
     if proj is None:
         return maximal
     return sorted(mask_from_bool(mask_to_bool(m, Q.order)[proj])
                   for m in maximal)
 
 
-def maximal_left_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
-    """Sorted masks; ``cap`` bounds the lattice of R/J(R), not of R."""
-    return _cached(R, f"max_left_{cap}",
-                   lambda: _maximal_one_sided(R, False, cap))
+def maximal_left_ideals(R: FiniteRing) -> list[int]:
+    """Sorted masks."""
+    return _cached(R, "max_left", lambda: _maximal_one_sided(R, False))
 
 
-def maximal_right_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
-    """Sorted masks; ``cap`` bounds the lattice of R/J(R), not of R."""
-    return _cached(R, f"max_right_{cap}",
-                   lambda: _maximal_one_sided(R, True, cap))
+def maximal_right_ideals(R: FiniteRing) -> list[int]:
+    """Sorted masks."""
+    return _cached(R, "max_right", lambda: _maximal_one_sided(R, True))
 
 
 def is_essential_left_ideal(R: FiniteRing, L: int) -> bool:

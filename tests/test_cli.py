@@ -124,6 +124,23 @@ def test_ideals_cap_exit(capsys):
     assert json.loads(out)["truncated"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["ideals", "Z(6)", "--cap", "0"],
+    ["ideals", "Z(6)", "--cap", "-1"],
+    ["search", "--hyp", "melt", "--not", "nj_symmetric", "--budget", "-1"]],
+    ids=" ".join)
+def test_bad_cap_or_budget_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_search_budget_zero_examines_nothing(capsys):
+    code, out, _ = run(capsys, "search", "--hyp", "melt", "--not",
+                       "nj_symmetric", "--budget", "0")
+    assert code == 1 and out == "exhausted after 0 rings\n"
+
+
 def test_verify_subset_of_rules(capsys):
     code, out, _ = run(capsys, "verify", "--rules", "R24,R26")
     assert code == 0

@@ -1,0 +1,53 @@
+"""The ``radical`` and ``ideals`` outputs, checked against recorded goldens.
+
+``radical`` prints the maximal left ideals, ``radical --json`` the radicals
+and ``ideals --json`` the full lattices, so a change in how any of them is
+computed shows here as a changed byte.  Each golden is the exit code, the
+length and the SHA-256 of stdout; the lattices of ``T(4, Z(2))`` alone print
+436 kB.  To record them again after a deliberate change of output::
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ringlab import cli
+
+GOLDENS = Path(__file__).with_name("golden_outputs.json")
+
+Z2_8 = ("Prod(Prod(Prod(Z(2), Z(2)), Prod(Z(2), Z(2))), "
+        "Prod(Prod(Z(2), Z(2)), Prod(Z(2), Z(2))))")
+RINGS = ["Z(4)", "T(3, Z(2))", "T(4, Z(2))", "M(2, Z(2))", "M(3, Z(2))",
+         "WSC(0)", "Z(1)", Z2_8]
+COMMANDS = [["radical"], ["radical", "--json"], ["ideals", "--json"]]
+
+
+def _argvs() -> list:
+    return [cmd + [expr] for expr in RINGS for cmd in COMMANDS]
+
+
+def _run(argv: list) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    text = out.getvalue().encode()
+    return {"argv": argv, "exit": rc, "bytes": len(text),
+            "sha256": hashlib.sha256(text).hexdigest()}
+
+
+@pytest.mark.parametrize("argv", _argvs(), ids=" ".join)
+def test_output_matches_golden(argv):
+    goldens = {tuple(g["argv"]): g for g in json.loads(GOLDENS.read_text())}
+    assert _run(argv) == goldens[tuple(argv)]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    GOLDENS.write_text(json.dumps([_run(a) for a in _argvs()], indent=1)
+                       + "\n")

@@ -96,13 +96,6 @@ def test_report_rejects_unknown_version(report):
         harness.RuleReport.from_dict(d)
 
 
-def test_thread_count_does_not_change_report(corpus):
-    rules = [r for r in harness.rule_catalog() if r.id in ("R1", "R2", "R24")]
-    a = harness.run_rules(corpus, rules, threads=1)
-    b = harness.run_rules(corpus, rules, threads=4)
-    assert a.to_json() == b.to_json()
-
-
 def test_search_finds_expected_separations(corpus):
     r = harness.search_counterexample(["nj_symmetric"], "symmetric", corpus)
     assert r.ring.name == "T(2, Z(2))"

@@ -8,9 +8,12 @@ fixpoint, and ``np.isin`` joins.  The second is how it read the radicals and
 maximal ideals off R's own lattices before it read them off J(R) and the
 lattices of R/J(R): the nilradicals from the two-sided lattice (prime ideals
 by ``_is_prime_ideal``), the maximal one-sided ideals from the full one-sided
-lattices, and J(R) as their intersection.  Both stay here as the oracle for
-the lattices and for everything read from them: maximal ideals, the
-nilradicals, essential left ideals and the quasi-duo and MELT witnesses.
+lattices, and J(R) as their intersection.  The third is how it read the
+maximal ideals off R/J(R) before it took them from R/J(R)'s cyclic ideals:
+the maximal members of R/J(R)'s joined lattices, pulled back.  All three
+stay here as the oracle for the lattices and for everything read from them:
+maximal ideals, the nilradicals, essential left ideals and the quasi-duo and
+MELT witnesses.
 """
 
 from typing import Optional
@@ -21,8 +24,13 @@ import pytest
 from ringlab import exprs, harness
 from ringlab import invariants as inv
 from ringlab import properties as props
-from ringlab.core import (FiniteRing, LatticeTruncatedError, mask_from_bool,
-                          mask_indices, mask_size, mask_to_bool)
+from ringlab.core import (FiniteRing, mask_from_bool, mask_indices, mask_size,
+                          mask_to_bool)
+
+
+class OracleLatticeTruncated(Exception):
+    """A lattice the oracle reads maximal ideals from hit its cap."""
+
 
 # -- the slow reference --------------------------------------------------------
 
@@ -161,8 +169,19 @@ def full_lattice_maximal_ideals(R: FiniteRing, side: str,
     build = inv.all_left_ideals if side == "left" else inv.all_right_ideals
     lattice = build(R, cap)
     if lattice.truncated:
-        raise LatticeTruncatedError(f"{side} ideal lattice truncated")
+        raise OracleLatticeTruncated(f"{side} ideal lattice truncated")
     return _maximal(lattice.ideals, (1 << R.order) - 1)
+
+
+def joined_quotient_maximal_ideals(R: FiniteRing, side: str) -> list:
+    """The maximal members of R/J(R)'s joined left or right lattice, pulled
+    back to R."""
+    Q, proj = inv._mod_jacobson(R)
+    maximal = full_lattice_maximal_ideals(Q, side)
+    if proj is None:
+        return maximal
+    return sorted(mask_from_bool(mask_to_bool(m, Q.order)[proj])
+                  for m in maximal)
 
 
 def jacobson_via_maximal_left_ideals(R: FiniteRing,
@@ -214,11 +233,14 @@ def assert_same_structure(R: FiniteRing) -> None:
             (R.name, side)
     max_left = _maximal(want["left"][0], full)
     max_right = _maximal(want["right"][0], full)
-    # pulled back from R/J(R) against the maximal members of R's lattices
+    # pulled back from R/J(R)'s cyclic ideals against the maximal members
+    # of R's lattices and of R/J(R)'s lattices
     assert inv.maximal_left_ideals(R) == max_left \
-        == full_lattice_maximal_ideals(R, "left"), R.name
+        == full_lattice_maximal_ideals(R, "left") \
+        == joined_quotient_maximal_ideals(_fresh(R), "left"), R.name
     assert inv.maximal_right_ideals(R) == max_right \
-        == full_lattice_maximal_ideals(R, "right"), R.name
+        == full_lattice_maximal_ideals(R, "right") \
+        == joined_quotient_maximal_ideals(_fresh(R), "right"), R.name
     for m in max_left:
         assert inv.is_essential_left_ideal(R, m) is _essential(R, m), R.name
     for m in want["left"][0]:
@@ -322,34 +344,45 @@ def test_two_sided_lattice_of_m2z2_at_cap_2_is_truncated():
 _LATTICE_KEYS = ("left_lattice_", "right_lattice_", "two_sided_lattice_")
 
 
-@pytest.mark.parametrize("expr", ["T(3, Z(2))", "WSC(0)", "T(2, Z(4))"])
-def test_analyze_and_radical_report_build_no_lattice_of_the_ring(expr):
-    # J(R) != 0, so the maximal ideals come from R/J(R)'s lattices
+def _lattice_keys(R: FiniteRing) -> list:
+    return [k for k in R._cache if k.startswith(_LATTICE_KEYS)]
+
+
+@pytest.mark.parametrize("expr", ["T(3, Z(2))", "WSC(0)", "T(2, Z(4))",
+                                  "M(2, Z(2))"])
+def test_analyze_and_radical_report_build_no_lattice_of_the_ring(expr,
+                                                               monkeypatch):
+    # the maximal ideals come from R/J(R)'s cyclic ideals (R/J = R when
+    # J = 0, as in M(2, Z(2))): no lattice of R or of R/J(R) is joined
+    def no_join(*args):
+        raise AssertionError("a lattice was joined")
+    monkeypatch.setattr(inv, "_join_lattice", no_join)
     R = exprs.build(expr)
-    assert inv.jacobson_radical(R) != 1 << R.zero
     inv.radical_report(R)
-    assert not [k for k in R._cache if k.startswith(_LATTICE_KEYS)]
-    harness.analyze(R)
-    assert not [k for k in R._cache if k.startswith(_LATTICE_KEYS)]
-
-
-def test_maximal_ideal_cap_bounds_the_lattice_of_r_mod_j():
-    # T(3, Z(2)) has 8 left ideals modulo J but many more of its own: a
-    # cap between the two used to raise and now gives the uncapped result
-    R = exprs.build("T(3, Z(2))")
+    inv.maximal_left_ideals(R)
+    inv.maximal_right_ideals(R)
     Q, _ = inv._mod_jacobson(R)
-    small = len(inv.all_left_ideals(Q))
-    own = len(inv.all_left_ideals(_fresh(R)))
-    assert small < own
-    with pytest.raises(LatticeTruncatedError):
-        full_lattice_maximal_ideals(_fresh(R), "left", cap=small)
-    for cap in (small, own - 1):
-        for side, maximal in (("left", inv.maximal_left_ideals),
-                              ("right", inv.maximal_right_ideals)):
-            assert maximal(_fresh(R), cap) == \
-                full_lattice_maximal_ideals(R, side), (side, cap)
-    with pytest.raises(LatticeTruncatedError):
-        inv.maximal_left_ideals(_fresh(R), small - 1)
+    assert not _lattice_keys(R) and not _lattice_keys(Q)
+    harness.analyze(R)
+    assert not _lattice_keys(R) and not _lattice_keys(Q)
+
+
+def _power_of_z2(k: int) -> str:
+    return "Z(2)" if k == 1 else f"Prod(Z(2), {_power_of_z2(k - 1)})"
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["left", "right"])
+def test_cyclic_ideals_of_r_mod_j_are_its_whole_lattice(opposite):
+    # R/J(R) is semisimple: each one-sided ideal is generated by an
+    # idempotent, so the cyclic ideals are all of them, at most |R/J| many
+    lattice = inv.all_right_ideals if opposite else inv.all_left_ideals
+    for R in RINGS + [exprs.build(e) for e in (
+            "M(3, Z(2))", "Prod(M(2, Z(2)), Z(2))", _power_of_z2(8))]:
+        Q, _ = inv._mod_jacobson(_fresh(R))
+        cyclic = inv._cyclic_left_ideals(Q, opposite)
+        joined = lattice(Q)
+        assert (cyclic, False) == (joined.ideals, joined.truncated), R.name
+        assert len(cyclic) <= Q.order, R.name
 
 
 def _additive_subgroup(R: FiniteRing, a: int) -> int:
