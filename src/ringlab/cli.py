@@ -13,8 +13,8 @@ import json
 import os
 import sys
 
-from .core import (MAX_ORDER, RingError, SizeError, canonical_fingerprint,
-                   mask_indices)
+from .core import (MAX_ORDER, BadArgumentError, RingError, SizeError,
+                   canonical_fingerprint, mask_indices)
 from . import cache as cache_mod
 from . import exprs
 from . import harness
@@ -170,9 +170,9 @@ def _load_corpus_file(path: str, max_order: int) -> harness.Corpus:
                     opts = dict(kv.split("=", 1) for kv in line.split()[1:])
                     seed, count = int(opts.get("seed", 0)), int(opts["count"])
                 except (KeyError, ValueError):
-                    raise exprs.ExprError(
+                    raise BadArgumentError(
                         f"{path}:{lineno}: expected 'random seed=N count=M', "
-                        f"got {line!r}", 1) from None
+                        f"got {line!r}") from None
                 extra.extend(harness.random_corpus(seed, count,
                                                    max_order=max_order))
                 continue
@@ -191,11 +191,12 @@ def _cmd_verify(args) -> int:
         corpus = harness.default_corpus(max_order=args.max_order)
     rules = harness.rule_catalog()
     if args.rules:
-        wanted = {rid.strip() for rid in args.rules.split(",")}
+        wanted = {rid.strip() for rid in args.rules.split(",")
+                  if rid.strip()}
         known = {r.id for r in rules}
         bad = wanted - known
         if bad:
-            raise exprs.ExprError(f"unknown rule ids: {sorted(bad)}", 1)
+            raise BadArgumentError(f"unknown rule ids: {sorted(bad)}")
         rules = [r for r in rules if r.id in wanted]
     report = harness.run_rules(corpus, rules)
     if args.json:

@@ -66,9 +66,12 @@ def _check_power(base: int, coords: int, max_order: int, what: str) -> None:
     _check_order(base ** coords, max_order, what)
 
 
-# Rows of a table are built in blocks sized so that a block's int32 planes,
-# one per coordinate plus its element indices, take about this many bytes.
-_BLOCK_BYTES = 1 << 20
+# Rows of a table are built in blocks sized so that a block's temporaries
+# take about this many bytes, some 8 a cell for each coordinate and for the
+# element indices (int32 planes, and the intp indices numpy gathers with).
+# Much larger temporaries are returned to the system when freed, and every
+# later build faults them in again.
+_BLOCK_BYTES = 1 << 19
 
 
 def _coord_build(carriers: Sequence, add_fn: Callable, mul_fn: Callable,
@@ -115,7 +118,7 @@ def _coord_build(carriers: Sequence, add_fn: Callable, mul_fn: Callable,
 
     add = np.empty((n, n), dtype=np.int32)
     mul = np.empty((n, n), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (4 * n * (len(carriers) + 1)))
+    step = max(1, _BLOCK_BYTES // (8 * n * (len(carriers) + 1)))
     cols = [v[None, :] for v in values]
     for r0 in range(0, n, step):
         rows = [v[r0:r0 + step, None] for v in values]

@@ -35,7 +35,8 @@ class SizeError(RingError):
 
 
 class BadArgumentError(RingError, ValueError):
-    """A size, degree, index, cap or budget is below its least allowed value."""
+    """A size, degree, index, cap or budget is below its least allowed value,
+    or a rule id or corpus line names nothing ringlab knows."""
 
 
 # ---------------------------------------------------------------------------

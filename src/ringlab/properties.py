@@ -14,17 +14,20 @@ product of a, b and c in an element set (zero, nilpotent, outside J(R),
 ...).  That table drives both the scan and ``reverify_witness``.  A scan
 decides each form in two steps:
 
-* the least a, from bit-packed planes.  Per element set S a row table
-  holds, for every y, bits{x : y*x in S} and a column table bits{x : x*y
-  in S}, both memoized on the ring.  The plane of a product over all
-  (b, c) is then a row gather: (ba)c in S is ``row[mul[:, a]]`` and c(ba)
-  in S is ``column[mul[:, a]]``, both packed along c.  A nilpotent product
-  may also be rotated, since xy is nilpotent exactly when yx is
-  ((yx)^(k+1) = y(xy)^k x): abc nilpotent is read as (ca)b, packed along b
-  like (ac)b.  ``_scan_plan`` reads both terms of a form packed along the
-  same letter, so premise AND conclusion is a bitwise AND of two gathers.
-  Blocks of a, as many as fit a fixed byte budget, are tested at once and
-  the first block with a set bit gives the least a.
+* the least a, from the row classes of bit-packed tables.  Per element
+  set S a row table holds, for every y, bits{x : y*x in S} and a column
+  table bits{x : x*y in S}.  The plane of a product over all (b, c) is
+  made of table rows: (ba)c in S is row mul[b, a] of the row table, c(ba)
+  in S row mul[b, a] of the column table, both packed along c.  A
+  nilpotent product may also be rotated, since xy is nilpotent exactly
+  when yx is ((yx)^(k+1) = y(xy)^k x): abc nilpotent is read as (ca)b,
+  packed along b like (ac)b.  ``_scan_plan`` reads both terms of a form
+  packed along the same letter, so row t of a's plane is the AND of one
+  premise row and one conclusion row.  A table has few distinct rows: the
+  ring memoizes them with the class of each y, one AND per pair of classes
+  says which pairs share a bit, and each (a, t) looks up its pair, n^2
+  lookups per form.  Blocks of a, as many as fit a fixed byte budget, are
+  tested at once and the first block with a hit gives the least a.
 * the least (b, c), from the boolean plane of that a, evaluated on the
   tables directly, so every witness is the one a plain scan finds.  A
   packed hit that the boolean plane does not confirm raises
@@ -137,8 +140,8 @@ _SETS: dict[str, Callable[[FiniteRing], np.ndarray]] = {
     "not_jac": lambda R: ~inv.jacobson_bool(R),
 }
 
-#: Bytes of packed planes tested per block of a.
-_BLOCK_BYTES = 1 << 20
+#: Bytes of temporaries per block of a scan.
+_BLOCK_BYTES = 1 << 18
 
 #: Element sets that a rotated product stays in: xy is nilpotent exactly
 #: when yx is, since (yx)^(k+1) = y(xy)^k x.
@@ -201,69 +204,114 @@ def _scan_plan(form: TripleForm) -> tuple[_Reading, _Reading]:
     raise AssertionError(f"no common packing for {form}")
 
 
-def _packed_table(R: FiniteRing, name: str, column: bool) -> np.ndarray:
-    """Row y holds bits{x : y*x in S}, or bits{x : x*y in S} for the column
-    table: bit j of byte k is x = 8k + j."""
-    def compute():
-        n = R.order
-        members = _SETS[name](R)
-        mul = R.mul.T if column else R.mul
-        out = np.empty((n, -(-n // 8)), dtype=np.uint8)
-        for rows in _row_chunks(n):
-            out[rows] = np.packbits(members[mul[rows]], axis=1,
-                                    bitorder="little")
-        out.setflags(write=False)
-        return out
-    return inv._cached(R, f"{'col' if column else 'row'}bits_{name}", compute)
-
-
-def _packed_planes(R: FiniteRing, reading: _Reading, a0: int, a1: int,
-                   out: np.ndarray) -> np.ndarray:
-    """The reading's planes for a in [a0, a1): [a, row, byte].
-
-    Row r of the plane of a holds the term's bits over the letter it is
-    packed along, r running over the third letter; a two-letter product
-    does not depend on that letter and has one row.  A gather is written
-    into ``out``.
-    """
-    table = _packed_table(R, reading.name, reading.column)
-    rest = reading.word.replace(reading.along, "")     # the table's row index
-    if rest == "a":
-        return table[a0:a1, None]
-    idx = R.mul[a0:a1] if rest[0] == "a" else R.mul[:, a0:a1].T
-    # every index is in range, and "clip" lets take write to out unbuffered
-    return np.take(table, idx, axis=0, out=out[:a1 - a0], mode="clip")
-
-
 def _row_chunks(n: int) -> list[slice]:
     """Row slices of an n x n gather whose intp index fits _BLOCK_BYTES."""
     step = max(1, _BLOCK_BYTES // (8 * n))
     return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
-def _block_size(n: int) -> int:
-    """Values of a per block: as many packed planes as fit _BLOCK_BYTES."""
-    return max(1, min(n, _BLOCK_BYTES // (n * -(-n // 8))))
+def _word_table(R: FiniteRing, name: str, column: bool) -> np.ndarray:
+    """Row y holds bits{x : y*x in S}, or bits{x : x*y in S} for the column
+    table, in little-endian uint64 words: bit j of byte k is x = 8k + j, and
+    the bits past x = n - 1 are zero."""
+    n = R.order
+    members = _SETS[name](R)
+    mul = R.mul.T if column else R.mul
+    out = np.zeros((n, -(-n // 64)), dtype="<u8")
+    raw = out.view(np.uint8)
+    for rows in _row_chunks(n):
+        raw[rows, :-(-n // 8)] = np.packbits(members.take(mul[rows]), axis=1,
+                                             bitorder="little")
+    return out
+
+
+def _row_classes(R: FiniteRing,
+                 reading: _Reading) -> tuple[np.ndarray, np.ndarray]:
+    """(U, cls): the reading's table is U[cls], row for row.
+
+    The rows of U are distinct: a lexicographic sort of the words puts
+    equal rows side by side, and a compare of neighbours numbers them.  A
+    table of one word per row is its own U, with cls the identity, since
+    sorting it costs more than its classes would save.
+    """
+    def compute():
+        n = R.order
+        rows = _word_table(R, reading.name, reading.column)
+        if rows.shape[1] == 1:
+            cls = np.arange(n, dtype=np.min_scalar_type(n - 1))
+        else:
+            order = np.lexsort(rows.T)
+            rows = rows[order]
+            new = np.ones(n, dtype=bool)
+            np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+            ids = np.cumsum(new) - 1
+            cls = np.empty(n, dtype=np.min_scalar_type(ids[-1]))
+            cls[order] = ids
+            rows = rows[new]
+        rows.setflags(write=False)
+        cls.setflags(write=False)
+        return rows, cls
+    side = "col" if reading.column else "row"
+    return inv._cached(R, f"{side}classes_{reading.name}", compute)
+
+
+def _bad_pairs(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
+    """bad[i, j]: rows p_rows[i] and q_rows[j] share a set bit.
+
+    Rows i are taken in chunks whose AND fits _BLOCK_BYTES; the words of a
+    row run along the middle axis, so ``any`` ORs whole rows of j at once.
+    """
+    bad = np.empty((len(p_rows), len(q_rows)), dtype=bool)
+    q_words = np.ascontiguousarray(q_rows.T)
+    step = max(1, _BLOCK_BYTES // q_rows.nbytes)
+    for i in range(0, len(p_rows), step):
+        (p_rows[i:i + step, :, None] & q_words).any(axis=1,
+                                                     out=bad[i:i + step])
+    return bad
+
+
+def _plane_keys(R: FiniteRing, reading: _Reading, keys: np.ndarray,
+                rows: slice) -> np.ndarray:
+    """keys[y] for the row y that row t of the reading's plane of a reads,
+    for a in rows: [a, t], t running over the third letter, or [a, 1] for a
+    two-letter product, which does not depend on it."""
+    rest = reading.word.replace(reading.along, "")     # the table's row index
+    if rest == "a":
+        return keys[rows, None]
+    if rest[0] == "a":
+        return keys.take(R.mul[rows])
+    return keys.take(R.mul[:, rows]).T
+
+
+def _block_hits(R: FiniteRing, form: TripleForm):
+    """(a0, hits) per block of a: hits[i] says whether a = a0 + i has a
+    witness of the form.
+
+    Row t of a's packed plane is the AND of a premise row and a conclusion
+    row, and whether it has a set bit depends only on the classes of the
+    two rows: each (a, t) looks up its pair of classes in ``_bad_pairs``.
+    """
+    p, q = _scan_plan(form)
+    p_rows, p_cls = _row_classes(R, p)
+    q_rows, q_cls = _row_classes(R, q)
+    bad = _bad_pairs(p_rows, q_rows).ravel()
+    # bad's flat index, split into a premise part and a conclusion part
+    key = np.min_scalar_type(bad.size - 1)
+    p_keys = np.multiply(p_cls, len(q_rows), dtype=key)
+    q_keys = q_cls.astype(key, copy=False)
+    for rows in _row_chunks(R.order):
+        pair = (_plane_keys(R, p, p_keys, rows)
+                + _plane_keys(R, q, q_keys, rows))
+        yield rows.start, bad.take(pair).any(axis=1)
 
 
 def _first_witness(R: FiniteRing, form: TripleForm) -> Optional[dict]:
     """The lexicographically least witness of the form, or None.
 
-    Blocks of packed planes give the least a; the boolean plane of that a
-    gives the least (b, c).
+    The first block with a hit gives the least a; the boolean plane of
+    that a gives the least (b, c).
     """
-    n = R.order
-    step = _block_size(n)
-    # one pair of block buffers for the whole scan: blocks allocated afresh
-    # are each returned to the system and faulted in again
-    bufs = np.empty((2, step, n, -(-n // 8)), dtype=np.uint8)
-    premise, conclusion = _scan_plan(form)
-    for a0 in range(0, n, step):
-        a1 = min(a0 + step, n)
-        both = np.bitwise_and(_packed_planes(R, premise, a0, a1, bufs[0]),
-                              _packed_planes(R, conclusion, a0, a1, bufs[1]),
-                              out=bufs[1, :a1 - a0])
-        hits = both.any(axis=(1, 2))
+    for a0, hits in _block_hits(R, form):
         if hits.any():
             a = a0 + int(np.argmax(hits))
             return dict(zip(form.roles, (a, *_least_bc(R, form, a))))
@@ -283,14 +331,19 @@ def _least_bc(R: FiniteRing, form: TripleForm, a: int) -> tuple[int, int]:
 
 
 def _form_witnesses(R: FiniteRing, name: str) -> tuple[Optional[dict], ...]:
-    forms = TRIPLE_FORMS[name]
-    # tables before the first block: building them (J(R) above all) takes
-    # the largest temporaries of a scan, and freed before any block exists
-    # they leave no holes under the blocks that would raise peak memory
-    for f in forms:
-        for reading in _scan_plan(f):
-            _packed_table(R, reading.name, reading.column)
-    return tuple(_first_witness(R, f) for f in forms)
+    """The least witness of each form, memoized: the rule suite asks for
+    the forms of a ring and for its verdict."""
+    def compute():
+        forms = TRIPLE_FORMS[name]
+        # classes before the first block: building the tables (J(R) above
+        # all) takes the largest temporaries of a scan, and freed before any
+        # block exists they leave no holes under the blocks that would raise
+        # peak memory
+        for f in forms:
+            for reading in _scan_plan(f):
+                _row_classes(R, reading)
+        return tuple(_first_witness(R, f) for f in forms)
+    return inv._cached(R, f"forms_{name}", compute)
 
 
 def _triple_verdict(R: FiniteRing, name: str,

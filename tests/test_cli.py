@@ -6,7 +6,7 @@ import pytest
 from ringlab import cli
 from ringlab import constructions as cons
 from ringlab import exprs
-from ringlab.core import canonical_fingerprint
+from ringlab.core import MAX_ORDER, BadArgumentError, canonical_fingerprint
 
 
 def run(capsys, *argv):
@@ -149,7 +149,19 @@ def test_verify_subset_of_rules(capsys):
 
 def test_verify_rejects_unknown_rule(capsys):
     code, _, err = run(capsys, "verify", "--rules", "R99")
-    assert code == 2 and "R99" in err
+    assert code == 2 and err == "error: unknown rule ids: ['R99']\n"
+    args = cli._make_parser().parse_args(["verify", "--rules", "R1,R99"])
+    with pytest.raises(BadArgumentError, match=r"\['R99'\]$"):
+        cli._cmd_verify(args)
+
+
+@pytest.mark.parametrize("rules", ["R1,", "R1,,R2", " R2 , ,R1"])
+def test_verify_rules_skip_empty_ids(capsys, rules):
+    code, out, err = run(capsys, "verify", "--rules", rules)
+    assert code == 0, err
+    ran = {line.split()[0] for line in out.splitlines()
+           if line.startswith("R")}
+    assert ran == {rid.strip() for rid in rules.split(",") if rid.strip()}
 
 
 def test_verify_json_deterministic_across_threads(capsys):
@@ -235,8 +247,10 @@ def test_corpus_random_line_errors_name_file_and_line(tmp_path, capsys, line):
     code, out, err = run(capsys, "verify", "--corpus", str(f),
                          "--rules", "R1")
     assert code == 2
-    assert f"{f}:2" in err
+    assert f"{f}:2" in err and "offset" not in err
     assert out == ""
+    with pytest.raises(BadArgumentError):
+        cli._load_corpus_file(str(f), MAX_ORDER)
 
 
 def test_verify_max_order_skips_larger_default_rings(capsys):

@@ -1,8 +1,10 @@
-"""The ``radical`` and ``ideals`` outputs, checked against recorded goldens.
+"""The ``radical``, ``ideals`` and order-4096 ``prop`` outputs, checked
+against recorded goldens.
 
 ``radical`` prints the maximal left ideals, ``radical --json`` the radicals
 and ``ideals --json`` the full lattices, so a change in how any of them is
-computed shows here as a changed byte.  Each golden is the exit code, the
+computed shows here as a changed byte.  The ``prop`` goldens pin triple
+scans at the largest order ringlab builds.  Each golden is the exit code, the
 length and the SHA-256 of stdout; the lattices of ``T(4, Z(2))`` alone print
 436 kB.  To record them again after a deliberate change of output::
 
@@ -27,10 +29,15 @@ Z2_8 = ("Prod(Prod(Prod(Z(2), Z(2)), Prod(Z(2), Z(2))), "
 RINGS = ["Z(4)", "T(3, Z(2))", "T(4, Z(2))", "M(2, Z(2))", "M(3, Z(2))",
          "WSC(0)", "Z(1)", Z2_8]
 COMMANDS = [["radical"], ["radical", "--json"], ["ideals", "--json"]]
+#: Triple scans at MAX_ORDER = 4096: two that hold, so every a is scanned,
+#: and one with a witness at a = 1.
+SCANS = [["prop", "nj_symmetric", "T(3, Z(4))", "--json"],
+         ["prop", "weak_symmetric", "T(3, Z(4))", "--json"],
+         ["prop", "nj_symmetric", "M(2, Z(8))", "--json"]]
 
 
 def _argvs() -> list:
-    return [cmd + [expr] for expr in RINGS for cmd in COMMANDS]
+    return [cmd + [expr] for expr in RINGS for cmd in COMMANDS] + SCANS
 
 
 def _run(argv: list) -> dict:

@@ -1,9 +1,11 @@
-"""Differential tests: the packed triple scan against the per-a reference.
+"""Differential tests: the row-class triple scan against the per-a reference.
 
 The reference below is the scan ringlab used before the packed planes:
 one boolean n x n plane per a, built by integer gathers on the
 multiplication table, scanned in lexicographic order.  It stays here as the
-oracle for every triple form.
+oracle for every triple form.  The scan's parts are checked against the
+definitions too: the row classes against packed tables built from the
+element sets, and the per-a hits against each form's boolean plane.
 """
 
 from typing import Callable, Optional
@@ -155,7 +157,7 @@ def test_late_witness_in_a_later_block():
     # budget, so the block walk and its offsets are exercised
     from ringlab import exprs
     R = exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))")
-    assert props._block_size(R.order) < 64
+    assert props._row_chunks(R.order)[0].stop < 64
     nil = inv.nilpotents_bool(R)
     jac = inv.jacobson_bool(R)
     want = _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_bac(R, a)])
@@ -210,35 +212,82 @@ def test_every_plan_packs_both_terms_along_one_letter():
                                             for i in range(1, len(word))}
 
 
-def _unpacked(R: FiniteRing, reading, a0: int, a1: int) -> np.ndarray:
-    """The reading's packed planes of a in [a0, a1) as boolean [a, b, c]."""
-    out = np.empty((a1 - a0, R.order, -(-R.order // 8)), dtype=np.uint8)
-    planes = props._packed_planes(R, reading, a0, a1, out)
-    bits = np.unpackbits(planes, axis=-1, count=R.order,
-                         bitorder="little").astype(bool)
-    bits = np.broadcast_to(bits, (a1 - a0, R.order, R.order))
-    return bits if reading.along == "c" else bits.transpose(0, 2, 1)
+def _definition_table(R: FiniteRing, reading) -> np.ndarray:
+    """The reading's packed table from its definition, padded to whole
+    64-bit words: row y holds bits{x : y*x in S}, or bits{x : x*y in S}
+    for a column table, bit j of byte k being x = 8k + j."""
+    products = R.mul.T if reading.column else R.mul
+    packed = np.packbits(_SETS[reading.name](R)[products], axis=1,
+                         bitorder="little")
+    out = np.zeros((R.order, -(-R.order // 64) * 8), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out
 
 
-def assert_planes_match_definition(R: FiniteRing) -> None:
+def _plan_readings():
+    return [reading for forms in props.TRIPLE_FORMS.values()
+            for form in forms for reading in props._scan_plan(form)]
+
+
+def assert_classes_reproduce_tables(R: FiniteRing) -> None:
     R = _fresh(R)
-    n = R.order
-    step = props._block_size(n)
+    for reading in _plan_readings():
+        rows, cls = props._row_classes(R, reading)
+        want = _definition_table(R, reading)
+        assert (rows[cls].view(np.uint8) == want).all(), (R.name, reading)
+        if rows.shape[1] > 1:       # rows of one word keep identity classes
+            assert len(np.unique(want, axis=0)) == len(rows), R.name
+
+
+def _definition_plane(R: FiniteRing, form, a: int) -> np.ndarray:
+    """The form's witness plane [b, c] of a, from the definitions."""
+    (p_set, p_word), (q_set, q_word) = form.premise, form.conclusion
+    return (_SETS[p_set](R)[_PRODUCTS[p_word](R, a)]
+            & _SETS[q_set](R)[_PRODUCTS[q_word](R, a)])
+
+
+def assert_hits_match_definition(R: FiniteRing) -> None:
+    R = _fresh(R)
     for forms in props.TRIPLE_FORMS.values():
         for form in forms:
-            for (name, word), reading in zip((form.premise, form.conclusion),
-                                             props._scan_plan(form)):
-                members = _SETS[name](R)
-                for a0 in range(0, n, step):
-                    a1 = min(a0 + step, n)
-                    want = np.stack([members[_PRODUCTS[word](R, a)]
-                                     for a in range(a0, a1)])
-                    got = _unpacked(R, reading, a0, a1)
-                    assert (got == want).all(), (R.name, form, reading, a0)
+            starts, hits = zip(*props._block_hits(R, form))
+            assert starts == tuple(
+                rows.start for rows in props._row_chunks(R.order))
+            want = [_definition_plane(R, form, a).any()
+                    for a in range(R.order)]
+            assert np.concatenate(hits).tolist() == want, (R.name, form)
 
 
-def test_scan_planes_match_definition(block_bytes):
-    rings = (_DEFAULT + [R for seed in (0, 1, 2)
-                         for R in harness.random_corpus(seed, 4)])
-    for R in rings:
-        assert_planes_match_definition(R)
+_SCANNED = (_DEFAULT + [R for seed in (0, 1, 2)
+                        for R in harness.random_corpus(seed, 4)])
+
+
+def test_row_classes_reproduce_packed_tables(block_bytes):
+    for R in _SCANNED:
+        assert_classes_reproduce_tables(R)
+
+
+def test_block_hits_match_definition(block_bytes):
+    for R in _SCANNED:
+        assert_hits_match_definition(R)
+
+
+def test_bad_pairs_in_several_chunks(monkeypatch):
+    # two words per row and a budget of one row of classes per chunk, so
+    # the chunk loop of _bad_pairs runs once per premise class
+    from ringlab import exprs
+    R = exprs.build("M(2, Z(3))")
+    monkeypatch.setattr(props, "_BLOCK_BYTES", 64)
+    for reading in _plan_readings():
+        rows, _ = props._row_classes(R, reading)
+        assert rows.shape[1] == 2
+    for forms in props.TRIPLE_FORMS.values():
+        for form in forms:
+            (p_rows, _), (q_rows, _) = (props._row_classes(R, r)
+                                        for r in props._scan_plan(form))
+            assert len(p_rows) > 1
+            bits = [np.unpackbits(r.view(np.uint8), axis=1).astype(bool)
+                    for r in (p_rows, q_rows)]
+            want = (bits[0][:, None] & bits[1][None]).any(axis=2)
+            assert (props._bad_pairs(p_rows, q_rows) == want).all()
+    assert_hits_match_definition(R)
