@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (MAX_ORDER, BadArgumentError, FiniteRing, RingError,
-                   RingHom, SizeError, StructureError, mask_indices,
+from .core import (MAX_ORDER, BadArgumentError, FiniteRing, Labels,
+                   RingError, RingHom, SizeError, StructureError, mask_indices,
                    mask_to_bool)
 from .invariants import (NotAnIdealError, _coset_quotient,
                          two_sided_ideal_violation)
@@ -76,7 +76,7 @@ _BLOCK_BYTES = 1 << 19
 
 def _coord_build(carriers: Sequence, add_fn: Callable, mul_fn: Callable,
                  zero: Sequence[int], one: Sequence[int], name: str,
-                 labels: Optional[Sequence[str]] = None) -> FiniteRing:
+                 labels: Labels = None) -> FiniteRing:
     """Tabulate a ring whose elements are tuples of coordinate values.
 
     Coordinate c takes its values in ``carriers[c]`` (base-table indices).
@@ -209,7 +209,7 @@ def _matrix_shaped(R: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
                         _coordwise([R.add] * len(cells)),
                         _matrix_mul(R, k, cells), [R.zero] * len(cells),
                         _matrix_one(R, cells), name=name,
-                        labels=_matrix_labels(R, k, cells))
+                        labels=lambda: _matrix_labels(R, k, cells))
 
 
 def _matrix_labels(R: FiniteRing, k: int, cells: list) -> list[str]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -86,19 +86,25 @@ def mask_size(mask: int) -> int:
     return int(mask).bit_count()
 
 
+#: Element names, or a zero-argument callable that makes them on first read.
+Labels = Union[Sequence[str], Callable[[], Sequence[str]], None]
+
+
 class FiniteRing:
     """A finite associative unital ring given by explicit tables.
 
     Immutable after construction; all tables are read-only numpy arrays.
-    Values memoized in ``_cache`` are computed without a lock, so threads
+    ``labels`` is a sequence of element names, or a zero-argument callable
+    that makes it when ``labels`` is first read.  Values memoized in
+    ``_cache``, and the labels, are computed without a lock, so threads
     sharing a ring may compute one of them twice.
     """
 
-    __slots__ = ("order", "add", "mul", "zero", "one", "labels", "name",
+    __slots__ = ("order", "add", "mul", "zero", "one", "_labels", "name",
                  "_neg", "_fingerprint", "_cache", "__weakref__")
 
     def __init__(self, add, mul, zero: int, one: int, name: str = "",
-                 labels: Optional[Sequence[str]] = None):
+                 labels: Labels = None):
         add = np.ascontiguousarray(add, dtype=np.int32)
         mul = np.ascontiguousarray(mul, dtype=np.int32)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
@@ -117,8 +123,6 @@ class FiniteRing:
             raise StructureError("zero/one index out of range")
         if zero == one and n > 1:
             raise StructureError("zero == one in a ring of order > 1")
-        if labels is not None and len(labels) != n:
-            raise StructureError("label count does not match order")
         add.setflags(write=False)
         mul.setflags(write=False)
         self.order = n
@@ -126,14 +130,27 @@ class FiniteRing:
         self.mul = mul
         self.zero = int(zero)
         self.one = int(one)
-        self.labels = list(labels) if labels is not None else None
         self.name = name
+        self._labels = labels if callable(labels) else self._checked(labels)
         self._neg = None
         self._fingerprint = None
         self._cache = {}
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.name or '?'}, order={self.order})"
+
+    def _checked(self, labels: Optional[Sequence[str]]) -> Optional[list]:
+        if labels is not None and len(labels) != self.order:
+            raise StructureError("label count does not match order")
+        return None if labels is None else list(labels)
+
+    @property
+    def labels(self) -> Optional[list[str]]:
+        """Element names, or None when elements are named by index."""
+        labels = self._labels
+        if callable(labels):
+            labels = self._labels = self._checked(labels())
+        return labels
 
     def elements(self) -> range:
         return range(self.order)

@@ -32,6 +32,13 @@ decides each form in two steps:
   tables directly, so every witness is the one a plain scan finds.  A
   packed hit that the boolean plane does not confirm raises
   InternalCheckError.
+
+Exchange, J-quasipolarity and semiperiodicity ask one question per element
+a and take a in blocks of 1, 4, 16, ... up to the same byte budget: column
+scatters of R.mul for exchange, packed commutant rows against the
+idempotents through the same pair test for J-quasipolarity, and one power
+walk per block for semiperiodicity.  ``reverify_witness`` checks their
+witnesses at that a alone, from the definition.
 """
 
 from __future__ import annotations
@@ -204,25 +211,33 @@ def _scan_plan(form: TripleForm) -> tuple[_Reading, _Reading]:
     raise AssertionError(f"no common packing for {form}")
 
 
-def _row_chunks(n: int) -> list[slice]:
-    """Row slices of an n x n gather whose intp index fits _BLOCK_BYTES."""
+def _row_chunks(n: int, count: Optional[int] = None) -> list[slice]:
+    """Row slices of a count x n gather (n x n by default) whose intp index
+    fits _BLOCK_BYTES."""
+    count = n if count is None else count
     step = max(1, _BLOCK_BYTES // (8 * n))
-    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
+    return [slice(r, min(r + step, count)) for r in range(0, count, step)]
+
+
+def _packed_rows(count: int, n: int,
+                 bits: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """The count x n boolean table whose rows are bits(rows), taken in row
+    chunks, in little-endian uint64 words: bit j of byte k is x = 8k + j,
+    and the bits past x = n - 1 are zero."""
+    out = np.zeros((count, -(-n // 64)), dtype="<u8")
+    raw = out.view(np.uint8)
+    for rows in _row_chunks(n, count):
+        raw[rows, :-(-n // 8)] = np.packbits(bits(rows), axis=1,
+                                             bitorder="little")
+    return out
 
 
 def _word_table(R: FiniteRing, name: str, column: bool) -> np.ndarray:
     """Row y holds bits{x : y*x in S}, or bits{x : x*y in S} for the column
-    table, in little-endian uint64 words: bit j of byte k is x = 8k + j, and
-    the bits past x = n - 1 are zero."""
-    n = R.order
+    table, packed by _packed_rows."""
     members = _SETS[name](R)
     mul = R.mul.T if column else R.mul
-    out = np.zeros((n, -(-n // 64)), dtype="<u8")
-    raw = out.view(np.uint8)
-    for rows in _row_chunks(n):
-        raw[rows, :-(-n // 8)] = np.packbits(members.take(mul[rows]), axis=1,
-                                             bitorder="little")
-    return out
+    return _packed_rows(R.order, R.order, lambda rows: members.take(mul[rows]))
 
 
 def _row_classes(R: FiniteRing,
@@ -498,36 +513,112 @@ def is_j_clean(R: FiniteRing) -> Optional[dict]:
     return {"a": int(np.argmax(~reach))}
 
 
+# Exchange and J-quasipolarity are decided, and semiperiodicity below, on
+# blocks of a at once.  Blocks start at one a and grow fourfold up to what
+# fits _BLOCK_BYTES, so an early witness costs few elements and a full scan
+# few blocks; the first a of the first block that fails is the witness.
+
+def _a_blocks(count: int, item_bytes: int):
+    """Slices of range(count) of 1, 4, 16, ... items, each at most the
+    number of item_bytes that fit _BLOCK_BYTES (and at least one)."""
+    cap = max(1, _BLOCK_BYTES // item_bytes)
+    start, size = 0, 1
+    while start < count:
+        stop = min(start + size, count)
+        yield slice(start, stop)
+        start, size = stop, min(4 * size, cap)
+
+
+def _one_minus(R: FiniteRing) -> np.ndarray:
+    """1 - x, per element."""
+    return R.add[R.one, R.neg_table()]
+
+
+def _left_multiples(R: FiniteRing, xs: np.ndarray) -> np.ndarray:
+    """Column i: which elements lie in R*xs[i], the values in column xs[i]
+    of R.mul, scattered from row chunks of R.mul within _BLOCK_BYTES."""
+    out = np.zeros((R.order, len(xs)), dtype=bool)
+    at = np.arange(len(xs), dtype=np.int32)
+    for rows in _row_chunks(len(xs), R.order):
+        flat = R.mul[rows].take(xs, axis=1)
+        flat *= len(xs)
+        flat += at              # out[v, i] is out.ravel()[v*b + i], b <= 2n
+        out.ravel()[flat] = True
+    return out
+
+
 @_property("exchange")
 def is_exchange(R: FiniteRing) -> Optional[dict]:
-    """Every a has an idempotent e with e in Ra and 1-e in R(1-a)."""
-    n = R.order
-    neg = R.neg_table()
-    one_minus = R.add[R.one, neg]       # 1 - x, per element
+    """Every a has an idempotent e with e in Ra and 1-e in R(1-a).
+
+    Every finite ring is semiperfect, hence exchange (Nicholson 1977), so
+    this scans every pair {a, 1 - a}; the witness is kept as a check.
+    """
+    one_minus = _one_minus(R)
     idem = np.flatnonzero(inv.idempotents_bool(R))
-    for a in range(n):
-        ra = np.zeros(n, dtype=bool)
-        ra[R.mul[:, a]] = True
-        r1a = np.zeros(n, dtype=bool)
-        r1a[R.mul[:, one_minus[a]]] = True
-        if not (ra[idem] & r1a[one_minus[idem]]).any():
-            return {"a": a}
+    # e works for a exactly when 1 - e works for 1 - a, so a fails exactly
+    # when 1 - a does, and the least a that fails is the lesser of its pair
+    lesser = np.flatnonzero(np.arange(R.order) <= one_minus)
+    for rows in _a_blocks(len(lesser), 4 * R.order):
+        a = lesser[rows]
+        both = _left_multiples(R, np.concatenate([a, one_minus[a]]))
+        ok = (both[idem, :len(a)] & both[one_minus[idem], len(a):]).any(axis=0)
+        if not ok.all():
+            return {"a": int(a[np.argmin(ok)])}
     return None
+
+
+def _exchange_at(R: FiniteRing, a: int) -> bool:
+    """Whether some idempotent e has e in Ra and 1-e in R(1-a)."""
+    one_minus = _one_minus(R)
+    ra = set(R.mul[:, a].tolist())
+    r1a = set(R.mul[:, one_minus[a]].tolist())
+    return any(e in ra and int(one_minus[e]) in r1a
+               for e in np.flatnonzero(inv.idempotents_bool(R)).tolist())
+
+
+def _commuting_words(R: FiniteRing, xs: np.ndarray,
+                     commute: bool) -> np.ndarray:
+    """Row i: bits{y : xs[i]*y = y*xs[i]}, or its complement, packed by
+    _packed_rows.  The complement is taken before packing, so its bits past
+    y = n - 1 stay zero."""
+    def bits(rows: slice) -> np.ndarray:
+        x = xs[rows]
+        eq = R.mul.take(x, axis=0) == R.mul.take(x, axis=1).T
+        return eq if commute else ~eq
+    return _packed_rows(len(xs), R.order, bits)
 
 
 @_property("j_quasipolar")
 def is_j_quasipolar(R: FiniteRing) -> Optional[dict]:
-    """Every a has an idempotent f in its double commutant with a + f in J."""
-    idem = inv.idempotents_bool(R)
+    """Every a has an idempotent f in its double commutant with a + f in J.
+
+    f is in the double commutant of a exactly when every y that commutes
+    with a commutes with f: the packed row of a and the complemented row of
+    f share no bit, which ``_bad_pairs`` tests for a block of a against
+    every idempotent f at once.
+    """
+    n = R.order
+    idem = np.flatnonzero(inv.idempotents_bool(R))
     jac = inv.jacobson_bool(R)
-    eq = R.mul == R.mul.T
-    for a in range(R.order):
-        cm = np.flatnonzero(R.mul[a] == R.mul[:, a])
-        dc = eq[:, cm].all(axis=1)
-        f = np.flatnonzero(dc & idem)
-        if not jac[R.add[a, f]].any():
-            return {"a": a}
+    f_words = _commuting_words(R, idem, commute=False)
+    for rows in _a_blocks(n, 16 * (n + len(idem))):
+        a_words = _commuting_words(R, np.arange(rows.start, rows.stop),
+                                   commute=True)
+        ok = (jac[R.add[rows][:, idem]]
+              & ~_bad_pairs(a_words, f_words)).any(axis=1)
+        if not ok.all():
+            return {"a": rows.start + int(np.argmin(ok))}
     return None
+
+
+def _j_quasipolar_at(R: FiniteRing, a: int) -> bool:
+    """Whether some idempotent f commutes with everything that commutes
+    with a and has a + f in J(R)."""
+    comm_a = R.mul[a] == R.mul[:, a]
+    jac = inv.jacobson_bool(R)
+    return any(jac[R.add[a, f]] and (R.mul[f] == R.mul[:, f])[comm_a].all()
+               for f in np.flatnonzero(inv.idempotents_bool(R)).tolist())
 
 
 @_property("local")
@@ -561,6 +652,39 @@ def is_strongly_regular(R: FiniteRing) -> Optional[dict]:
     return None
 
 
+def _power_windows(R: FiniteRing,
+                   a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pw, valid): pw[t, i] = a[i]^(t+1) where valid[t, i], which holds for
+    t < s+2k-1 when the powers of a[i] first repeat at a^(s+k) = a^s; the
+    rest of the column is padding.
+
+    The powers of the whole block are walked at once, one gather per
+    exponent.  first[i, x] is the exponent at which x first appeared among
+    the powers of a[i]; once a[i] has repeated, every later power was seen
+    before, so the walk ends at the first exponent that no a[i] sees first.
+    """
+    b, n = len(a), R.order
+    first = np.zeros(b * n, dtype=np.min_scalar_type(n + 1))
+    at = np.arange(0, b * n, n)         # first[i, x] is first[at[i] + x]
+    first[at + a] = 1
+    walk, seen = [a], []                # seen[j][i]: first[i, a[i]^(j+2)]
+    while not seen or np.count_nonzero(seen[-1]) < b:
+        cur = R.mul[walk[-1], a]
+        where = at + cur
+        seen.append(first[where])
+        first[where] = len(walk) + 1    # overwrites only repeated a[i]
+        walk.append(cur)
+    seen = np.array(seen)
+    cols = np.arange(b)
+    rep = np.argmax(seen != 0, axis=0)
+    t = rep + 2                         # s + k
+    k = t - seen[rep, cols]
+    e = np.arange((t + k).max() - 1)[:, None]
+    # from a^(s+k) on, the powers repeat with period k
+    src = np.where(e < t - 1, e, np.minimum(e - k, len(walk) - 1))
+    return np.array(walk)[src, cols], e < t + k - 1
+
+
 @_property("semiperiodic")
 def is_semiperiodic(R: FiniteRing) -> Optional[dict]:
     """a^q - a^p nilpotent, q - p odd, for each a outside J(R) union Z(R).
@@ -569,22 +693,35 @@ def is_semiperiodic(R: FiniteRing) -> Optional[dict]:
     period k), and from a^s on they repeat with period 2k without changing
     the parity of the exponent, so exponents 1 .. s+2k-1 already give every
     (power, parity) pair.  a^q - a^p is nilpotent exactly when a^p - a^q
-    is, so the order of q and p does not matter.
+    is, so it is enough to take q even and p odd.  A block of a takes its
+    windows from ``_power_windows`` and tests every such pair in one padded
+    plane, in chunks of a within _BLOCK_BYTES.
     """
-    outside = ~(inv.jacobson_bool(R) | inv.center_bool(R))
+    outside = np.flatnonzero(~(inv.jacobson_bool(R) | inv.center_bool(R)))
     nil = inv.nilpotents_bool(R)
     neg = R.neg_table()
-    for a in np.flatnonzero(outside):
-        pw, seen = [int(a)], {int(a)}        # pw[t] = a^(t+1)
-        while (cur := int(R.mul[pw[-1], a])) not in seen:
-            pw.append(cur)
-            seen.add(cur)
-        pw = np.array(pw + pw[pw.index(cur):])   # exponents 1 .. s+2k-1
-        t = np.arange(len(pw))
-        odd = (t[:, None] - t[None, :]) % 2 == 1
-        if not (nil[R.add[pw[:, None], neg[pw][None, :]]] & odd).any():
-            return {"a": int(a)}
+    for rows in _a_blocks(len(outside), 8 * R.order):
+        pw, valid = _power_windows(R, outside[rows])
+        q, minus_p = pw[1::2, None], neg[pw[None, 0::2]]   # q even, p odd
+        pair = valid[1::2, None] & valid[None, 0::2]
+        for sub in _row_chunks(q.shape[0] * minus_p.shape[1], pw.shape[1]):
+            ok = (nil[R.add[q[..., sub], minus_p[..., sub]]]
+                  & pair[..., sub]).any(axis=(0, 1))
+            if not ok.all():
+                return {"a": int(outside[rows][sub][np.argmin(ok)])}
     return None
+
+
+def _semiperiodic_at(R: FiniteRing, a: int) -> bool:
+    """Whether a^q - a^p is nilpotent for some exponents q - p odd."""
+    pw = [a]
+    while (cur := int(R.mul[pw[-1], a])) not in pw:
+        pw.append(cur)
+    pw = np.array(pw + pw[pw.index(cur):])   # exponents 1 .. s+2k-1
+    t = np.arange(len(pw))
+    odd = (t[:, None] - t[None, :]) % 2 == 1
+    diff = R.add[pw[:, None], R.neg_table()[pw][None, :]]
+    return bool((inv.nilpotents_bool(R)[diff] & odd).any())
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +836,14 @@ def reverify_witness(R: FiniteRing, v: PropertyVerdict) -> bool:
     if name == "j_clean":
         reach = _reachable_by_sums(R, inv.idempotents_bool(R), jac)
         return not reach[w["a"]]
+    if name == "exchange":
+        return not _exchange_at(R, w["a"])
+    if name == "j_quasipolar":
+        return not _j_quasipolar_at(R, w["a"])
+    if name == "semiperiodic":
+        a = w["a"]
+        return not (jac[a] or inv.center_bool(R)[a]
+                    or _semiperiodic_at(R, a))
     # remaining witnesses assert nonexistence over an element-indexed search;
     # re-running the per-element check is the faithful recheck
     fresh = PROPERTY_CHECKS[name](R)

@@ -261,3 +261,35 @@ def test_size_cap_respected_by_constructors():
 ])
 def test_constructions_satisfy_ring_axioms(build):
     assert core.verify_axioms(build()).ok
+
+
+# -- labels are built on first read -------------------------------------------
+
+@pytest.mark.parametrize("build", [cons.matrix_ring, cons.upper_triangular],
+                         ids=["M(2, Z(4))", "T(2, Z(4))"])
+def test_matrix_labels_are_built_on_first_read(build, monkeypatch):
+    calls = []
+    eager = cons._matrix_labels
+
+    def counted(*args):
+        calls.append(args)
+        return eager(*args)
+    monkeypatch.setattr(cons, "_matrix_labels", counted)
+    R = build(cons.zmod(4), 2)
+    assert calls == []
+    labels = R.labels
+    assert R.labels is labels and len(calls) == 1
+    assert labels == eager(*calls[0])
+
+
+def test_corner_by_label_reads_the_labels():
+    from ringlab import exprs
+    C = exprs.build('Corner(M(2, Z(2)), "[1 0; 0 0]")')
+    assert C.order == 2
+
+
+def test_label_callable_of_wrong_count_raises_on_read():
+    Z3 = cons.zmod(3)
+    R = core.FiniteRing(Z3.add, Z3.mul, 0, 1, labels=lambda: ["0", "1"])
+    with pytest.raises(core.StructureError, match="label count"):
+        R.labels

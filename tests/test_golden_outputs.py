@@ -4,7 +4,9 @@ against recorded goldens.
 ``radical`` prints the maximal left ideals, ``radical --json`` the radicals
 and ``ideals --json`` the full lattices, so a change in how any of them is
 computed shows here as a changed byte.  The ``prop`` goldens pin triple
-scans at the largest order ringlab builds.  Each golden is the exit code, the
+scans at the largest order ringlab builds, and the per-element predicates
+and whole ``analyze`` reports on rings above order 256, where the
+benchmark's pins stop.  Each golden is the exit code, the
 length and the SHA-256 of stdout; the lattices of ``T(4, Z(2))`` alone print
 436 kB.  To record them again after a deliberate change of output::
 
@@ -34,10 +36,18 @@ COMMANDS = [["radical"], ["radical", "--json"], ["ideals", "--json"]]
 SCANS = [["prop", "nj_symmetric", "T(3, Z(4))", "--json"],
          ["prop", "weak_symmetric", "T(3, Z(4))", "--json"],
          ["prop", "nj_symmetric", "M(2, Z(8))", "--json"]]
+#: Rings with late and early witnesses of exchange, J-quasipolarity and
+#: semiperiodicity, and one (order 1024) where they are full scans.
+PER_ELEMENT = ["T(4, Z(2))", "M(2, Z(5))", "M(2, Z(3))", "Z(6)"]
+REPORTS = ([["prop", p, expr, "--json"] for expr in PER_ELEMENT
+            for p in ("exchange", "j_quasipolar", "semiperiodic")]
+           + [["analyze", "--json", "--no-cache", expr]
+              for expr in PER_ELEMENT])
 
 
 def _argvs() -> list:
-    return [cmd + [expr] for expr in RINGS for cmd in COMMANDS] + SCANS
+    return ([cmd + [expr] for expr in RINGS for cmd in COMMANDS] + SCANS
+            + REPORTS)
 
 
 def _run(argv: list) -> dict:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ringlab import constructions as cons
@@ -167,12 +168,14 @@ def test_exchange_holds_on_finite_examples():
 def test_semiperiodic_exponent_search_respects_parity():
     v = props.check_property(Z6, "semiperiodic")
     assert v.holds
-    # T2(Z4) has an element with no opposite-parity periodicity? keep the
-    # positive cases from the frozen table and assert a known negative:
+    # commutative, so nothing lies outside J(R) union Z(R): holds vacuously
     S = cons.truncated_skew_poly(zmod(4), [0, 1, 2, 3], 2, hom_name="id")
-    got = props.check_property(S, "semiperiodic")
-    assert got.holds in (True, False)  # decidable without error
-    assert props.reverify_witness(S, got) or got.holds
+    assert props.check_property(S, "semiperiodic").holds
+    # a = 2 of M(2, Z(3)) has no two powers of opposite parity whose
+    # difference is nilpotent
+    got = props.check_property(M2Z3, "semiperiodic")
+    assert (got.holds, got.witness) == (False, {"a": 2})
+    assert props.reverify_witness(M2Z3, got)
 
 
 def test_commutative_and_abelian():
@@ -290,3 +293,168 @@ def test_semiperiodic_matches_the_3n2_walk():
         assert props.is_semiperiodic(R).witness == want, R.name
         failing += want is not None
     assert failing > 0
+
+
+# -- exchange, J-quasipolarity and semiperiodicity: blocks of a against ------
+# -- the per-element loops they replace -------------------------------------
+
+def _exchange_loop(R):
+    """The per-a loop ringlab used before blocks of a, as the oracle."""
+    n = R.order
+    neg = R.neg_table()
+    one_minus = R.add[R.one, neg]       # 1 - x, per element
+    idem = np.flatnonzero(inv.idempotents_bool(R))
+    for a in range(n):
+        ra = np.zeros(n, dtype=bool)
+        ra[R.mul[:, a]] = True
+        r1a = np.zeros(n, dtype=bool)
+        r1a[R.mul[:, one_minus[a]]] = True
+        if not (ra[idem] & r1a[one_minus[idem]]).any():
+            return {"a": a}
+    return None
+
+
+def _j_quasipolar_loop(R):
+    """The per-a loop ringlab used before blocks of a, as the oracle."""
+    idem = inv.idempotents_bool(R)
+    jac = inv.jacobson_bool(R)
+    eq = R.mul == R.mul.T
+    for a in range(R.order):
+        cm = np.flatnonzero(R.mul[a] == R.mul[:, a])
+        dc = eq[:, cm].all(axis=1)
+        f = np.flatnonzero(dc & idem)
+        if not jac[R.add[a, f]].any():
+            return {"a": a}
+    return None
+
+
+def _semiperiodic_loop(R):
+    """The per-a power-cycle walk ringlab used before blocks of a."""
+    outside = ~(inv.jacobson_bool(R) | inv.center_bool(R))
+    nil = inv.nilpotents_bool(R)
+    neg = R.neg_table()
+    for a in np.flatnonzero(outside):
+        pw, seen = [int(a)], {int(a)}        # pw[t] = a^(t+1)
+        while (cur := int(R.mul[pw[-1], a])) not in seen:
+            pw.append(cur)
+            seen.add(cur)
+        pw = np.array(pw + pw[pw.index(cur):])   # exponents 1 .. s+2k-1
+        t = np.arange(len(pw))
+        odd = (t[:, None] - t[None, :]) % 2 == 1
+        if not (nil[R.add[pw[:, None], neg[pw][None, :]]] & odd).any():
+            return {"a": int(a)}
+    return None
+
+
+Z2_8 = ("Prod(Prod(Prod(Z(2), Z(2)), Prod(Z(2), Z(2))), "
+        "Prod(Prod(Z(2), Z(2)), Prod(Z(2), Z(2))))")
+#: The analyze-cached workload, early and late witnesses, an order (81) that
+#: is not a multiple of 64, and (Z(2))^8, whose 256 idempotents take several
+#: _bad_pairs chunks.
+PER_ELEMENT_RINGS = (
+    "Z(4)", "Z(2)", "T(3, Z(2))", "WSC(0)", "CD(4, Z(2))", "M(2, Z(4))",
+    "CD(3, Prod(Z(2), Z(2)))", "SkewTrunc(Prod(Z(2), Z(2)), swap, 4)",
+    "T(2, Z(4))", "T(4, Z(2))", "M(2, Z(3))", "M(2, Z(5))",
+    "Z(6)", Z2_8)
+
+ORACLES = {"exchange": _exchange_loop, "j_quasipolar": _j_quasipolar_loop,
+           "semiperiodic": _semiperiodic_loop}
+
+
+@pytest.fixture(scope="module")
+def per_element_rings():
+    from ringlab import exprs, harness
+    return [R for R in (
+        harness.default_corpus().rings
+        + [R for seed in range(6) for R in harness.random_corpus(seed, 5)]
+        + [exprs.build(e) for e in PER_ELEMENT_RINGS]) if R.order > 1]
+
+
+@pytest.mark.parametrize("budget", [props._BLOCK_BYTES, 64])
+def test_per_element_predicates_match_the_loops(per_element_rings, budget,
+                                                monkeypatch):
+    # at 64 bytes every block holds one a and every chunk one row, so the
+    # block ramp, the cap and the early exits all run
+    monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+    failing = {name: 0 for name in ORACLES}
+    for R in per_element_rings:
+        for name, oracle in ORACLES.items():
+            got = props.PROPERTY_CHECKS[name](R)
+            want = oracle(R)
+            assert got.witness == want, (R.name, name)
+            if want is not None:
+                failing[name] += 1
+                assert props.reverify_witness(R, got), (R.name, name)
+    assert failing["exchange"] == 0
+    assert failing["j_quasipolar"] > 0 and failing["semiperiodic"] > 0
+
+
+def _trivial_idempotents(R):
+    e = np.zeros(R.order, dtype=bool)
+    e[[R.zero, R.one]] = True
+    return e
+
+
+@pytest.mark.parametrize("budget", [props._BLOCK_BYTES, 64])
+def test_exchange_over_the_trivial_idempotents(per_element_rings, budget,
+                                               monkeypatch):
+    # every finite ring is exchange, so only a smaller idempotent set makes
+    # the witness branch run: over {0, 1}, a passes exactly when a or 1 - a
+    # is a unit
+    monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(inv, "idempotents_bool", _trivial_idempotents)
+    failing = 0
+    for R in per_element_rings:
+        units = inv.units_bool(R)
+        bad = np.flatnonzero(~(units | units[R.add[R.one, R.neg_table()]]))
+        want = {"a": int(bad[0])} if len(bad) else None
+        assert _exchange_loop(R) == want, R.name
+        assert props.PROPERTY_CHECKS["exchange"](R).witness == want, R.name
+        failing += want is not None
+    assert failing > 0
+
+
+@pytest.mark.parametrize("budget", [props._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("expr", ["T(3, Z(2))", "M(2, Z(3))", "M(2, Z(4))",
+                                  "Prod(T(3, Z(2)), Prod(Z(2), Z(2)))"])
+def test_double_commutant_pairs_match_definition(expr, budget, monkeypatch):
+    # In a finite ring the double commutant decides no j_quasipolar verdict:
+    # if a + f is in J(R), so is a + e for the idempotent power e of -a,
+    # which lies in the double commutant.  So the packed test is checked
+    # here against the definition, on orders of one to four words a row.
+    from ringlab import exprs
+    monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+    R = exprs.build(expr)
+    idem = np.flatnonzero(inv.idempotents_bool(R))
+    outside = props._bad_pairs(
+        props._commuting_words(R, np.arange(R.order), commute=True),
+        props._commuting_words(R, idem, commute=False))
+    eq = R.mul == R.mul.T
+    want = np.array([~eq[idem][:, eq[a]].all(axis=1) for a in range(R.order)])
+    assert (outside == want).all()
+    assert want.any() and not want.all()
+
+
+def _verdict(name, a):
+    return props.PropertyVerdict(name, False, {"a": a})
+
+
+def test_per_element_recheck_accepts_the_witness_and_rejects_others():
+    assert props.check_property(M2Z3, "j_quasipolar").witness == {"a": 1}
+    assert props.reverify_witness(M2Z3, _verdict("j_quasipolar", 1))
+    # f = 0 is central, so it lies in the double commutant of 0, and 0 + 0
+    # is in J(R)
+    assert not props.reverify_witness(M2Z3, _verdict("j_quasipolar", 0))
+    # exchange holds, so no a is a witness
+    for a in range(M2Z3.order):
+        assert not props.reverify_witness(M2Z3, _verdict("exchange", a))
+    assert props.reverify_witness(M2Z3, _verdict("semiperiodic", 2))
+    # e11 is outside J(R) union Z(R), and e11^2 - e11 = 0
+    e11 = matrix_unit(3, 2, 0, 0)
+    assert not props.reverify_witness(M2Z3, _verdict("semiperiodic", e11))
+    # -1 is central: its powers alternate -1, 1, and 1 - (-1) = 2 is a unit,
+    # so only its membership in Z(R) keeps it from being a witness
+    minus_one = cons.matrix_index(3, 2, [[2, 0], [0, 2]])
+    assert not props._semiperiodic_at(M2Z3, minus_one)
+    assert not props.reverify_witness(M2Z3,
+                                      _verdict("semiperiodic", minus_one))
