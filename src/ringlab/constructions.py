@@ -8,9 +8,14 @@ canonical element ordering, so table comparison suffices in tests.
 
 Matrix-shaped rings (M, T, CD, WSC), Tri, Morita, Dorroh and SkewTrunc are
 coordinate rings: an element is a tuple of coordinates, each an index into a
-base table's carrier, and a sum or product is a coordinatewise formula of
-base-table lookups.  ``_coord_build`` evaluates those formulas as numpy
-gathers on whole blocks of table rows at once, within a fixed byte budget.
+base table's carrier; sums are coordinatewise and each coordinate of a
+product is a formula of base-table lookups.  ``_coord_build`` tabulates the
+addition as a broadcast sum of one small table per coordinate, evaluates the
+product formula only on the single-coordinate elements, and fills every
+other product row by distributivity, one gather in the addition table a
+cell, in row blocks within a fixed byte budget.  The tables equal the
+formula's because every construction here is distributive: base rings are
+rings, bimodules are validated and skew maps are checked endomorphisms.
 """
 
 from __future__ import annotations
@@ -66,81 +71,150 @@ def _check_power(base: int, coords: int, max_order: int, what: str) -> None:
     _check_order(base ** coords, max_order, what)
 
 
-# Rows of a table are built in blocks sized so that a block's temporaries
-# take about this many bytes, some 8 a cell for each coordinate and for the
-# element indices (int32 planes, and the intp indices numpy gathers with).
-# Much larger temporaries are returned to the system when freed, and every
-# later build faults them in again.
+# Index arithmetic runs in blocks of table rows sized so that a block's
+# temporaries take at most this many bytes: 8 a cell for each coordinate and
+# for the element indices while the products of single-coordinate elements
+# are evaluated.  Much larger temporaries are returned to the system when
+# freed, and every later build faults them in again.  The product table is
+# filled in blocks of a quarter of this, 16 bytes a cell (a sum of two
+# rows, numpy's intp copy of it and the gathered values): that keeps the
+# intp copy under glibc's 128 KiB mmap threshold, so the blocks reuse heap
+# memory instead of mapping fresh pages and raising the threshold, which
+# would leave later tables' memory resident.
 _BLOCK_BYTES = 1 << 19
 
 
-def _coord_build(carriers: Sequence, add_fn: Callable, mul_fn: Callable,
-                 zero: Sequence[int], one: Sequence[int], name: str,
-                 labels: Labels = None) -> FiniteRing:
+def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
+                 mul_fn: Callable, zero: Sequence[int], one: Sequence[int],
+                 name: str, labels: Labels = None) -> FiniteRing:
     """Tabulate a ring whose elements are tuples of coordinate values.
 
-    Coordinate c takes its values in ``carriers[c]`` (base-table indices).
-    Element i is the i-th tuple of ``itertools.product(*carriers)``, i.e. a
-    mixed-radix vector of carrier positions, first coordinate most
-    significant.  ``add_fn(X, Y)`` and ``mul_fn(X, Y)`` get each operand as
-    a list of per-coordinate value arrays, a block of rows as a column
-    against all elements as a row, and return the result's per-coordinate
-    value arrays, made by gathers on the base tables.  A value outside its
-    coordinate's carrier raises RingError.
+    Coordinate c takes its values in ``carriers[c]`` (base-table indices)
+    and adds them by the table ``adds[c]``.  Element i is the i-th tuple of
+    ``itertools.product(*carriers)``, i.e. a mixed-radix vector of carrier
+    positions, first coordinate most significant.  ``mul_fn(X, Y)`` gets
+    each operand as a list of per-coordinate value arrays, a column of
+    rows against all elements as a row, and returns the product's
+    per-coordinate value arrays, made by gathers on the base tables.  A
+    value outside its coordinate's carrier raises RingError.
+
+    The addition table is the sum of one small table per coordinate,
+    broadcast over the others.  ``mul_fn`` is evaluated only on the
+    single-coordinate elements, zero at every coordinate but one.  Element
+    (v_0 .. v_c, 0 ..) is (v_0 .. v_(c-1), 0 ..) plus (0 .. v_c, 0 ..), so
+    its product row is the sum of theirs, one gather in the addition table
+    a cell.  The result equals the table of ``mul_fn`` on all pairs when
+    the construction satisfies (x + y) b = x b + y b, as the callers'
+    inputs guarantee: base rings are rings, bimodules pass
+    ``Bimodule.validate`` and skew maps are checked endomorphisms.
     """
     carriers = [np.asarray(c, dtype=np.int32) for c in carriers]
     radices = [len(c) for c in carriers]
-    n = math.prod(radices)
-    strides = [math.prod(radices[c + 1:]) for c in range(len(radices))]
-    # lut[v] is the stride-weighted position of v in the carrier, or -n
-    # off it, so an index sum is negative iff a coordinate left its carrier;
-    # values above the carrier clip onto the last slot, which is off it
-    luts = []
-    for carrier, stride in zip(carriers, strides):
-        lut = np.full(int(carrier.max()) + 2, -n, dtype=np.int32)
-        lut[carrier] = np.arange(len(carrier), dtype=np.int32) * stride
-        luts.append(lut)
-    idx = np.arange(n, dtype=np.int32)
-    values = [carrier[idx // stride % len(carrier)]
-              for carrier, stride in zip(carriers, strides)]
+    k, n = len(radices), math.prod(radices)
+    strides = [math.prod(radices[c + 1:]) for c in range(k)]
+    # lut[v] is the position of v in its carrier, or -1 off it; values
+    # above the carrier clip onto the last slot, which is off it.  sums[c]
+    # holds the positions of the sums of coordinate c.  Coordinates with
+    # equal carriers share a lut, and with equal add tables too, sums
+    luts, sums, lut_of, sums_of = [], [], {}, {}
+    for c, (carrier, table) in enumerate(zip(carriers, adds)):
+        key = carrier.tobytes()
+        if key not in lut_of:
+            lut = np.full(int(carrier.max()) + 2, -1, dtype=np.int32)
+            lut[carrier] = np.arange(len(carrier))
+            lut_of[key] = lut
+        luts.append(lut_of[key])
+        if (key, id(table)) not in sums_of:
+            s = luts[c].take(table[carrier[:, None], carrier], mode="clip")
+            if s.min() < 0:
+                raise RingError(
+                    f"{name}: a sum leaves the carrier of coordinate {c}")
+            sums_of[key, id(table)] = s
+        sums.append(sums_of[key, id(table)])
 
-    def index(coords, what: str) -> np.ndarray:
-        out = 0
-        for lut, v in zip(luts, coords):
-            out = out + lut.take(v, mode="clip")
-        out = np.asarray(out)
-        if out.min() < 0:
-            c = next(c for c, (lut, v) in enumerate(zip(luts, coords))
-                     if lut.take(v, mode="clip").min() < 0)
-            raise RingError(
-                f"{name}: {what} leaves the carrier of coordinate {c}")
-        return out
+    def index(coords, what: str):
+        pos = [lut.take(v, mode="clip") for lut, v in zip(luts, coords)]
+        try:
+            return np.ravel_multi_index(pos, radices)
+        except ValueError:
+            c = next(c for c, p in enumerate(pos) if p.min() < 0)
+            raise RingError(f"{name}: {what} leaves the carrier of "
+                            f"coordinate {c}") from None
+
+    def sum_table(cs: range, out: np.ndarray) -> None:
+        """out[i, j]: the index of i + j, over coordinates cs alone."""
+        grid = out.reshape([radices[c] for c in cs] * 2)
+        for i, c in enumerate(cs):
+            shape = [1] * grid.ndim
+            shape[i] = shape[len(cs) + i] = radices[c]
+            term = sums[c].reshape(shape)
+            if i == 0:
+                np.multiply(term, strides[c], out=grid)
+            else:
+                np.add(grid, term * strides[c], out=grid)
 
     add = np.empty((n, n), dtype=np.int32)
+    # broadcasts are fast along a long last axis, so the coordinates are
+    # split into two runs about sqrt(n) elements each, tabulated apart
+    heads = [math.prod(radices[:h]) for h in range(k + 1)]
+    h = min(range(1, k), key=lambda h: max(heads[h], n // heads[h]),
+            default=k)
+    m = heads[h]
+    if 1 < m < n:
+        lead = np.empty((m, m), dtype=np.int32)
+        trail = np.empty((n // m, n // m), dtype=np.int32)
+        sum_table(range(h), lead)
+        sum_table(range(h, k), trail)
+        np.add(lead[:, None, :, None], trail[None, :, None, :],
+               out=add.reshape(m, n // m, m, n // m))
+    else:
+        sum_table(range(k), add)
+
+    zero_at = int(index(zero, "zero"))
+    zpos = [zero_at // s % q for s, q in zip(strides, radices)]
+    # the single-coordinate elements, those of coordinate c in rows
+    # starts[c]:starts[c + 1], as value columns, and their product rows
+    # against every element
+    starts = [sum(radices[:c]) for c in range(k + 1)]
+    singles = np.repeat(np.asarray(zero, dtype=np.int32)[:, None],
+                        starts[k], 1)
+    for c, carrier in enumerate(carriers):
+        singles[c, starts[c]:starts[c + 1]] = carrier
+    cols = [carrier.take(pos)[None, :] for carrier, pos in
+            zip(carriers, np.unravel_index(np.arange(n), radices))]
+    prods = np.empty((starts[k], n), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (8 * n * (k + 1)))
+    for r0 in range(0, starts[k], step):
+        xs = [v[r0:r0 + step, None] for v in singles]
+        prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
+
     mul = np.empty((n, n), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (8 * n * (len(carriers) + 1)))
-    cols = [v[None, :] for v in values]
-    for r0 in range(0, n, step):
-        rows = [v[r0:r0 + step, None] for v in values]
-        add[r0:r0 + step] = index(add_fn(rows, cols), "a sum")
-        mul[r0:r0 + step] = index(mul_fn(rows, cols), "a product")
-    return FiniteRing(add, mul, int(index(zero, "zero")),
-                      int(index(one, "one")), name=name, labels=labels)
+    flat = add.ravel()
+    rows = max(1, _BLOCK_BYTES // (4 * 16 * n))
+    for c, q in enumerate(radices):
+        # rows (v_0 .. v_c, 0 ..) as grid[prefix, v_c]; the row of
+        # (v_0 .. v_(c-1), 0 ..) is grid[prefix, zero's position]
+        tail = sum(z * s for z, s in zip(zpos[c + 1:], strides[c + 1:]))
+        grid = mul.reshape(-1, q, strides[c], n)[:, :, tail]
+        part = prods[starts[c]:starts[c + 1]]
+        if c == 0:
+            grid[0] = part
+            continue
+        prefix = grid[:, zpos[c]]
+        bq = min(q, rows)
+        bm = max(1, rows // q) if bq == q else 1
+        for m0 in range(0, len(grid), bm):
+            for p0 in range(0, q, bq):
+                grid[m0:m0 + bm, p0:p0 + bq] = flat.take(
+                    prefix[m0:m0 + bm, None] * n + part[p0:p0 + bq])
+    return FiniteRing(add, mul, zero_at, int(index(one, "one")), name=name,
+                      labels=labels)
 
 
 def _op(T: np.ndarray) -> Callable:
     """``T[x, y]`` on broadcast index arrays, as one flat gather."""
     flat, width = T.ravel(), T.shape[1]
     return lambda x, y: flat.take(x * width + y)
-
-
-def _coordwise(tables: Sequence[np.ndarray]) -> Callable:
-    """An operation that applies ``tables[c]`` to coordinate c alone."""
-    ops = [_op(T) for T in tables]
-
-    def op(X, Y):
-        return [f(x, y) for f, x, y in zip(ops, X, Y)]
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +280,7 @@ def _matrix_one(R: FiniteRing, cells: list) -> list[int]:
 def _matrix_shaped(R: FiniteRing, k: int, cells: list, name: str) -> FiniteRing:
     """The ring of k x k matrices of a shape, every entry ranging over R."""
     return _coord_build([range(R.order)] * len(cells),
-                        _coordwise([R.add] * len(cells)),
+                        [R.add] * len(cells),
                         _matrix_mul(R, k, cells), [R.zero] * len(cells),
                         _matrix_one(R, cells), name=name,
                         labels=lambda: _matrix_labels(R, k, cells))
@@ -557,7 +631,7 @@ def formal_triangular(R1: FiniteRing, R2: FiniteRing, M: Bimodule,
         return [M1(r, r2), AM(LA(r, m2), RA(m, s2)), M2(s, s2)]
 
     return _coord_build([range(R1.order), range(M.order), range(R2.order)],
-                        _coordwise([R1.add, M.add, R2.add]), mul_fn,
+                        [R1.add, M.add, R2.add], mul_fn,
                         [R1.zero, M.zero, R2.zero], [R1.one, M.zero, R2.one],
                         name=f"Tri({R1.name}, {R2.name}, {M.name})")
 
@@ -581,7 +655,7 @@ def trivial_morita(R1: FiniteRing, R2: FiniteRing, M: Bimodule, P: Bimodule,
 
     return _coord_build(
         [range(R1.order), range(M.order), range(P.order), range(R2.order)],
-        _coordwise([R1.add, M.add, P.add, R2.add]), mul_fn,
+        [R1.add, M.add, P.add, R2.add], mul_fn,
         [R1.zero, M.zero, P.zero, R2.zero], [R1.one, M.zero, P.zero, R2.one],
         name=f"Morita({R1.name}, {R2.name}, {M.name}, {P.name})")
 
@@ -608,7 +682,7 @@ def dorroh(R: FiniteRing, A: Bimodule, max_order: int = MAX_ORDER) -> DorrohExte
         return [MR(r, s), AA(AA(LA(r, w), RA(a, s)), IM(a, w))]
 
     ring = _coord_build([range(R.order), range(A.order)],
-                        _coordwise([R.add, A.add]), mul_fn, [R.zero, zA],
+                        [R.add, A.add], mul_fn, [R.zero, zA],
                         [R.one, zA], name=f"Dorroh({R.name}, {A.name})")
     quasi = bool((A.add[A.add, A.internal_mul] == zA).any(axis=1).all())
     return DorrohExtension(ring, quasi)
@@ -653,7 +727,7 @@ def truncated_skew_poly(R: FiniteRing, psi, k: int,
         return out
 
     label = hom_name or "psi"
-    return _coord_build([range(R.order)] * k, _coordwise([R.add] * k), mul_fn,
+    return _coord_build([range(R.order)] * k, [R.add] * k, mul_fn,
                         [R.zero] * k, [R.one] + [R.zero] * (k - 1),
                         name=f"SkewTrunc({R.name}, {label}, {k})")
 
@@ -686,7 +760,7 @@ def example_weak_symmetric_component(n: int,
     x_multiples = range(D.order // 2)
     cells = [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
     return _coord_build([range(D.order), x_multiples, x_multiples,
-                         range(D.order)], _coordwise([D.add] * 4),
+                         range(D.order)], [D.add] * 4,
                         _matrix_mul(D, 2, cells), [D.zero] * 4,
                         _matrix_one(D, cells), name=f"WSC({n})")
 

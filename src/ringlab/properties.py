@@ -33,11 +33,11 @@ decides each form in two steps:
   packed hit that the boolean plane does not confirm raises
   InternalCheckError.
 
-Exchange, J-quasipolarity and semiperiodicity ask one question per element
-a and take a in blocks of 1, 4, 16, ... up to the same byte budget: column
-scatters of R.mul for exchange, packed commutant rows against the
-idempotents through the same pair test for J-quasipolarity, and one power
-walk per block for semiperiodicity.  ``reverify_witness`` checks their
+Exchange and semiperiodicity ask one question per element a and take a in
+blocks of 1, 4, 16, ... up to the same byte budget: column scatters of
+R.mul for exchange and one power walk per block for semiperiodicity.
+J-quasipolarity and J-cleanness are one lookup per element, whether
+a^2 + a, or a^2 - a, lies in J(R).  ``reverify_witness`` checks their
 witnesses at that a alone, from the definition.
 """
 
@@ -504,19 +504,33 @@ def is_clean(R: FiniteRing) -> Optional[dict]:
     return {"a": int(np.argmax(~reach))}
 
 
+def _least_outside_j(R: FiniteRing, x: np.ndarray) -> Optional[dict]:
+    """{"a": the least a with x[a] outside J(R)}, or None."""
+    out = ~inv.jacobson_bool(R)[x]
+    return {"a": int(np.argmax(out))} if out.any() else None
+
+
+# In a finite ring some power x^m of each x is idempotent, and when x is
+# idempotent modulo J(R), x^m - x lies in J(R).  So x is idempotent modulo
+# J(R) exactly when x - e is in J(R) for an idempotent e, and e can be a
+# power of x.  That makes both J tests below one lookup per element.
+
 @_property("j_clean")
 def is_j_clean(R: FiniteRing) -> Optional[dict]:
-    """Every element is idempotent + radical element."""
-    reach = _reachable_by_sums(R, inv.idempotents_bool(R), inv.jacobson_bool(R))
-    if reach.all():
-        return None
-    return {"a": int(np.argmax(~reach))}
+    """Every element is idempotent + radical element.
+
+    Some e + j is a exactly when a^2 - a is in J(R): e + j is idempotent
+    modulo J(R), and conversely the idempotent power e of a has a - e in
+    J(R).
+    """
+    sq = R.mul.diagonal()
+    return _least_outside_j(R, R.add[sq, R.neg_table()])
 
 
-# Exchange and J-quasipolarity are decided, and semiperiodicity below, on
-# blocks of a at once.  Blocks start at one a and grow fourfold up to what
-# fits _BLOCK_BYTES, so an early witness costs few elements and a full scan
-# few blocks; the first a of the first block that fails is the witness.
+# Exchange is decided, and semiperiodicity below, on blocks of a at once.
+# Blocks start at one a and grow fourfold up to what fits _BLOCK_BYTES, so
+# an early witness costs few elements and a full scan few blocks; the first
+# a of the first block that fails is the witness.
 
 def _a_blocks(count: int, item_bytes: int):
     """Slices of range(count) of 1, 4, 16, ... items, each at most the
@@ -577,39 +591,16 @@ def _exchange_at(R: FiniteRing, a: int) -> bool:
                for e in np.flatnonzero(inv.idempotents_bool(R)).tolist())
 
 
-def _commuting_words(R: FiniteRing, xs: np.ndarray,
-                     commute: bool) -> np.ndarray:
-    """Row i: bits{y : xs[i]*y = y*xs[i]}, or its complement, packed by
-    _packed_rows.  The complement is taken before packing, so its bits past
-    y = n - 1 stay zero."""
-    def bits(rows: slice) -> np.ndarray:
-        x = xs[rows]
-        eq = R.mul.take(x, axis=0) == R.mul.take(x, axis=1).T
-        return eq if commute else ~eq
-    return _packed_rows(len(xs), R.order, bits)
-
-
 @_property("j_quasipolar")
 def is_j_quasipolar(R: FiniteRing) -> Optional[dict]:
     """Every a has an idempotent f in its double commutant with a + f in J.
 
-    f is in the double commutant of a exactly when every y that commutes
-    with a commutes with f: the packed row of a and the complemented row of
-    f share no bit, which ``_bad_pairs`` tests for a block of a against
-    every idempotent f at once.
+    Such an f exists exactly when a^2 + a is in J(R): a + f in J(R) makes
+    -a idempotent modulo J(R), and conversely the idempotent power f of -a
+    lies in the double commutant and has a + f in J(R).
     """
-    n = R.order
-    idem = np.flatnonzero(inv.idempotents_bool(R))
-    jac = inv.jacobson_bool(R)
-    f_words = _commuting_words(R, idem, commute=False)
-    for rows in _a_blocks(n, 16 * (n + len(idem))):
-        a_words = _commuting_words(R, np.arange(rows.start, rows.stop),
-                                   commute=True)
-        ok = (jac[R.add[rows][:, idem]]
-              & ~_bad_pairs(a_words, f_words)).any(axis=1)
-        if not ok.all():
-            return {"a": rows.start + int(np.argmin(ok))}
-    return None
+    sq = R.mul.diagonal()
+    return _least_outside_j(R, R.add[sq, np.arange(R.order)])
 
 
 def _j_quasipolar_at(R: FiniteRing, a: int) -> bool:

@@ -328,6 +328,43 @@ def _j_quasipolar_loop(R):
     return None
 
 
+def _commuting_words(R, xs, commute):
+    """Row i: bits{y : xs[i]*y = y*xs[i]}, or its complement, packed by
+    _packed_rows.  The complement is taken before packing, so its bits past
+    y = n - 1 stay zero."""
+    def bits(rows):
+        x = xs[rows]
+        eq = R.mul.take(x, axis=0) == R.mul.take(x, axis=1).T
+        return eq if commute else ~eq
+    return props._packed_rows(len(xs), R.order, bits)
+
+
+def _j_quasipolar_by_double_commutants(R):
+    """The packed double-commutant scan ringlab used before the a^2 + a
+    test, as the oracle: f is in the double commutant of a exactly when the
+    packed row of a and the complemented row of f share no bit."""
+    n = R.order
+    idem = np.flatnonzero(inv.idempotents_bool(R))
+    jac = inv.jacobson_bool(R)
+    f_words = _commuting_words(R, idem, commute=False)
+    for rows in props._a_blocks(n, 16 * (n + len(idem))):
+        a_words = _commuting_words(R, np.arange(rows.start, rows.stop),
+                                   commute=True)
+        ok = (jac[R.add[rows][:, idem]]
+              & ~props._bad_pairs(a_words, f_words)).any(axis=1)
+        if not ok.all():
+            return {"a": rows.start + int(np.argmin(ok))}
+    return None
+
+
+def _j_clean_by_sums(R):
+    """The idempotent + radical sums ringlab used before the a^2 - a test,
+    as the oracle."""
+    reach = props._reachable_by_sums(R, inv.idempotents_bool(R),
+                                     inv.jacobson_bool(R))
+    return None if reach.all() else {"a": int(np.argmax(~reach))}
+
+
 def _semiperiodic_loop(R):
     """The per-a power-cycle walk ringlab used before blocks of a."""
     outside = ~(inv.jacobson_bool(R) | inv.center_bool(R))
@@ -389,6 +426,21 @@ def test_per_element_predicates_match_the_loops(per_element_rings, budget,
     assert failing["j_quasipolar"] > 0 and failing["semiperiodic"] > 0
 
 
+def test_j_element_tests_match_the_routes_they_replace(per_element_rings):
+    # a^2 + a and a^2 - a in J(R) against the double commutant scan and the
+    # sums e + j: the same least witness on every ring
+    failing = {"j_quasipolar": 0, "j_clean": 0}
+    for R in per_element_rings:
+        for name, oracle in (("j_quasipolar",
+                              _j_quasipolar_by_double_commutants),
+                             ("j_clean", _j_clean_by_sums)):
+            want = oracle(R)
+            assert props.PROPERTY_CHECKS[name](R).witness == want, (R.name,
+                                                                    name)
+            failing[name] += want is not None
+    assert all(failing.values())
+
+
 def _trivial_idempotents(R):
     e = np.zeros(R.order, dtype=bool)
     e[[R.zero, R.one]] = True
@@ -427,8 +479,8 @@ def test_double_commutant_pairs_match_definition(expr, budget, monkeypatch):
     R = exprs.build(expr)
     idem = np.flatnonzero(inv.idempotents_bool(R))
     outside = props._bad_pairs(
-        props._commuting_words(R, np.arange(R.order), commute=True),
-        props._commuting_words(R, idem, commute=False))
+        _commuting_words(R, np.arange(R.order), commute=True),
+        _commuting_words(R, idem, commute=False))
     eq = R.mul == R.mul.T
     want = np.array([~eq[idem][:, eq[a]].all(axis=1) for a in range(R.order)])
     assert (outside == want).all()
