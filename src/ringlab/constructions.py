@@ -132,10 +132,19 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
             sums_of[key, id(table)] = s
         sums.append(sums_of[key, id(table)])
 
+    # numpy takes at most 64 axes, but a zero ring gives matrix rings up to
+    # max order coordinates of radix 1; only the others are raveled
+    wide = [c for c in range(k) if radices[c] > 1]
+
     def index(coords, what: str):
         pos = [lut.take(v, mode="clip") for lut, v in zip(luts, coords)]
         try:
-            return np.ravel_multi_index(pos, radices)
+            if any(pos[c].min() < 0 for c in range(k) if radices[c] == 1):
+                raise ValueError
+            if not wide:
+                return np.intp(0)
+            return np.ravel_multi_index([pos[c] for c in wide],
+                                        [radices[c] for c in wide])
         except ValueError:
             c = next(c for c, p in enumerate(pos) if p.min() < 0)
             raise RingError(f"{name}: {what} leaves the carrier of "
@@ -143,6 +152,10 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
 
     def sum_table(cs: range, out: np.ndarray) -> None:
         """out[i, j]: the index of i + j, over coordinates cs alone."""
+        cs = [c for c in cs if radices[c] > 1]    # radix 1 adds nothing
+        if not cs:
+            out.fill(0)
+            return
         grid = out.reshape([radices[c] for c in cs] * 2)
         for i, c in enumerate(cs):
             shape = [1] * grid.ndim
@@ -172,32 +185,36 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
 
     zero_at = int(index(zero, "zero"))
     zpos = [zero_at // s % q for s, q in zip(strides, radices)]
-    # the single-coordinate elements, those of coordinate c in rows
-    # starts[c]:starts[c + 1], as value columns, and their product rows
-    # against every element
-    starts = [sum(radices[:c]) for c in range(k + 1)]
+    # the single-coordinate elements of the wide coordinates, those of
+    # wide[w] in rows starts[w]:starts[w + 1], as value columns, and their
+    # product rows against every element.  A coordinate of radix 1 holds
+    # only zero's value, so its single element is zero and adds nothing
+    starts = [0, *itertools.accumulate(radices[c] for c in wide)]
     singles = np.repeat(np.asarray(zero, dtype=np.int32)[:, None],
-                        starts[k], 1)
-    for c, carrier in enumerate(carriers):
-        singles[c, starts[c]:starts[c + 1]] = carrier
-    cols = [carrier.take(pos)[None, :] for carrier, pos in
-            zip(carriers, np.unravel_index(np.arange(n), radices))]
-    prods = np.empty((starts[k], n), dtype=np.int32)
+                        starts[-1], 1)
+    for w, c in enumerate(wide):
+        singles[c, starts[w]:starts[w + 1]] = carriers[c]
+    cols = [carrier.take(np.arange(n) // s % q)[None, :]
+            for carrier, s, q in zip(carriers, strides, radices)]
+    prods = np.empty((starts[-1], n), dtype=np.int32)
     step = max(1, _BLOCK_BYTES // (8 * n * (k + 1)))
-    for r0 in range(0, starts[k], step):
+    for r0 in range(0, starts[-1], step):
         xs = [v[r0:r0 + step, None] for v in singles]
         prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
 
-    mul = np.empty((n, n), dtype=np.int32)
+    # with no wide coordinate the ring is zero, its one product zero
+    mul = (np.empty((n, n), dtype=np.int32) if wide
+           else np.zeros((1, 1), dtype=np.int32))
     flat = add.ravel()
     rows = max(1, _BLOCK_BYTES // (4 * 16 * n))
-    for c, q in enumerate(radices):
+    for w, c in enumerate(wide):
         # rows (v_0 .. v_c, 0 ..) as grid[prefix, v_c]; the row of
         # (v_0 .. v_(c-1), 0 ..) is grid[prefix, zero's position]
+        q = radices[c]
         tail = sum(z * s for z, s in zip(zpos[c + 1:], strides[c + 1:]))
         grid = mul.reshape(-1, q, strides[c], n)[:, :, tail]
-        part = prods[starts[c]:starts[c + 1]]
-        if c == 0:
+        part = prods[starts[w]:starts[w + 1]]
+        if w == 0:
             grid[0] = part
             continue
         prefix = grid[:, zpos[c]]

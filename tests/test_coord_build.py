@@ -459,6 +459,28 @@ def test_value_off_its_carrier_raises():
                           name="bad")
 
 
+@pytest.mark.parametrize("k", [6, 8, 64])
+def test_more_zero_ring_coordinates_than_numpy_axes(k):
+    # M(k, Z(1)) has k * k coordinates of one value each; numpy arrays
+    # take at most 64 axes
+    assert_same_ring(cons.matrix_ring(Z[1], k), ref_matrix_ring(Z[1], k))
+
+
+def test_one_value_coordinates_between_wide_ones():
+    z2 = Z[2]
+
+    def coordwise_mul(X, Y):
+        return [z2.mul[x, y] for x, y in zip(X, Y)]
+    k = 72
+    R = cons._coord_build([range(2)] + [[0]] * k + [range(2)],
+                          [z2.add] * (k + 2), coordwise_mul, [0] * (k + 2),
+                          [1] + [0] * k + [1], name="Z(2) x Z(2)")
+    want = cons.direct_product(z2, z2)
+    assert (R.zero, R.one) == (want.zero, want.one)
+    assert np.array_equal(R.add, want.add)
+    assert np.array_equal(R.mul, want.mul)
+
+
 def test_triangular_order_4096_products():
     z4 = Z[4]
     T = cons.upper_triangular(z4, 3)
