@@ -258,8 +258,24 @@ class RuleReport:
         return "\n".join(lines)
 
 
+#: Verdicts by (table fingerprint, property) while ``run_rules`` runs.  A
+#: suite meets the same tables in many ring objects (corners, R/J(R),
+#: derived rings), each with its own memo; this decides each table once.
+#: None outside a run, so no run reuses the work of another.
+_run_verdicts: Optional[dict] = None
+
+
+def _verdict(R: FiniteRing, name: str) -> props.PropertyVerdict:
+    if _run_verdicts is None:
+        return props.check_property(R, name)
+    key = (canonical_fingerprint(R), name)
+    if key not in _run_verdicts:
+        _run_verdicts[key] = props.check_property(R, name)
+    return _run_verdicts[key]
+
+
 def _holds(R: FiniteRing, name: str) -> bool:
-    return props.check_property(R, name).holds
+    return _verdict(R, name).holds
 
 
 def _implication(rule_id, description, hyp_names, concl_names,
@@ -272,7 +288,7 @@ def _implication(rule_id, description, hyp_names, concl_names,
         if structural_hyp is not None and not structural_hyp(R):
             return "vacuous", None
         for c in concl_names:
-            v = props.check_property(R, c)
+            v = _verdict(R, c)
             if not v.holds:
                 return "fail", {"conclusion": c, "witness": v.witness}
         return "pass", None
@@ -303,22 +319,19 @@ def _rule_r22(R: FiniteRing):
 def _rule_r10(R: FiniteRing):
     if not _holds(R, "nj_symmetric"):
         return "vacuous", None
-    applicable = False
-    for m in inv.maximal_left_ideals(R):
-        if inv.is_essential_left_ideal(R, m):
-            continue
-        applicable = True
-        w = props._two_sided_witness(R, m, right_mult=True)
-        if w is not None:
-            return "fail", {"witness": w}
-    return ("pass", None) if applicable else ("vacuous", None)
+    socle = inv._socle(R)
+    non_essential = [m for m in inv.maximal_left_ideals(R) if socle & ~m]
+    if not non_essential:
+        return "vacuous", None
+    w = props._first_one_sided(R, non_essential, right_mult=True)
+    return ("pass", None) if w is None else ("fail", {"witness": w})
 
 
 def _rule_r12(R: FiniteRing):
     Q, _ = inv._mod_jacobson(R)
     if not _holds(Q, "nj_symmetric"):
         return "vacuous", None
-    v = props.check_property(R, "nj_symmetric")
+    v = _verdict(R, "nj_symmetric")
     if v.holds:
         return "pass", None
     return "fail", {"witness": v.witness}
@@ -580,7 +593,7 @@ def _quotient_conclusion(R: FiniteRing, concl: str):
     if not (_holds(R, "nj_symmetric") and _holds(R, "semiperiodic")):
         return "vacuous", None
     Q, _ = inv._mod_jacobson(R)
-    v = props.check_property(Q, concl)
+    v = _verdict(Q, concl)
     if v.holds:
         return "pass", None
     return "fail", {"conclusion": concl, "witness": v.witness}
@@ -588,18 +601,24 @@ def _quotient_conclusion(R: FiniteRing, concl: str):
 
 def run_rules(corpus: Corpus, rules: Optional[list] = None) -> RuleReport:
     """Evaluate every rule on every applicable corpus ring, in order."""
+    global _run_verdicts
     if rules is None:
         rules = rule_catalog()
     entries = []
-    for rule in rules:
-        if not rule.per_ring:
-            status, detail = rule.check()
-            entries.append(RuleEntry(rule.id, "-", "-", status, detail))
-            continue
-        for R in corpus.rings:
-            status, detail = rule.check(R)
-            entries.append(RuleEntry(rule.id, R.name, canonical_fingerprint(R),
-                                     status, detail))
+    _run_verdicts = {}
+    try:
+        for rule in rules:
+            if not rule.per_ring:
+                status, detail = rule.check()
+                entries.append(RuleEntry(rule.id, "-", "-", status, detail))
+                continue
+            for R in corpus.rings:
+                status, detail = rule.check(R)
+                entries.append(RuleEntry(rule.id, R.name,
+                                         canonical_fingerprint(R),
+                                         status, detail))
+    finally:
+        _run_verdicts = None
     # canonical order: catalog order, then corpus order
     return RuleReport(entries, corpus_skipped=list(corpus.skipped))
 

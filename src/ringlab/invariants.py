@@ -13,6 +13,13 @@ semisimple R/J(R) is generated by an idempotent, so it is cyclic.  The
 nilradicals are therefore read off J(R), and the maximal ideals off the
 cyclic one-sided ideals of R/J(R), through one memoized projection; only
 the lattice functions join ideals into lattices.
+
+Two more facts of Artinian rings keep R's own cyclic ideals out of the
+ideal-theoretic checks.  The left socle is {x : J(R)x = 0}; it is
+essential, and every nonzero left ideal contains a minimal one, so a left
+ideal is essential exactly when it contains the socle.  And a one-sided
+ideal containing J(R) is two-sided exactly when its image in R/J(R) is, so
+two-sidedness of a maximal ideal is decided on the small R/J(R).
 """
 
 from __future__ import annotations
@@ -341,18 +348,43 @@ def maximal_right_ideals(R: FiniteRing) -> list[int]:
     return _cached(R, "max_right", lambda: _maximal_one_sided(R, True))
 
 
+def _two_sided_mod_jacobson(R: FiniteRing, ideal_mask: int,
+                            opposite: bool) -> bool:
+    """A left (right, if ``opposite``) ideal containing J(R) is two-sided:
+    decided on its image in R/J(R), whose preimage it is."""
+    Q, proj = _mod_jacobson(R)
+    if proj is None:
+        inside = mask_to_bool(ideal_mask, R.order)
+    else:
+        inside = np.zeros(Q.order, dtype=bool)
+        inside[proj[mask_to_bool(ideal_mask, R.order)]] = True
+    return _right_escape(Q.mul.T if opposite else Q.mul, inside) is None
+
+
+def _socle(R: FiniteRing) -> int:
+    """The left socle {x : J(R)x = 0}, memoized; rows of J(R) are taken in
+    blocks within ``_BLOCK_BYTES``."""
+    def compute():
+        n = R.order
+        jac = np.flatnonzero(jacobson_bool(R))
+        step = max(1, _BLOCK_BYTES // (5 * n))     # int32 row + bool per cell
+        soc = np.ones(n, dtype=bool)
+        for j0 in range(0, len(jac), step):
+            soc &= (R.mul[jac[j0:j0 + step]] == R.zero).all(axis=0)
+        return mask_from_bool(soc)
+    return _cached(R, "socle", compute)
+
+
 def is_essential_left_ideal(R: FiniteRing, L: int) -> bool:
     """L meets every nonzero left ideal nontrivially.
 
-    Cyclic ideals suffice: any nonzero left ideal contains a nonzero Ra,
-    and Ra is nonzero exactly when a is, since a = 1a lies in it.
+    Every nonzero left ideal contains a minimal one, and the minimal ones
+    span the socle, so L is essential exactly when it contains the socle.
     """
     v = left_ideal_violation(R, L)
     if v is not None:
         raise NotAnIdealError("not a left ideal", v)
-    zero = 1 << R.zero
-    return all(L & g & ~zero for g in _cyclic_left_ideals(R, False)
-               if g != zero)
+    return _socle(R) & ~L == 0
 
 
 # ---------------------------------------------------------------------------

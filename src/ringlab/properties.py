@@ -39,6 +39,10 @@ R.mul for exchange and one power walk per block for semiperiodicity.
 J-quasipolarity and J-cleanness are one lookup per element, whether
 a^2 + a, or a^2 - a, lies in J(R).  ``reverify_witness`` checks their
 witnesses at that a alone, from the definition.
+
+The quasi-duo and MELT checks decide each maximal ideal on R/J(R) and
+scan R only for the first ideal that is one-sided, for its least (m, r).
+MELT keeps the maximal left ideals that contain the socle.
 """
 
 from __future__ import annotations
@@ -435,36 +439,45 @@ def _two_sided_witness(R: FiniteRing, ideal_mask: int,
     return {"ideal": mask_indices(ideal_mask), "m": hit[0], "r": hit[1]}
 
 
+def _first_one_sided(R: FiniteRing, ideals: list,
+                     right_mult: bool) -> Optional[dict]:
+    """The witness of the first of ``ideals`` (left ideals, or right ones
+    when not ``right_mult``, each containing J(R)) that is not two-sided.
+
+    Each ideal is decided on R/J(R); only the first that fails there is
+    scanned on R, for its least (m, r).
+    """
+    for m in ideals:
+        if inv._two_sided_mod_jacobson(R, m, opposite=not right_mult):
+            continue
+        w = _two_sided_witness(R, m, right_mult)
+        if w is None:
+            raise InternalCheckError(f"{R.name}: an ideal is two-sided in "
+                                     "R but not modulo J(R)")
+        return w
+    return None
+
+
 @_property("left_quasi_duo")
 def is_left_quasi_duo(R: FiniteRing) -> Optional[dict]:
     """Every maximal left ideal is two-sided."""
-    for m in inv.maximal_left_ideals(R):
-        w = _two_sided_witness(R, m, right_mult=True)
-        if w is not None:
-            return w
-    return None
+    return _first_one_sided(R, inv.maximal_left_ideals(R), right_mult=True)
 
 
 @_property("right_quasi_duo")
 def is_right_quasi_duo(R: FiniteRing) -> Optional[dict]:
     """Every maximal right ideal is two-sided."""
-    for m in inv.maximal_right_ideals(R):
-        w = _two_sided_witness(R, m, right_mult=False)
-        if w is not None:
-            return w
-    return None
+    return _first_one_sided(R, inv.maximal_right_ideals(R), right_mult=False)
 
 
 @_property("melt")
 def is_melt(R: FiniteRing) -> Optional[dict]:
-    """Every maximal essential left ideal is two-sided."""
-    for m in inv.maximal_left_ideals(R):
-        if not inv.is_essential_left_ideal(R, m):
-            continue
-        w = _two_sided_witness(R, m, right_mult=True)
-        if w is not None:
-            return w
-    return None
+    """Every maximal essential left ideal is two-sided; a maximal left
+    ideal is essential when it contains the socle."""
+    socle = inv._socle(R)
+    return _first_one_sided(
+        R, [m for m in inv.maximal_left_ideals(R) if socle & ~m == 0],
+        right_mult=True)
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +778,13 @@ def is_domain(R: FiniteRing) -> Optional[dict]:
 
 @_property("commutative")
 def is_commutative(R: FiniteRing) -> Optional[dict]:
-    bad = R.mul != R.mul.T
-    if bad.any():
-        a, b = _first_true(bad)
-        return {"a": a, "b": b}
-    return None
+    """The least a outside the memoized center, and the least b that a
+    does not commute with."""
+    outside = ~inv.center_bool(R)
+    if not outside.any():
+        return None
+    a = int(np.argmax(outside))
+    return {"a": a, "b": int(np.argmax(R.mul[a] != R.mul[:, a]))}
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,18 @@ REPORTS = ([["prop", p, expr, "--json"] for expr in PER_ELEMENT
             for p in ("exchange", "j_quasipolar", "semiperiodic")]
            + [["analyze", "--json", "--no-cache", expr]
               for expr in PER_ELEMENT])
+#: The ideal-theoretic predicates where each fails with a nontrivial
+#: witness (order 1024), commutativity's witness and a whole report at
+#: order 4096.
+IDEAL_THEORETIC = ([["prop", p, "Prod(M(2, Z(4)), Z(4))", "--json"]
+                    for p in ("melt", "left_quasi_duo", "right_quasi_duo")]
+                   + [["prop", "commutative", "T(3, Z(4))", "--json"],
+                      ["analyze", "--json", "--no-cache", "T(3, Z(4))"]])
 
 
 def _argvs() -> list:
     return ([cmd + [expr] for expr in RINGS for cmd in COMMANDS] + SCANS
-            + REPORTS)
+            + REPORTS + IDEAL_THEORETIC)
 
 
 def _run(argv: list) -> dict:

@@ -319,3 +319,41 @@ def test_diagnostic_dump_contains_tables(corpus):
     dump = harness.diagnostic_dump(corpus, entry)
     assert "ring v1 4" in dump
     assert "R2" in dump
+
+
+def _counting(monkeypatch) -> dict:
+    """Count the evaluations of every registered property."""
+    counts = {"evaluations": 0}
+    for name, check in list(props.PROPERTY_CHECKS.items()):
+        def counted(R, check=check):
+            counts["evaluations"] += 1
+            return check(R)
+        monkeypatch.setitem(props.PROPERTY_CHECKS, name, counted)
+    return counts
+
+
+def test_run_verdicts_change_no_byte_and_live_for_one_run(monkeypatch):
+    # each run gets a fresh corpus, so ring memos carry nothing over; the
+    # table memo must not either, or the second run would evaluate less
+    counts = _counting(monkeypatch)
+    runs = []
+    for _ in range(2):
+        counts["evaluations"] = 0
+        text = harness.run_rules(harness.default_corpus()).to_json()
+        runs.append((text, counts["evaluations"]))
+        assert harness._run_verdicts is None
+    assert runs[0] == runs[1]
+    # without the table memo: the same bytes from more evaluations
+    counts["evaluations"] = 0
+    monkeypatch.setattr(harness, "_verdict", props.check_property)
+    assert harness.run_rules(harness.default_corpus()).to_json() == runs[0][0]
+    assert counts["evaluations"] > runs[0][1] > 0
+
+
+def test_run_verdicts_are_dropped_when_a_rule_raises(monkeypatch):
+    def boom(R):
+        raise RuntimeError("rule failed")
+    rule = harness.Rule("R0", "raises", "implication", True, boom)
+    with pytest.raises(RuntimeError):
+        harness.run_rules(harness.default_corpus(), [rule])
+    assert harness._run_verdicts is None

@@ -13,7 +13,9 @@ maximal ideals off R/J(R) before it took them from R/J(R)'s cyclic ideals:
 the maximal members of R/J(R)'s joined lattices, pulled back.  All three
 stay here as the oracle for the lattices and for everything read from them:
 maximal ideals, the nilradicals, essential left ideals and the quasi-duo and
-MELT witnesses.
+MELT witnesses.  The fourth is how the quasi-duo, MELT and R10 checks ran
+before they read the socle and R/J(R): essentiality from R's cyclic left
+ideals, and an escape scan on R of every maximal ideal.
 """
 
 from typing import Optional
@@ -98,10 +100,11 @@ def _maximal(ideals: list, full: int) -> list:
                   if not any(m != o and m | o == o for o in proper))
 
 
-def _essential(R: FiniteRing, L: int) -> bool:
+def _essential(R: FiniteRing, L: int, cyclic_left: list) -> bool:
+    """L meets every nonzero Ra; ``cyclic_left[a]`` is Ra."""
     nonzero = ~(1 << R.zero)
-    return all(L & _isin_mask(R, R.mul[:, a]) & nonzero
-               for a in range(R.order) if a != R.zero)
+    return all(L & g & nonzero for a, g in enumerate(cyclic_left)
+               if a != R.zero)
 
 
 def _escape(R: FiniteRing, ideal_mask: int, right_mult: bool) -> Optional[dict]:
@@ -120,11 +123,9 @@ def _right_mul_violation(R: FiniteRing, mask: int) -> Optional[tuple]:
     return None if w is None else ("right-mul", w["m"], w["r"])
 
 
-def _first_witness(R: FiniteRing, ideals: list, right_mult: bool,
-                   essential_only: bool = False) -> Optional[dict]:
+def _first_witness(R: FiniteRing, ideals: list,
+                   right_mult: bool) -> Optional[dict]:
     for m in ideals:
-        if essential_only and not _essential(R, m):
-            continue
         w = _escape(R, m, right_mult)
         if w is not None:
             return w
@@ -220,9 +221,11 @@ def _fresh(R: FiniteRing) -> FiniteRing:
     return FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
 
 
-def assert_same_structure(R: FiniteRing) -> None:
-    """Everything read from the lattices at the default cap."""
+def assert_same_structure(R: FiniteRing) -> tuple:
+    """Everything read from the lattices at the default cap; returns how
+    many left ideals are essential and how many are not."""
     want = oracle_lattices(R, inv.DEFAULT_LATTICE_CAP)
+    cyclic_left = _CYCLIC[id(R)]["left"]
     R = _fresh(R)
     full = (1 << R.order) - 1
     got = {"left": inv.all_left_ideals(R), "right": inv.all_right_ideals(R),
@@ -241,9 +244,11 @@ def assert_same_structure(R: FiniteRing) -> None:
     assert inv.maximal_right_ideals(R) == max_right \
         == full_lattice_maximal_ideals(R, "right") \
         == joined_quotient_maximal_ideals(_fresh(R), "right"), R.name
-    for m in max_left:
-        assert inv.is_essential_left_ideal(R, m) is _essential(R, m), R.name
+    essential = [m for m in want["left"][0]
+                 if _essential(R, m, cyclic_left)]
     for m in want["left"][0]:
+        # the socle test, against every left ideal, not only maximal ones
+        assert inv.is_essential_left_ideal(R, m) is (m in essential), R.name
         assert inv.two_sided_ideal_violation(R, m) == \
             _right_mul_violation(R, m), R.name
 
@@ -255,14 +260,15 @@ def assert_same_structure(R: FiniteRing) -> None:
     assert inv.upper_nilradical(R) == lattice_upper_nilradical(R, two) \
         == jac, R.name
 
-    if R.order == 1:
-        return
-    for name, w in (
-            ("left_quasi_duo", _first_witness(R, max_left, True)),
-            ("right_quasi_duo", _first_witness(R, max_right, False)),
-            ("melt", _first_witness(R, max_left, True, essential_only=True))):
-        v = props.check_property(R, name)
-        assert (v.holds, v.witness) == (w is None, w), (R.name, name)
+    if R.order > 1:
+        for name, w in (
+                ("left_quasi_duo", _first_witness(R, max_left, True)),
+                ("right_quasi_duo", _first_witness(R, max_right, False)),
+                ("melt", _first_witness(R, [m for m in max_left
+                                            if m in essential], True))):
+            v = props.check_property(R, name)
+            assert (v.holds, v.witness) == (w is None, w), (R.name, name)
+    return len(essential), len(want["left"][0]) - len(essential)
 
 
 def assert_truncation_rule(R: FiniteRing, cap: int) -> bool:
@@ -320,8 +326,8 @@ def block_bytes(request, monkeypatch):
 
 
 def test_lattices_and_what_is_read_from_them_match_oracle(block_bytes):
-    for R in RINGS:
-        assert_same_structure(R)
+    counts = [assert_same_structure(R) for R in RINGS]
+    assert all(sum(c) for c in zip(*counts))     # both kinds of ideal occur
 
 
 def test_capped_lattices_follow_the_truncation_rule(block_bytes):
@@ -416,3 +422,82 @@ def test_blocked_jacobson_matches_whole_array(block_bytes):
     for R in RINGS + [exprs.build("T(4, Z(2))")]:
         got = inv.jacobson_bool(_fresh(R))
         assert (got == _jacobson_whole(R)).all(), R.name
+
+
+# -- the routes on R that the socle and R/J(R) replaced ------------------------
+
+
+def _essential_by_cyclic_ideals(R: FiniteRing, L: int) -> bool:
+    """L meets every nonzero cyclic left ideal Ra of R."""
+    zero = 1 << R.zero
+    return all(L & g & ~zero for g in inv._cyclic_left_ideals(R, False)
+               if g != zero)
+
+
+def _first_escape_on_r(R: FiniteRing, ideals: list,
+                       right_mult: bool) -> Optional[dict]:
+    """Every ideal scanned on R for an escaping product, in order."""
+    for m in ideals:
+        w = props._two_sided_witness(R, m, right_mult)
+        if w is not None:
+            return w
+    return None
+
+
+def _rule_r10_on_r(R: FiniteRing):
+    if not props.check_property(R, "nj_symmetric").holds:
+        return "vacuous", None
+    non_essential = [m for m in inv.maximal_left_ideals(R)
+                     if not _essential_by_cyclic_ideals(R, m)]
+    if not non_essential:
+        return "vacuous", None
+    w = _first_escape_on_r(R, non_essential, right_mult=True)
+    return ("pass", None) if w is None else ("fail", {"witness": w})
+
+
+def _on_r(R: FiniteRing) -> dict:
+    left = inv.maximal_left_ideals(R)
+    return {
+        "left_quasi_duo": _first_escape_on_r(R, left, True),
+        "right_quasi_duo": _first_escape_on_r(
+            R, inv.maximal_right_ideals(R), False),
+        "melt": _first_escape_on_r(
+            R, [m for m in left if _essential_by_cyclic_ideals(R, m)], True)}
+
+
+ON_R_RINGS = ANALYZE_CACHED + ["T(4, Z(2))", "M(2, Z(3))", "M(2, Z(4))",
+                               "M(2, Z(5))", "Z(6)", "Prod(M(2, Z(4)), Z(4))"]
+
+
+@pytest.fixture(scope="module")
+def wide_rings():
+    return (harness.default_corpus().rings
+            + [R for seed in range(6) for R in harness.random_corpus(seed, 30)]
+            + [exprs.build(e) for e in ON_R_RINGS])
+
+
+@pytest.mark.parametrize("budget", [inv._BLOCK_BYTES, 64])
+def test_socle_and_r_mod_j_match_the_routes_on_r(wide_rings, budget,
+                                                 monkeypatch):
+    # at 64 bytes the socle, J(R) and the cyclic ideals take one row of
+    # R.mul a block
+    monkeypatch.setattr(inv, "_BLOCK_BYTES", budget)
+    failing = dict.fromkeys(("left_quasi_duo", "right_quasi_duo", "melt",
+                             "R10"), 0)
+    for R in wide_rings:
+        R = _fresh(R)
+        for m in inv.maximal_left_ideals(R):
+            assert inv.is_essential_left_ideal(R, m) is \
+                _essential_by_cyclic_ideals(R, m), R.name
+        if R.order == 1:
+            continue
+        for name, want in _on_r(R).items():
+            v = props.PROPERTY_CHECKS[name](R)
+            assert (v.holds, v.witness) == (want is None, want), (R.name,
+                                                                  name)
+            failing[name] += want is not None
+        want = _rule_r10_on_r(R)
+        assert harness._rule_r10(R) == want, R.name
+        failing["R10"] += want[0] == "pass"
+    # R10 never fails: it counts the rings where it applies
+    assert all(failing.values()), failing

@@ -204,8 +204,25 @@ def test_nilradical_ordering_in_triangular_ring():
 
 def test_essential_left_ideals():
     R = zmod(12)
+    # J = {0, 6}, so the socle {x : 6x = 0} is the even residues
+    assert inv._socle(R) == mask_from_indices([0, 2, 4, 6, 8, 10])
     assert inv.is_essential_left_ideal(R, mask_from_indices([0, 2, 4, 6, 8, 10]))
     assert not inv.is_essential_left_ideal(R, mask_from_indices([0, 4, 8]))
+
+
+def test_essential_left_ideal_rejects_a_non_ideal():
+    # the socle test alone would accept any set holding the socle; the
+    # left ideal check runs first: 1 + 1 leaves {0, 1}
+    R = zmod(12)
+    with pytest.raises(inv.NotAnIdealError) as err:
+        inv.is_essential_left_ideal(R, mask_from_indices([0, 1]))
+    assert err.value.witness == ("add", 1, 1)
+    # {0, E11} of M2(Z2) is an additive subgroup; E21 * E11 = E21 leaves it
+    M = matrix_ring(zmod(2), 2)
+    e11, e21 = matrix_unit(2, 2, 0, 0), matrix_unit(2, 2, 1, 0)
+    with pytest.raises(inv.NotAnIdealError) as err:
+        inv.is_essential_left_ideal(M, mask_from_indices([M.zero, e11]))
+    assert err.value.witness == ("left-mul", e21, e11)
 
 
 def test_annihilators():

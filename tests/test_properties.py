@@ -441,6 +441,26 @@ def test_j_element_tests_match_the_routes_they_replace(per_element_rings):
     assert all(failing.values())
 
 
+def _commutative_by_transpose(R):
+    """The least (a, b) of the whole table against its transpose."""
+    bad = R.mul != R.mul.T
+    if not bad.any():
+        return None
+    a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return {"a": int(a), "b": int(b)}
+
+
+def test_commutative_from_the_center_matches_the_table_compare(
+        per_element_rings):
+    failing = 0
+    for R in per_element_rings:
+        want = _commutative_by_transpose(R)
+        assert props.PROPERTY_CHECKS["commutative"](R).witness == want, \
+            R.name
+        failing += want is not None
+    assert 0 < failing < len(per_element_rings)
+
+
 def _trivial_idempotents(R):
     e = np.zeros(R.order, dtype=bool)
     e[[R.zero, R.one]] = True
