@@ -101,10 +101,9 @@ def _maximal(ideals: list, full: int) -> list:
 
 
 def _essential(R: FiniteRing, L: int, cyclic_left: list) -> bool:
-    """L meets every nonzero Ra; ``cyclic_left[a]`` is Ra."""
-    nonzero = ~(1 << R.zero)
-    return all(L & g & nonzero for a, g in enumerate(cyclic_left)
-               if a != R.zero)
+    """L meets every nonzero one of the cyclic left ideals Ra."""
+    zero = 1 << R.zero
+    return all(L & g & ~zero for g in cyclic_left if g != zero)
 
 
 def _escape(R: FiniteRing, ideal_mask: int, right_mult: bool) -> Optional[dict]:
@@ -425,23 +424,13 @@ def test_blocked_jacobson_matches_whole_array(block_bytes):
 
 
 # -- the routes on R that the socle and R/J(R) replaced ------------------------
+#
+# essentiality from R's own cyclic left ideals, and an escape scan on R of
+# every maximal ideal
 
 
 def _essential_by_cyclic_ideals(R: FiniteRing, L: int) -> bool:
-    """L meets every nonzero cyclic left ideal Ra of R."""
-    zero = 1 << R.zero
-    return all(L & g & ~zero for g in inv._cyclic_left_ideals(R, False)
-               if g != zero)
-
-
-def _first_escape_on_r(R: FiniteRing, ideals: list,
-                       right_mult: bool) -> Optional[dict]:
-    """Every ideal scanned on R for an escaping product, in order."""
-    for m in ideals:
-        w = props._two_sided_witness(R, m, right_mult)
-        if w is not None:
-            return w
-    return None
+    return _essential(R, L, inv._cyclic_left_ideals(R, False))
 
 
 def _rule_r10_on_r(R: FiniteRing):
@@ -451,17 +440,17 @@ def _rule_r10_on_r(R: FiniteRing):
                      if not _essential_by_cyclic_ideals(R, m)]
     if not non_essential:
         return "vacuous", None
-    w = _first_escape_on_r(R, non_essential, right_mult=True)
+    w = _first_witness(R, non_essential, right_mult=True)
     return ("pass", None) if w is None else ("fail", {"witness": w})
 
 
 def _on_r(R: FiniteRing) -> dict:
     left = inv.maximal_left_ideals(R)
     return {
-        "left_quasi_duo": _first_escape_on_r(R, left, True),
-        "right_quasi_duo": _first_escape_on_r(
-            R, inv.maximal_right_ideals(R), False),
-        "melt": _first_escape_on_r(
+        "left_quasi_duo": _first_witness(R, left, True),
+        "right_quasi_duo": _first_witness(R, inv.maximal_right_ideals(R),
+                                          False),
+        "melt": _first_witness(
             R, [m for m in left if _essential_by_cyclic_ideals(R, m)], True)}
 
 

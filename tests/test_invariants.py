@@ -211,8 +211,7 @@ def test_essential_left_ideals():
 
 
 def test_essential_left_ideal_rejects_a_non_ideal():
-    # the socle test alone would accept any set holding the socle; the
-    # left ideal check runs first: 1 + 1 leaves {0, 1}
+    # the left ideal check runs before the socle test: 1 + 1 leaves {0, 1}
     R = zmod(12)
     with pytest.raises(inv.NotAnIdealError) as err:
         inv.is_essential_left_ideal(R, mask_from_indices([0, 1]))
