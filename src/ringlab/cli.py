@@ -214,7 +214,8 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     hyps = [h.strip() for h in args.hyp.split(",") if h.strip()]
     result = harness.search_counterexample(hyps, args.negated,
-                                           budget=args.budget, seed=args.seed)
+                                           budget=args.budget, seed=args.seed,
+                                           max_order=args.max_order)
     if args.json:
         out = {"format": "search v1", "hypotheses": hyps,
                "negated_conclusion": args.negated, "examined": result.examined}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,6 +18,7 @@ from .core import (MAX_ORDER, BadArgumentError, FiniteRing, SizeError,
                    canonical_fingerprint, mask_contains, mask_from_indices,
                    mask_indices, serialize_ring)
 from . import constructions as cons
+from . import exprs
 from . import invariants as inv
 from . import properties as props
 
@@ -41,9 +43,12 @@ class Corpus:
         return len(self.rings)
 
 
-def _reduction_map(n: int, m: int) -> np.ndarray:
-    """Index map Z(n) -> Z(m) for m dividing n."""
-    return np.arange(n) % m
+def _z2_over_z4_bimodule(z4_left: bool = True) -> cons.Bimodule:
+    """Z2 as a (Z4, Z2)-bimodule, or a (Z2, Z4)-bimodule when ``z4_left``
+    is false; Z4 acts through reduction mod 2."""
+    mod2, same = np.arange(4) % 2, np.arange(2)
+    left, right = (mod2, same) if z4_left else (same, mod2)
+    return cons.hom_bimodule(cons.zmod(2), left, right, name="Z2")
 
 
 def two_z4_bimodule() -> cons.Bimodule:
@@ -62,88 +67,60 @@ def two_z4_over_z2_bimodule() -> cons.Bimodule:
         name="2Z4/Z2")
 
 
-def default_corpus(max_order: int = MAX_ORDER) -> Corpus:
-    """The deterministic ring list every catalog rule is evaluated on."""
-    rings: list[FiniteRing] = []
-    skipped: list[tuple[str, str]] = []
-    seen: set[str] = set()
+#: The default corpus's base rings, in output order.  A string is a
+#: construction expression, built by ``exprs.build`` and named by itself.  A
+#: (name, builder) pair is a ring whose bimodule the expression language
+#: takes only from a file; its builder gets the size cap.
+CORPUS = [
+    "Z(1)", "Z(2)", "Z(3)", "Z(4)", "Z(5)", "Z(6)", "Z(7)", "Z(8)", "Z(9)",
+    "Z(12)", "Z(16)",
+    "M(2, Z(2))", "M(2, Z(3))",
+    "T(2, Z(2))", "T(2, Z(3))", "T(2, Z(4))", "T(3, Z(2))",
+    "CD(2, Z(2))", "CD(3, Z(2))", "CD(2, Z(4))", "CD(3, Z(4))",
+    "Prod(Z(2), Z(3))", "Prod(Z(4), Z(2))", "Prod(Z(2), Z(2))",
+    "WSC(0)",
+    ("Dorroh(Z(4), 2Z4)", lambda max_order: cons.dorroh(
+        cons.zmod(4), two_z4_bimodule(), max_order=max_order).ring),
+    ("Morita(Z(2), Z(2), Z(2), Z(2))", lambda max_order: cons.trivial_morita(
+        cons.zmod(2), cons.zmod(2), cons.ring_bimodule(cons.zmod(2)),
+        cons.ring_bimodule(cons.zmod(2)), max_order=max_order)),
+    ("Tri(Z(2), Z(2), Z(2))", lambda max_order: cons.formal_triangular(
+        cons.zmod(2), cons.zmod(2), cons.ring_bimodule(cons.zmod(2)),
+        max_order=max_order)),
+    ("Tri(Z(4), Z(2), Z2)", lambda max_order: cons.formal_triangular(
+        cons.zmod(4), cons.zmod(2), _z2_over_z4_bimodule(),
+        max_order=max_order)),
+    "SkewTrunc(Z(2), id, 2)", "SkewTrunc(Z(2), id, 3)",
+    "SkewTrunc(Z(4), id, 2)", "SkewTrunc(Prod(Z(2), Z(2)), swap, 2)",
+]
 
-    def put(builder: Callable[[], FiniteRing], name: str = "?"):
+
+def default_corpus(max_order: int = MAX_ORDER) -> Corpus:
+    """The deterministic ring list every catalog rule is evaluated on.
+
+    The base rings of ``CORPUS`` that fit ``max_order``, then the corners at
+    every nonzero idempotent of each, then the quotient of each by J (which
+    is both nilradicals), deduplicated by fingerprint.  A base ring over the
+    cap is skipped under its name.
+    """
+    bases: list[FiniteRing] = []
+    skipped: list[tuple[str, str]] = []
+    for entry in CORPUS:
+        name, build = ((entry, partial(exprs.build, entry))
+                       if isinstance(entry, str) else entry)
         try:
-            R = builder()
+            bases.append(build(max_order=max_order))
         except SizeError as e:
             skipped.append((name, str(e)))
-            return None
-        fp = canonical_fingerprint(R)
-        if fp not in seen:
-            seen.add(fp)
-            rings.append(R)
-        return R
-
-    z = {n: cons.zmod(n) for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16)}
-    bases: list[FiniteRing] = []
-
-    def base(builder, name="?"):
-        R = put(builder, name)
-        if R is not None:
-            bases.append(R)
-        return R
-
-    cap = max_order
-    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16):
-        base(lambda n=n: cons.zmod(n, max_order=cap), f"Z({n})")
-    base(lambda: cons.matrix_ring(z[2], 2, max_order=cap), "M(2, Z(2))")
-    base(lambda: cons.matrix_ring(z[3], 2, max_order=cap), "M(2, Z(3))")
-    base(lambda: cons.upper_triangular(z[2], 2, max_order=cap), "T(2, Z(2))")
-    base(lambda: cons.upper_triangular(z[3], 2, max_order=cap), "T(2, Z(3))")
-    base(lambda: cons.upper_triangular(z[4], 2, max_order=cap), "T(2, Z(4))")
-    base(lambda: cons.upper_triangular(z[2], 3, max_order=cap), "T(3, Z(2))")
-    base(lambda: cons.constant_diagonal(z[2], 2, max_order=cap), "CD(2, Z(2))")
-    base(lambda: cons.constant_diagonal(z[2], 3, max_order=cap), "CD(3, Z(2))")
-    base(lambda: cons.constant_diagonal(z[4], 2, max_order=cap), "CD(2, Z(4))")
-    base(lambda: cons.constant_diagonal(z[4], 3, max_order=cap), "CD(3, Z(4))")
-    base(lambda: cons.direct_product(z[2], z[3], max_order=cap),
-         "Prod(Z(2), Z(3))")
-    base(lambda: cons.direct_product(z[4], z[2], max_order=cap),
-         "Prod(Z(4), Z(2))")
-    base(lambda: cons.direct_product(z[2], z[2], max_order=cap),
-         "Prod(Z(2), Z(2))")
-    base(lambda: cons.example_weak_symmetric_component(0, max_order=cap),
-         "WSC(0)")
-    base(lambda: cons.dorroh(z[4], two_z4_bimodule(), max_order=cap).ring,
-         "Dorroh(Z(4), 2Z4)")
-    base(lambda: cons.trivial_morita(z[2], z[2], cons.ring_bimodule(z[2]),
-                                     cons.ring_bimodule(z[2]), max_order=cap),
-         "Morita(Z(2), Z(2), Z(2), Z(2))")
-    base(lambda: cons.formal_triangular(z[2], z[2], cons.ring_bimodule(z[2]),
-                                        max_order=cap), "Tri(Z(2), Z(2), Z(2))")
-    base(lambda: cons.formal_triangular(
-        z[4], z[2], cons.hom_bimodule(z[2], _reduction_map(4, 2),
-                                      np.arange(2), name="Z2"),
-        max_order=cap), "Tri(Z(4), Z(2), Z2)")
-    for k in (2, 3):
-        base(lambda k=k: cons.truncated_skew_poly(z[2], np.arange(2), k,
-                                                  max_order=cap,
-                                                  hom_name="id"),
-             f"SkewTrunc(Z(2), id, {k})")
-    base(lambda: cons.truncated_skew_poly(z[4], np.arange(4), 2, max_order=cap,
-                                          hom_name="id"), "SkewTrunc(Z(4), id, 2)")
-    z2xz2 = cons.direct_product(z[2], z[2])
-    base(lambda: cons.truncated_skew_poly(z2xz2, cons._swap_map(2), 2,
-                                          max_order=cap, hom_name="swap"),
-         "SkewTrunc(Prod(Z(2), Z(2)), swap, 2)")
-
-    # corners at every nonzero idempotent and the quotient by J (which is
-    # both nilradicals) of every base ring above, deduplicated by fingerprint
-    for R in list(bases):
-        for e in mask_indices(inv.idempotents(R)):
-            if e == R.zero and R.order > 1:
-                continue
-            put(lambda R=R, e=e: cons.corner(R, e), f"Corner({R.name}, {e})")
-    for R in list(bases):
-        put(lambda R=R: cons.quotient(R, inv.jacobson_radical(R),
-                                      ideal_name="J")[0], f"Quo({R.name}, J)")
-    return Corpus(rings, skipped)
+    corners = [cons.corner(R, e) for R in bases
+               for e in mask_indices(inv.idempotents(R))
+               if e != R.zero or R.order == 1]
+    # R itself when J = 0, which the deduplication drops
+    quotients = [inv._mod_jacobson(R)[0] for R in bases]
+    first = {}                      # fingerprint -> first ring with it
+    for R in bases + corners + quotients:
+        first.setdefault(canonical_fingerprint(R), R)
+    return Corpus(list(first.values()), skipped)
 
 
 def random_corpus(seed: int, count: int,
@@ -152,31 +129,28 @@ def random_corpus(seed: int, count: int,
     import random
     rng = random.Random(seed)
     pool = [cons.zmod(n) for n in (2, 3, 4, 5, 6, 8, 9)]
+    # one construction per op; the op is drawn from these names
+    ops = {
+        "prod": lambda A, B: cons.direct_product(A, B, max_order=max_order),
+        "t2": lambda A, B: cons.upper_triangular(A, 2, max_order=max_order),
+        "cd2": lambda A, B: cons.constant_diagonal(A, 2, max_order=max_order),
+        "skew": lambda A, B: cons.truncated_skew_poly(
+            A, np.arange(A.order), 2, max_order=max_order, hom_name="id"),
+        "tri": lambda A, B: cons.formal_triangular(
+            A, A, cons.ring_bimodule(A), max_order=max_order),
+        "dorroh_nil": lambda A, B: cons.dorroh(
+            A, cons.ideal_bimodule(A, inv.upper_nilradical(A)),
+            max_order=max_order).ring,
+    }
     out = []
     guard = 0
     while len(out) < count and guard < count * 20:
         guard += 1
-        op = rng.choice(["prod", "t2", "cd2", "skew", "tri", "dorroh_nil"])
+        op = rng.choice(list(ops))
         A = rng.choice(pool)
         B = rng.choice(pool)
         try:
-            if op == "prod":
-                R = cons.direct_product(A, B, max_order=max_order)
-            elif op == "t2":
-                R = cons.upper_triangular(A, 2, max_order=max_order)
-            elif op == "cd2":
-                R = cons.constant_diagonal(A, 2, max_order=max_order)
-            elif op == "skew":
-                R = cons.truncated_skew_poly(A, np.arange(A.order), 2,
-                                             max_order=max_order,
-                                             hom_name="id")
-            elif op == "tri":
-                R = cons.formal_triangular(A, A, cons.ring_bimodule(A),
-                                           max_order=max_order)
-            else:
-                nilmask = inv.upper_nilradical(A)
-                R = cons.dorroh(A, cons.ideal_bimodule(A, nilmask),
-                                max_order=max_order).ring
+            R = ops[op](A, B)
         except SizeError:
             continue
         if R.order <= DERIVED_SCAN_MAX_ORDER:
@@ -302,18 +276,17 @@ def _nil_index_at_most_two(R: FiniteRing) -> bool:
     return bool((R.mul[idx, idx] == R.zero).all())
 
 
-def _rule_r1(R: FiniteRing):
-    forms = props.nj_symmetric_forms(R)
-    if len({w is None for w in forms}) == 1:
-        return "pass", None
-    return "fail", {"forms": list(forms)}
+def _forms_agree(rule_id, description, forms, detail):
+    """Rule: the formulations of one property, each scanned on its own,
+    agree; ``detail`` names their witnesses on a fail."""
 
+    def check(R: FiniteRing):
+        witnesses = forms(R)
+        if len({w is None for w in witnesses}) == 1:
+            return "pass", None
+        return "fail", detail(*witnesses)
 
-def _rule_r22(R: FiniteRing):
-    w_acb, w_bac = props.weak_symmetric_forms(R)
-    if (w_acb is None) == (w_bac is None):
-        return "pass", None
-    return "fail", {"acb": w_acb, "bac": w_bac}
+    return Rule(rule_id, description, "equivalence", True, check)
 
 
 def _rule_r10(R: FiniteRing):
@@ -364,84 +337,79 @@ def _equiv_under_construction(rule_id, description, builder, ks):
     """NJ-symmetry transfers both ways across a matrix-shaped construction."""
 
     def check(R: FiniteRing):
-        applicable = False
-        lhs = None
+        lhs = None                  # decided once some derived ring fits
         for k in ks:
             try:
                 D = builder(R, k, max_order=DERIVED_SCAN_MAX_ORDER)
             except SizeError:
                 continue
-            applicable = True
             if lhs is None:
                 lhs = _holds(R, "nj_symmetric")
             rhs = _holds(D, "nj_symmetric")
             if lhs != rhs:
                 return "fail", {"k": k, "base": lhs, "derived": rhs}
-        if not applicable:
+        if lhs is None:
             return "skipped", {"reason": "all derived rings exceed scan bound"}
         return "pass", None
 
     return Rule(rule_id, description, "equivalence", True, check)
 
 
-def _rule_r17():
+def _transfers(rule_id, description, samples, keys=("ring", "components")):
+    """Rule: a construction is NJ-symmetric iff its components all are.
+
+    ``samples()`` yields (ring, components, unmet), where ``unmet`` names a
+    hypothesis of the construction that the sample fails, or is None.
+    """
+
+    def check():
+        for S, parts, unmet in samples():
+            if unmet is not None:
+                return "fail", {"sample": S.name,
+                                "reason": f"{unmet} hypothesis expected"}
+            lhs = _holds(S, "nj_symmetric")
+            rhs = all(_holds(P, "nj_symmetric") for P in parts)
+            if lhs != rhs:
+                return "fail", {"sample": S.name, keys[0]: lhs, keys[1]: rhs}
+        return "pass", None
+
+    return Rule(rule_id, description, "equivalence", False, check)
+
+
+def _morita_samples():
     z2, z3, z4 = cons.zmod(2), cons.zmod(3), cons.zmod(4)
     m2z2 = cons.matrix_ring(z2, 2)
-    samples = [
+    for R1, R2, M, P in [
         (z2, z2, cons.ring_bimodule(z2), cons.ring_bimodule(z2)),
         (z2, z3, cons.zero_bimodule(z2, z3), cons.zero_bimodule(z3, z2)),
-        (z4, z2,
-         cons.hom_bimodule(z2, _reduction_map(4, 2), np.arange(2), name="Z2"),
-         cons.hom_bimodule(z2, np.arange(2), _reduction_map(4, 2), name="Z2")),
+        (z4, z2, _z2_over_z4_bimodule(), _z2_over_z4_bimodule(False)),
         (m2z2, z2, cons.zero_bimodule(m2z2, z2), cons.zero_bimodule(z2, m2z2)),
-    ]
-    for R1, R2, M, P in samples:
-        S = cons.trivial_morita(R1, R2, M, P)
-        lhs = _holds(S, "nj_symmetric")
-        rhs = _holds(R1, "nj_symmetric") and _holds(R2, "nj_symmetric")
-        if lhs != rhs:
-            return "fail", {"sample": S.name, "ring": lhs, "components": rhs}
-    return "pass", None
+    ]:
+        yield cons.trivial_morita(R1, R2, M, P), (R1, R2), None
 
 
-def _rule_r18():
+def _triangular_samples():
     z2, z4 = cons.zmod(2), cons.zmod(4)
     m2z2 = cons.matrix_ring(z2, 2)
-    samples = [
+    for R1, R2, M in [
         (z2, z2, cons.ring_bimodule(z2)),
-        (z4, z2, cons.hom_bimodule(z2, _reduction_map(4, 2), np.arange(2),
-                                   name="Z2")),
+        (z4, z2, _z2_over_z4_bimodule()),
         (z4, z4, cons.ring_bimodule(z4)),
         (m2z2, z2, cons.zero_bimodule(m2z2, z2)),
-    ]
-    for R1, R2, M in samples:
-        S = cons.formal_triangular(R1, R2, M)
-        lhs = _holds(S, "nj_symmetric")
-        rhs = _holds(R1, "nj_symmetric") and _holds(R2, "nj_symmetric")
-        if lhs != rhs:
-            return "fail", {"sample": S.name, "ring": lhs, "components": rhs}
-    return "pass", None
+    ]:
+        yield cons.formal_triangular(R1, R2, M), (R1, R2), None
 
 
-def _rule_r19():
+def _dorroh_samples():
     z2, z4 = cons.zmod(2), cons.zmod(4)
     m2z2 = cons.matrix_ring(z2, 2)
-    samples = [
+    for R, A in [
         (z4, two_z4_bimodule()),
         (z2, two_z4_over_z2_bimodule()),
         (m2z2, cons.zero_bimodule(m2z2, m2z2)),
-    ]
-    for R, A in samples:
+    ]:
         ext = cons.dorroh(R, A)
-        if not ext.quasi_regular:
-            return "fail", {"sample": ext.ring.name,
-                            "reason": "quasi-regularity hypothesis expected"}
-        lhs = _holds(ext.ring, "nj_symmetric")
-        rhs = _holds(R, "nj_symmetric")
-        if lhs != rhs:
-            return "fail", {"sample": ext.ring.name, "extension": lhs,
-                            "base": rhs}
-    return "pass", None
+        yield ext.ring, (R,), None if ext.quasi_regular else "quasi-regularity"
 
 
 def _rule_r23(R: FiniteRing):
@@ -461,21 +429,15 @@ def _rule_r23(R: FiniteRing):
     return "pass", None
 
 
-def _m2z2_example_triple() -> tuple[FiniteRing, int, int, int]:
+def _rule_r24():
     R = cons.matrix_ring(cons.zmod(2), 2)
     a = cons.matrix_index(2, 2, [[1, 0], [1, 0]])   # E11 + E21
     b = cons.matrix_unit(2, 2, 1, 1)                # E22
     c = cons.matrix_index(2, 2, [[0, 1], [0, 1]])   # E12 + E22
-    return R, a, b, c
-
-
-def _rule_r24():
-    R, a, b, c = _m2z2_example_triple()
     abc = int(R.mul[R.mul[a, b], c])
     bac = int(R.mul[R.mul[b, a], c])
-    e22 = cons.matrix_unit(2, 2, 1, 1)
     jac = inv.jacobson_radical(R)
-    ok = (abc == R.zero and bac == e22 and not mask_contains(jac, bac)
+    ok = (abc == R.zero and bac == b and not mask_contains(jac, bac)
           and not _holds(R, "nj_symmetric"))
     if ok:
         return "pass", {"a": a, "b": b, "c": c}
@@ -499,7 +461,7 @@ def _rule_r25():
 
 def _rule_r26():
     R = cons.matrix_ring(cons.zmod(2), 2)
-    gws = props.check_property(R, "gws")
+    gws = _verdict(R, "gws")
     if gws.holds:
         return "fail", {"reason": "expected GWS to fail"}
     if not _nil_index_at_most_two(R):
@@ -522,8 +484,8 @@ def _rule_r27():
 
 def rule_catalog() -> list[Rule]:
     rules = [
-        Rule("R1", "the three NJ-symmetry formulations agree",
-             "equivalence", True, _rule_r1),
+        _forms_agree("R1", "the three NJ-symmetry formulations agree",
+                     props.nj_symmetric_forms, lambda *w: {"forms": list(w)}),
         _implication("R2", "symmetric implies NJ-symmetric",
                      ["symmetric"], ["nj_symmetric"]),
         _implication("R3", "semicommutative implies NJ-symmetric",
@@ -560,21 +522,22 @@ def rule_catalog() -> list[Rule]:
         _equiv_under_construction(
             "R16", "NJ-symmetry transfers both ways to constant-diagonal rings",
             cons.constant_diagonal, (2, 3)),
-        Rule("R17", "a trivial Morita context ring is NJ-symmetric iff both "
-             "diagonal components are", "equivalence", False, _rule_r17),
-        Rule("R18", "a formal triangular matrix ring is NJ-symmetric iff both "
-             "diagonal components are", "equivalence", False, _rule_r18),
-        Rule("R19", "a Dorroh extension with quasi-regular module is "
-             "NJ-symmetric iff the base ring is", "equivalence", False,
-             _rule_r19),
+        _transfers("R17", "a trivial Morita context ring is NJ-symmetric iff "
+                   "both diagonal components are", _morita_samples),
+        _transfers("R18", "a formal triangular matrix ring is NJ-symmetric "
+                   "iff both diagonal components are", _triangular_samples),
+        _transfers("R19", "a Dorroh extension with quasi-regular module is "
+                   "NJ-symmetric iff the base ring is", _dorroh_samples,
+                   ("extension", "base")),
         Rule("R20", "NJ-symmetric semiperiodic implies R/J reduced",
              "implication", True,
              lambda R: _quotient_conclusion(R, "reduced")),
         Rule("R21", "NJ-symmetric semiperiodic implies R/J commutative",
              "implication", True,
              lambda R: _quotient_conclusion(R, "commutative")),
-        Rule("R22", "the two weak-symmetry formulations agree",
-             "equivalence", True, _rule_r22),
+        _forms_agree("R22", "the two weak-symmetry formulations agree",
+                     props.weak_symmetric_forms,
+                     lambda acb, bac: {"acb": acb, "bac": bac}),
         Rule("R23", "in NJ-symmetric rings e*r*(1-e) and (1-e)*r*e lie in J",
              "implication", True, _rule_r23),
         Rule("R24", "the standard triple breaks NJ-symmetry in M2(Z2)",
@@ -651,25 +614,25 @@ class SearchResult:
 
 def search_counterexample(hypotheses: list, negated_conclusion: str,
                           corpus: Optional[Corpus] = None,
-                          budget: Optional[int] = None,
-                          seed: int = 0) -> SearchResult:
+                          budget: Optional[int] = None, seed: int = 0,
+                          max_order: int = MAX_ORDER) -> SearchResult:
     """First corpus ring satisfying the hypotheses but not the conclusion.
 
     If the budget exceeds the corpus size, seeded random constructions fill
-    the remainder.
+    the remainder.  ``max_order`` caps the default corpus and the fill.
     """
     for name in list(hypotheses) + [negated_conclusion]:
         if name not in props.PROPERTY_CHECKS:
             raise props.UnknownPropertyError(f"unknown property: {name!r}")
     if corpus is None:
-        corpus = default_corpus()
+        corpus = default_corpus(max_order)
     rings = list(corpus.rings)
     if budget is None:
         budget = len(rings)
     if budget < 0:
         raise BadArgumentError(f"search budget must be >= 0, got {budget}")
     if budget > len(rings):
-        rings.extend(random_corpus(seed, budget - len(rings)))
+        rings.extend(random_corpus(seed, budget - len(rings), max_order))
     examined = 0
     for R in rings[:budget]:
         examined += 1

@@ -6,6 +6,7 @@ import pytest
 from ringlab import cli
 from ringlab import constructions as cons
 from ringlab import exprs
+from ringlab import harness
 from ringlab.core import MAX_ORDER, BadArgumentError, canonical_fingerprint
 
 
@@ -139,6 +140,25 @@ def test_search_budget_zero_examines_nothing(capsys):
     code, out, _ = run(capsys, "search", "--hyp", "melt", "--not",
                        "nj_symmetric", "--budget", "0")
     assert code == 1 and out == "exhausted after 0 rings\n"
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "60"]],
+                         ids=["corpus", "random fill"])
+def test_search_max_order_caps_every_examined_ring(capsys, monkeypatch,
+                                                   budget):
+    # M(2, Z(2)) of order 16 is MELT but not NJ-symmetric; under the cap
+    # no ring is both
+    orders = []
+    holds = harness._holds
+
+    def recording_holds(R, name):
+        orders.append(R.order)
+        return holds(R, name)
+    monkeypatch.setattr(harness, "_holds", recording_holds)
+    code, out, _ = run(capsys, "search", "--max-order", "4", "--hyp", "melt",
+                       "--not", "nj_symmetric", "--json", *budget)
+    assert code == 1 and json.loads(out)["ring"] is None
+    assert orders and max(orders) <= 4
 
 
 def test_verify_subset_of_rules(capsys):

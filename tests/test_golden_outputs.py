@@ -1,14 +1,16 @@
-"""The ``radical``, ``ideals`` and order-4096 ``prop`` outputs, checked
-against recorded goldens.
+"""The ``radical``, ``ideals``, ``verify`` and order-4096 ``prop`` outputs,
+checked against recorded goldens.
 
 ``radical`` prints the maximal left ideals, ``radical --json`` the radicals
 and ``ideals --json`` the full lattices, so a change in how any of them is
 computed shows here as a changed byte.  The ``prop`` goldens pin triple
 scans at the largest order ringlab builds, and the per-element predicates
 and whole ``analyze`` reports on rings above order 256, where the
-benchmark's pins stop.  Each golden is the exit code, the
-length and the SHA-256 of stdout; the lattices of ``T(4, Z(2))`` alone print
-436 kB.  To record them again after a deliberate change of output::
+benchmark's pins stop.  The ``verify`` goldens pin the whole rule suite,
+including the corpus entries skipped by name at small caps.  Each golden
+is the exit code, the length and the SHA-256 of stdout; the lattices of
+``T(4, Z(2))`` alone print 436 kB.  To record them again after a
+deliberate change of output::
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
 """
@@ -51,10 +53,15 @@ IDEAL_THEORETIC = ([["prop", p, "Prod(M(2, Z(4)), Z(4))", "--json"]
                    + [["prop", "commutative", "T(3, Z(4))", "--json"],
                       ["analyze", "--json", "--no-cache", "T(3, Z(4))"]])
 
+#: The rule suite at the default cap, at a cap that skips two corpus
+#: entries and at one that skips sixteen, and its text table.
+VERIFY = [["verify", "--json"], ["verify", "--json", "--max-order", "64"],
+          ["verify", "--json", "--max-order", "8"], ["verify"]]
+
 
 def _argvs() -> list:
     return ([cmd + [expr] for expr in RINGS for cmd in COMMANDS] + SCANS
-            + REPORTS + IDEAL_THEORETIC)
+            + REPORTS + IDEAL_THEORETIC + VERIFY)
 
 
 def _run(argv: list) -> dict:

@@ -4,10 +4,12 @@ import os
 import pytest
 
 from ringlab import constructions as cons
+from ringlab import exprs
 from ringlab import harness
 from ringlab import invariants as inv
 from ringlab import properties as props
-from ringlab.core import canonical_fingerprint, mask_indices, verify_axioms
+from ringlab.core import (MAX_ORDER, canonical_fingerprint, mask_indices,
+                          verify_axioms)
 from ringlab.constructions import matrix_ring, upper_triangular, zmod
 
 
@@ -48,6 +50,37 @@ def test_corpus_rings_satisfy_axioms(corpus):
             assert verify_axioms(R).ok, R.name
         else:
             assert verify_axioms(R, sample_triples=100000, seed=0).ok, R.name
+
+
+def test_corpus_entries_name_their_rings():
+    texts = [e for e in harness.CORPUS if isinstance(e, str)]
+    assert len(texts) == 29 and len(harness.CORPUS) == 33
+    for text in texts:
+        assert exprs.build(text).name == text
+    # a skipped entry is reported under its name, so a builder's must match
+    for name, build in (e for e in harness.CORPUS if not isinstance(e, str)):
+        assert build(max_order=MAX_ORDER).name == name
+
+
+def test_corpus_quotients_are_the_ones_r12_reads(monkeypatch):
+    built = []
+    coset_quotient = inv._coset_quotient
+
+    def counting_quotient(R, ideal, name):
+        built.append(name)
+        return coset_quotient(R, ideal, name)
+    monkeypatch.setattr(inv, "_coset_quotient", counting_quotient)
+    monkeypatch.setattr(cons, "_coset_quotient", counting_quotient)
+    corpus = harness.default_corpus()
+    n = len(built)
+    assert n and n == len(set(built))
+    names = {e if isinstance(e, str) else e[0] for e in harness.CORPUS}
+    by_name = {R.name: R for R in corpus}
+    for R in (R for R in corpus if R.name in names):
+        assert harness._rule_r12(R)[0] in ("pass", "vacuous")
+        Q = inv._mod_jacobson(R)[0]
+        assert by_name.get(Q.name, Q) is Q, Q.name
+    assert len(built) == n                      # R12 built no quotient
 
 
 def test_rule_catalog_ids_and_kinds():

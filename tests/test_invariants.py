@@ -56,6 +56,26 @@ def test_units_of_matrix_ring():
     assert mask_size(inv.units(matrix_ring(zmod(2), 2))) == 6
 
 
+def _units_two_sided(R):
+    # the two-sided test xy = yx = 1 that the one-sided test replaced
+    E = R.mul == R.one
+    return (E & E.T).any(axis=1)
+
+
+def test_units_match_the_two_sided_test():
+    from ringlab import exprs, harness
+    def agree(R):
+        return (inv.units_bool(R) == _units_two_sided(R)).all()
+
+    for R in (harness.default_corpus().rings
+              + [R for s in range(6) for R in harness.random_corpus(s, 30)]):
+        assert agree(R), R.name
+    # built one at a time, so at most one order-4096 ring is alive
+    for expr in ("T(3, Z(4))", "M(2, Z(8))", "T(4, Z(2))", "M(2, Z(5))",
+                 "WSC(1)"):
+        assert agree(exprs.build(expr)), expr
+
+
 def test_nilpotents_of_z4():
     assert mask_indices(inv.nilpotents(zmod(4))) == [0, 2]
 
