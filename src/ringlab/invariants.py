@@ -121,19 +121,23 @@ def center(R: FiniteRing) -> int:
 
 
 def jacobson_bool(R: FiniteRing) -> np.ndarray:
-    """x is quasi-regular for every left multiple: 1 - r*x a unit for all r.
+    """x is right quasi-regular for every right multiple: 1 - x*r a unit
+    for all r.
 
-    Rows r are taken in blocks within ``_BLOCK_BYTES``, so the n x n plane
-    of 1 - r*x is never held whole.
+    J(R) is nil in a finite ring, so only the nilpotent x are tested, each
+    on its own contiguous row of R.mul.  Those rows are taken in blocks
+    within ``_BLOCK_BYTES``, so their plane of x*r is never held whole.
     """
     def compute():
         n = R.order
         # quasi[y]: 1 - y is a unit
         quasi = units_bool(R)[R.add[R.one][R.neg_table()]]
-        step = max(1, _BLOCK_BYTES // (9 * n))     # intp index + bool per cell
-        j = np.ones(n, dtype=bool)
-        for r0 in range(0, n, step):
-            j &= quasi[R.mul[r0:r0 + step]].all(axis=0)
+        nil = np.flatnonzero(nilpotents_bool(R))
+        step = max(1, _BLOCK_BYTES // (13 * n))    # int32 row, intp, bool
+        j = np.zeros(n, dtype=bool)
+        for i in range(0, len(nil), step):
+            x = nil[i:i + step]
+            j[x] = quasi.take(R.mul[x]).all(axis=1)
         j.setflags(write=False)
         return j
     return _cached(R, "jac_b", compute)

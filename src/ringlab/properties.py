@@ -28,6 +28,10 @@ decides each form in two steps:
   says which pairs share a bit, and each (a, t) looks up its pair, n^2
   lookups per form.  Blocks of a, as many as fit a fixed byte budget, are
   tested at once and the first block with a hit gives the least a.
+  Both tables are read along rows of R.mul: a column table is packed from
+  blocks of rows x, 8 rows to a byte.  The complement of a set (nonzero,
+  not nilpotent) has its set's table with every bit flipped, so it shares
+  the set's classes instead of sorting a table of its own.
 * the least (b, c), from the boolean plane of that a, evaluated on the
   tables directly, so every witness is the one a plain scan finds.  A
   packed hit that the boolean plane does not confirm raises
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,11 +149,13 @@ TRIPLE_FORMS: dict[str, tuple[TripleForm, ...]] = {
 
 _SETS: dict[str, Callable[[FiniteRing], np.ndarray]] = {
     "zero": lambda R: np.arange(R.order) == R.zero,
-    "nonzero": lambda R: np.arange(R.order) != R.zero,
-    "nil": lambda R: inv.nilpotents_bool(R),
-    "not_nil": lambda R: ~inv.nilpotents_bool(R),
+    "nil": inv.nilpotents_bool,
     "not_jac": lambda R: ~inv.jacobson_bool(R),
 }
+
+#: Element sets that are the complement of another.  Their tables are the
+#: other's with every bit flipped, row for row, so they share its classes.
+_COMPLEMENTS = {"nonzero": "zero", "not_nil": "nil"}
 
 #: Bytes of temporaries per block of a scan.
 _BLOCK_BYTES = 1 << 18
@@ -159,14 +165,27 @@ _BLOCK_BYTES = 1 << 18
 _ROTATION_INVARIANT = frozenset({"nil", "not_nil"})
 
 
+def _members(R: FiniteRing, name: str) -> np.ndarray:
+    """The element set as a boolean vector, memoized on the ring."""
+    def compute():
+        if name in _COMPLEMENTS:
+            members = ~_members(R, _COMPLEMENTS[name])
+        else:
+            members = _SETS[name](R)
+        members.setflags(write=False)
+        return members
+    return inv._cached(R, f"set_{name}", compute)
+
+
 def _holds(R: FiniteRing, term: tuple[str, str], a, b, c):
-    """The term at (a, b, c); numpy arrays broadcast to a plane."""
+    """The term at (a, b, c); numpy arrays broadcast to a plane.  Each
+    product x*y is read from the flattened table at x*n + y."""
     name, word = term
     val = {"a": a, "b": b, "c": c}
     x = val[word[0]]
     for ch in word[1:]:
-        x = R.mul[x, val[ch]]
-    return _SETS[name](R)[x]
+        x = R.mul.take(x * R.order + val[ch])
+    return _members(R, name)[x]
 
 
 def _form_plane(R: FiniteRing, form: TripleForm, a, b, c):
@@ -236,12 +255,40 @@ def _packed_rows(count: int, n: int,
     return out
 
 
+def _column_blocks(n: int) -> list[slice]:
+    """Row slices of R.mul that a column table is packed from: the whole
+    table when a row is one 64-bit word, else heights that are multiples
+    of 8 whose lookups fit _BLOCK_BYTES.  A block of h rows makes lookups
+    of h/8 rows at a time, each through an intp index into a uint8 array
+    beside a uint8 accumulator: 10 bytes a cell."""
+    step = n if n <= 64 else 8 * max(1, _BLOCK_BYTES // (10 * n))
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
+
+
 def _word_table(R: FiniteRing, name: str, column: bool) -> np.ndarray:
-    """Row y holds bits{x : y*x in S}, or bits{x : x*y in S} for the column
-    table, packed by _packed_rows."""
-    members = _SETS[name](R)
-    mul = R.mul.T if column else R.mul
-    return _packed_rows(R.order, R.order, lambda rows: members.take(mul[rows]))
+    """Row y holds bits{x : y*x in S}, packed by _packed_rows, or for the
+    column table bits{x : x*y in S}, in the same layout.
+
+    A column table is read along rows of R.mul, not down its columns.  Byte
+    k of row y is the OR over j < 8 of bit j set when x = 8k + j has x*y in
+    S: for a block of rows x, lookup j reads rows x = j, j + 8, ... of the
+    block in a copy of S shifted left by j, and the ORed bytes, one row per
+    k, are written transposed into the block's bytes of every row y.
+    """
+    members = _members(R, name)
+    n = R.order
+    if not column:
+        return _packed_rows(n, n, lambda rows: members.take(R.mul[rows]))
+    shifted = members.astype(np.uint8) << np.arange(8, dtype=np.uint8)[:, None]
+    out = np.zeros((n, -(-n // 64)), dtype="<u8")
+    raw = out.view(np.uint8)
+    for rows in _column_blocks(n):
+        acc = shifted[0].take(R.mul[rows.start:rows.stop:8])
+        for j in range(1, 8):
+            x = R.mul[rows.start + j:rows.stop:8]
+            acc[:len(x)] |= shifted[j].take(x)
+        raw[:, rows.start // 8:rows.start // 8 + len(acc)] = acc.T
+    return out
 
 
 def _row_classes(R: FiniteRing,
@@ -251,10 +298,20 @@ def _row_classes(R: FiniteRing,
     The rows of U are distinct: a lexicographic sort of the words puts
     equal rows side by side, and a compare of neighbours numbers them.  A
     table of one word per row is its own U, with cls the identity, since
-    sorting it costs more than its classes would save.
+    sorting it costs more than its classes would save.  The complement of
+    a set takes the classes of its set's table: U flipped, with the bits
+    past x = n - 1 cleared, and the same cls.
     """
     def compute():
         n = R.order
+        if reading.name in _COMPLEMENTS:
+            rows, cls = _row_classes(
+                R, replace(reading, name=_COMPLEMENTS[reading.name]))
+            rows = ~rows
+            if n % 64:
+                rows[:, -1] &= np.uint64((1 << n % 64) - 1)
+            rows.setflags(write=False)
+            return rows, cls
         rows = _word_table(R, reading.name, reading.column)
         if rows.shape[1] == 1:
             cls = np.arange(n, dtype=np.min_scalar_type(n - 1))
@@ -309,10 +366,18 @@ def _block_hits(R: FiniteRing, form: TripleForm):
     Row t of a's packed plane is the AND of a premise row and a conclusion
     row, and whether it has a set bit depends only on the classes of the
     two rows: each (a, t) looks up its pair of classes in ``_bad_pairs``.
+    Rows of one word are their own classes, so each (a, t) ANDs the two
+    words instead.
     """
     p, q = _scan_plan(form)
     p_rows, p_cls = _row_classes(R, p)
     q_rows, q_cls = _row_classes(R, q)
+    if p_rows.shape[1] == 1:
+        for rows in _row_chunks(R.order):
+            yield rows.start, (_plane_keys(R, p, p_rows[:, 0], rows)
+                               & _plane_keys(R, q, q_rows[:, 0], rows)
+                               ).any(axis=1)
+        return
     bad = _bad_pairs(p_rows, q_rows).ravel()
     # bad's flat index, split into a premise part and a conclusion part
     key = np.min_scalar_type(bad.size - 1)

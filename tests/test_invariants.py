@@ -140,6 +140,33 @@ def test_jacobson_radical_values():
     assert mask_indices(inv.jacobson_radical(T)) == sorted([T.zero, e12])
 
 
+def _jacobson_all_rows(R):
+    # the formula that the nilpotent rows replaced: x is in J(R) when 1 - r*x
+    # is a unit for every r, tested for every x, rows r taken in blocks
+    n = R.order
+    quasi = inv.units_bool(R)[R.add[R.one][R.neg_table()]]
+    step = max(1, inv._BLOCK_BYTES // (9 * n))
+    j = np.ones(n, dtype=bool)
+    for r0 in range(0, n, step):
+        j &= quasi[R.mul[r0:r0 + step]].all(axis=0)
+    return j
+
+
+@pytest.mark.parametrize("budget", [inv._BLOCK_BYTES, 64])
+def test_jacobson_over_nilpotent_rows_matches_all_rows(budget, monkeypatch):
+    from ringlab import exprs, harness
+    monkeypatch.setattr(inv, "_BLOCK_BYTES", budget)
+    # the nilpotents of M(2, Z(2)) x T(2, Z(4)) are more than J(R), so the
+    # rows left out are not the only ones that could fail
+    wide = exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))")
+    assert inv.nilpotents_bool(wide).sum() > inv.jacobson_bool(wide).sum()
+    for R in (harness.default_corpus().rings
+              + [R for s in range(6) for R in harness.random_corpus(s, 30)]
+              + [wide]):
+        R = FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
+        assert (inv.jacobson_bool(R) == _jacobson_all_rows(R)).all(), R.name
+
+
 def test_jacobson_equals_intersection_of_maximal_left_ideals():
     for R in (zmod(6), zmod(8), matrix_ring(zmod(2), 2),
               upper_triangular(zmod(3), 2)):

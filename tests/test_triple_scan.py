@@ -272,6 +272,47 @@ def test_block_hits_match_definition(block_bytes):
         assert_hits_match_definition(R)
 
 
+#: Orders that are not multiples of 8 or 64, one word a row and more.
+_ODD_ORDERS = ("Z(3)", "Z(12)", "M(2, Z(3))", "Prod(Z(5), T(2, Z(3)))")
+
+
+@pytest.mark.parametrize("expr", _ODD_ORDERS)
+def test_tables_of_odd_orders(expr, block_bytes):
+    from ringlab import exprs
+    R = exprs.build(expr)
+    n = R.order
+    blocks = props._column_blocks(n)
+    if n <= 64:
+        # one word a row: the whole column table is one block
+        assert blocks == [slice(0, n)]
+    elif block_bytes is not None:
+        # a budget too small for 8 rows still packs 8 rows a block, and the
+        # last block is shorter
+        assert {b.stop - b.start for b in blocks[:-1]} == {8}
+        assert blocks[-1].stop - blocks[-1].start == n % 8
+    assert_classes_reproduce_tables(R)
+
+
+def test_complement_sets_share_classes(block_bytes):
+    # a complement's table is its set's with each bit flipped up to x = n - 1
+    # and the bits past it clear, under the same classes
+    from ringlab import exprs
+    for expr in _ODD_ORDERS:
+        R = _fresh(exprs.build(expr))
+        n = R.order
+        for name, base in props._COMPLEMENTS.items():
+            for column in (False, True):
+                (rows, cls), (base_rows, base_cls) = (
+                    props._row_classes(R, props._Reading(s, "abc", column))
+                    for s in (name, base))
+                assert cls is base_cls
+                bits, base_bits = (np.unpackbits(r.view(np.uint8), axis=1,
+                                                 bitorder="little")
+                                   for r in (rows, base_rows))
+                assert (bits[:, :n] == 1 - base_bits[:, :n]).all(), expr
+                assert not bits[:, n:].any(), (expr, name, column)
+
+
 def test_bad_pairs_in_several_chunks(monkeypatch):
     # two words per row and a budget of one row of classes per chunk, so
     # the chunk loop of _bad_pairs runs once per premise class
