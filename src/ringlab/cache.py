@@ -56,8 +56,13 @@ class ReportCache:
         except (OSError, json.JSONDecodeError):
             self.misses += 1
             return None
-        # stale versions are treated as misses and overwritten on put
-        if report.get("format") != CACHE_VERSION:
+        # stale versions, other rings' reports and malformed entries are
+        # misses, overwritten on put
+        if not (isinstance(report, dict)
+                and report.get("format") == CACHE_VERSION
+                and report.get("fingerprint") == fingerprint
+                and isinstance(report.get("radicals"), dict)
+                and isinstance(report.get("properties"), dict)):
             self.misses += 1
             return None
         self.hits += 1

@@ -190,9 +190,11 @@ def _cmd_verify(args) -> int:
     else:
         corpus = harness.default_corpus(max_order=args.max_order)
     rules = harness.rule_catalog()
-    if args.rules:
+    if args.rules is not None:
         wanted = {rid.strip() for rid in args.rules.split(",")
                   if rid.strip()}
+        if not wanted:
+            raise BadArgumentError(f"--rules names no rule: {args.rules!r}")
         known = {r.id for r in rules}
         bad = wanted - known
         if bad:

@@ -9,19 +9,20 @@ canonical element ordering, so table comparison suffices in tests.
 Matrix-shaped rings (M, T, CD, WSC), Tri, Morita, Dorroh and SkewTrunc are
 coordinate rings: an element is a tuple of coordinates, each an index into a
 base table's carrier; sums are coordinatewise and each coordinate of a
-product is a formula of base-table lookups.  ``_coord_build`` tabulates the
-addition as a broadcast sum of one small table per coordinate, evaluates the
-product formula only on the single-coordinate elements, and fills every
-other product row by distributivity, one gather in the addition table a
-cell, in row blocks within a fixed byte budget.  The tables equal the
-formula's because every construction here is distributive: base rings are
-rings, bimodules are validated and skew maps are checked endomorphisms.
+product is a formula of base-table lookups.  ``_coord_build`` folds both
+tables from those of two runs of coordinates, as ``direct_product`` folds
+its factors', evaluating the product formula only on single-coordinate
+elements: the product row of (l, r) is the sum of the rows of l and of r.
+The tables equal the formula's because every construction here is
+distributive: base rings are rings, bimodules are validated and skew maps
+are checked endomorphisms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -75,13 +76,60 @@ def _check_power(base: int, coords: int, max_order: int, what: str) -> None:
 # temporaries take at most this many bytes: 8 a cell for each coordinate and
 # for the element indices while the products of single-coordinate elements
 # are evaluated.  Much larger temporaries are returned to the system when
-# freed, and every later build faults them in again.  The product table is
-# filled in blocks of a quarter of this, 16 bytes a cell (a sum of two
+# freed, and every later build faults them in again.  Product rows are
+# folded in blocks of a quarter of this, 16 bytes a cell (a sum of two
 # rows, numpy's intp copy of it and the gathered values): that keeps the
 # intp copy under glibc's 128 KiB mmap threshold, so the blocks reuse heap
 # memory instead of mapping fresh pages and raising the threshold, which
 # would leave later tables' memory resident.
 _BLOCK_BYTES = 1 << 19
+
+
+def _fold(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The table of the pairs (a, b), numbered a * len(B) + b, whose entry
+    at ((a, b), (a', b')) is the pair (A[a, a'], B[b, b'])."""
+    n = len(A) * len(B)
+    return (A[:, None, :, None] * len(B) + B[None, :, None, :]).reshape(n, n)
+
+
+def _cut(radices: Sequence[int]) -> int:
+    """Where to cut a run of coordinates into two runs of about sqrt as many
+    elements each: broadcasts are fast along a long last axis."""
+    heads = list(itertools.accumulate(radices, operator.mul))
+    return 1 + min(range(len(radices) - 1),
+                   key=lambda h: max(heads[h], heads[-1] // heads[h]))
+
+
+# The folds recurse through module functions: a nested function that calls
+# itself is a reference cycle, which would keep each build's temporaries
+# until the cyclic collector ran.
+def _sum_table(sums: list) -> np.ndarray:
+    """The addition table of a run of coordinates, from each one's."""
+    if len(sums) == 1:
+        return sums[0]
+    h = _cut([len(s) for s in sums])
+    return _fold(_sum_table(sums[:h]), _sum_table(sums[h:]))
+
+
+def _product_rows(rows: list, flat: np.ndarray) -> np.ndarray:
+    """The product rows of the elements zero off a run of coordinates, from
+    each coordinate's, by the flat addition table.
+
+    The element (l, r) of the run's two halves is (l, 0) + (0, r), so its
+    row is the sum of theirs, one gather in the addition table a cell."""
+    if len(rows) == 1:
+        return rows[0]
+    h = _cut([len(r) for r in rows])
+    left, right = _product_rows(rows[:h], flat), _product_rows(rows[h:], flat)
+    n = left.shape[1]
+    out = np.empty((len(left), len(right), n), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (4 * 16 * n))
+    bl, br = max(1, step // len(right)), min(step, len(right))
+    for l0 in range(0, len(left), bl):
+        for r0 in range(0, len(right), br):
+            out[l0:l0 + bl, r0:r0 + br] = flat.take(
+                left[l0:l0 + bl, None] * n + right[r0:r0 + br])
+    return out.reshape(-1, n)
 
 
 def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
@@ -98,15 +146,16 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
     per-coordinate value arrays, made by gathers on the base tables.  A
     value outside its coordinate's carrier raises RingError.
 
-    The addition table is the sum of one small table per coordinate,
-    broadcast over the others.  ``mul_fn`` is evaluated only on the
-    single-coordinate elements, zero at every coordinate but one.  Element
-    (v_0 .. v_c, 0 ..) is (v_0 .. v_(c-1), 0 ..) plus (0 .. v_c, 0 ..), so
-    its product row is the sum of theirs, one gather in the addition table
-    a cell.  The result equals the table of ``mul_fn`` on all pairs when
-    the construction satisfies (x + y) b = x b + y b, as the callers'
-    inputs guarantee: base rings are rings, bimodules pass
-    ``Bimodule.validate`` and skew maps are checked endomorphisms.
+    Both tables are folded from those of two runs of the coordinates, each
+    folded alike down to single coordinates: every element is its left
+    part plus its right part.  The addition table is the ``_fold`` of the
+    runs' addition tables.  ``mul_fn`` is evaluated only on the
+    single-coordinate elements, zero at every coordinate but one, and the
+    product row of (l, r) is the sum of the rows of l and of r.  The result
+    equals the table of ``mul_fn`` on all pairs when the construction
+    satisfies (x + y) b = x b + y b, as the callers' inputs guarantee: base
+    rings are rings, bimodules pass ``Bimodule.validate`` and skew maps are
+    checked endomorphisms.
     """
     carriers = [np.asarray(c, dtype=np.int32) for c in carriers]
     radices = [len(c) for c in carriers]
@@ -150,41 +199,11 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
             raise RingError(f"{name}: {what} leaves the carrier of "
                             f"coordinate {c}") from None
 
-    def sum_table(cs: range, out: np.ndarray) -> None:
-        """out[i, j]: the index of i + j, over coordinates cs alone."""
-        cs = [c for c in cs if radices[c] > 1]    # radix 1 adds nothing
-        if not cs:
-            out.fill(0)
-            return
-        grid = out.reshape([radices[c] for c in cs] * 2)
-        for i, c in enumerate(cs):
-            shape = [1] * grid.ndim
-            shape[i] = shape[len(cs) + i] = radices[c]
-            term = sums[c].reshape(shape)
-            if i == 0:
-                np.multiply(term, strides[c], out=grid)
-            else:
-                np.add(grid, term * strides[c], out=grid)
-
-    add = np.empty((n, n), dtype=np.int32)
-    # broadcasts are fast along a long last axis, so the coordinates are
-    # split into two runs about sqrt(n) elements each, tabulated apart
-    heads = [math.prod(radices[:h]) for h in range(k + 1)]
-    h = min(range(1, k), key=lambda h: max(heads[h], n // heads[h]),
-            default=k)
-    m = heads[h]
-    if 1 < m < n:
-        lead = np.empty((m, m), dtype=np.int32)
-        trail = np.empty((n // m, n // m), dtype=np.int32)
-        sum_table(range(h), lead)
-        sum_table(range(h, k), trail)
-        np.add(lead[:, None, :, None], trail[None, :, None, :],
-               out=add.reshape(m, n // m, m, n // m))
-    else:
-        sum_table(range(k), add)
-
     zero_at = int(index(zero, "zero"))
-    zpos = [zero_at // s % q for s, q in zip(strides, radices)]
+    if not wide:        # the zero ring: its one sum and product are zero
+        return FiniteRing([[0]], [[0]], zero_at, int(index(one, "one")),
+                          name=name, labels=labels)
+    add = _sum_table([sums[c] for c in wide])
     # the single-coordinate elements of the wide coordinates, those of
     # wide[w] in rows starts[w]:starts[w + 1], as value columns, and their
     # product rows against every element.  A coordinate of radix 1 holds
@@ -202,28 +221,8 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
         xs = [v[r0:r0 + step, None] for v in singles]
         prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
 
-    # with no wide coordinate the ring is zero, its one product zero
-    mul = (np.empty((n, n), dtype=np.int32) if wide
-           else np.zeros((1, 1), dtype=np.int32))
-    flat = add.ravel()
-    rows = max(1, _BLOCK_BYTES // (4 * 16 * n))
-    for w, c in enumerate(wide):
-        # rows (v_0 .. v_c, 0 ..) as grid[prefix, v_c]; the row of
-        # (v_0 .. v_(c-1), 0 ..) is grid[prefix, zero's position]
-        q = radices[c]
-        tail = sum(z * s for z, s in zip(zpos[c + 1:], strides[c + 1:]))
-        grid = mul.reshape(-1, q, strides[c], n)[:, :, tail]
-        part = prods[starts[w]:starts[w + 1]]
-        if w == 0:
-            grid[0] = part
-            continue
-        prefix = grid[:, zpos[c]]
-        bq = min(q, rows)
-        bm = max(1, rows // q) if bq == q else 1
-        for m0 in range(0, len(grid), bm):
-            for p0 in range(0, q, bq):
-                grid[m0:m0 + bm, p0:p0 + bq] = flat.take(
-                    prefix[m0:m0 + bm, None] * n + part[p0:p0 + bq])
+    mul = _product_rows([prods[a:b] for a, b in zip(starts, starts[1:])],
+                        add.ravel())
     return FiniteRing(add, mul, zero_at, int(index(one, "one")), name=name,
                       labels=labels)
 
@@ -384,14 +383,7 @@ def direct_product(R1: FiniteRing, R2: FiniteRing,
     _check_order(R1.order * R2.order, max_order,
                  f"Prod({R1.name}, {R2.name})")
     n2 = R2.order
-    n = R1.order * n2
-
-    def table(t1, t2):
-        # [i1, i2, j1, j2] -> (i1, i2) op (j1, j2), the pair (x1, x2) being
-        # element x1 * n2 + x2
-        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n, n)
-
-    return FiniteRing(table(R1.add, R2.add), table(R1.mul, R2.mul),
+    return FiniteRing(_fold(R1.add, R2.add), _fold(R1.mul, R2.mul),
                       R1.zero * n2 + R2.zero,
                       R1.one * n2 + R2.one,
                       name=f"Prod({R1.name}, {R2.name})")

@@ -184,6 +184,16 @@ def test_verify_rules_skip_empty_ids(capsys, rules):
     assert ran == {rid.strip() for rid in rules.split(",") if rid.strip()}
 
 
+@pytest.mark.parametrize("rules", [",", "", " , "])
+def test_verify_rules_naming_no_rule_is_a_usage_error(capsys, rules):
+    code, out, err = run(capsys, "verify", "--rules", rules)
+    assert code == 2 and out == ""
+    assert err == f"error: --rules names no rule: {rules!r}\n"
+    args = cli._make_parser().parse_args(["verify", "--rules", rules])
+    with pytest.raises(BadArgumentError):
+        cli._cmd_verify(args)
+
+
 def test_verify_json_deterministic_across_threads(capsys):
     code, a, _ = run(capsys, "verify", "--json", "--threads", "1",
                      "--rules", "R1,R2,R24")
@@ -224,6 +234,28 @@ def test_cache_flag_round_trip(tmp_path, capsys):
     code, b, _ = run(capsys, "analyze", "Z(6)", "--json",
                      "--cache", str(tmp_path))
     assert a == b
+
+
+@pytest.mark.parametrize("body", [[], "x", {"format": "analysis v1"},
+                                  {"format": "analysis v1", "radicals": {}},
+                                  "the report of Z(2)"],
+                         ids=["list", "string", "format", "no-properties",
+                              "other-ring"])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, body, flags):
+    from ringlab.cache import ReportCache
+    fp = canonical_fingerprint(cons.zmod(6))
+    if body == "the report of Z(2)":
+        body = harness.analyze(cons.zmod(2))
+    path = ReportCache(tmp_path)._path(fp)
+    path.write_text(json.dumps(body))
+    code, got, err = run(capsys, "analyze", "Z(6)", *flags,
+                         "--cache", str(tmp_path))
+    assert code == 0 and err == ""
+    assert (code, got) == run(capsys, "analyze", "Z(6)", *flags,
+                              "--no-cache")[:2]
+    # the miss wrote Z(6)'s report over the entry
+    assert json.loads(path.read_text()) == harness.analyze(cons.zmod(6))
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ Python double loop that looks up every sum and product cell by cell.  It
 stays here as the oracle for all eight constructions that use the builder.
 """
 
+import gc
 import itertools
 
 import numpy as np
@@ -399,14 +400,30 @@ def test_one_row_blocks_give_the_same_tables(monkeypatch):
 
 
 def test_blocks_of_part_of_a_coordinate_give_the_same_tables(monkeypatch):
-    # the product table is filled in blocks of 6 rows of order 81, two
-    # prefixes of a radix-3 coordinate, and 2 rows of order 256, half of a
-    # radix-4 coordinate
+    # product rows are folded in blocks of 6 rows of order 81, two left rows
+    # against a right run of 3 or part of a left row against a right run of
+    # 9, and of 2 rows of order 256, part of a right run of 4 or 16
     monkeypatch.setattr(cons, "_BLOCK_BYTES", 1 << 15)
     for name, build, ref in _each_construction() + [
             ("M(2, Z(4))", lambda: cons.matrix_ring(Z[4], 2),
              lambda: ref_matrix_ring(Z[4], 2))]:
         assert_same_ring(build(), ref())
+
+
+def test_builds_leave_no_cyclic_garbage():
+    # a build's temporaries, the addition table's flat view among them, are
+    # freed by reference counting when it returns; a reference cycle, such
+    # as a nested function that calls itself, keeps them until the
+    # collector runs
+    cases = _each_construction()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, build, _ in cases:
+            build()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def _shifted_z4():
@@ -422,8 +439,8 @@ def _shifted_z4():
 
 @pytest.mark.parametrize("budget", [cons._BLOCK_BYTES, 1])
 def test_a_base_whose_zero_is_not_element_0(budget, monkeypatch):
-    # in one-row blocks the row of a prefix is rewritten, with itself plus
-    # zero, before the last rows that read it
+    # zero sits at position 2 of every coordinate, so no fold may take a
+    # run's first row for its zero part, in blocks of any size
     monkeypatch.setattr(cons, "_BLOCK_BYTES", budget)
     R = _shifted_z4()
     assert R.zero == 2 and R.one == 3
@@ -513,7 +530,9 @@ def test_triangular_order_4096_products():
 
 #: canonical_fingerprint of rings above order 256, where the cell loop is
 #: too slow to serve as the oracle, recorded from the tables of the cell-by-
-#: cell formula evaluation that preceded the distributive fill.
+#: cell formula evaluation that preceded the distributive fill; that of
+#: SkewTrunc(Z(2), id, 12), twelve radix-2 coordinates and the deepest
+#: cut at order 4096, from the coordinate-by-coordinate fill before the fold.
 TABLE_PINS = {
     "T(3, Z(4))":
         "140d3e4f1f6e8284679ad5459f611357d47654ae157c93c1f66387318f141b06",
@@ -533,6 +552,8 @@ TABLE_PINS = {
         "5fe7de077a60521eee8385852d0bebb1492b2b7bc34567c2a95d99695b3b052e",
     "Tri(Z(9), Z(9), Z(9))":
         "8132fcf3bae2237fbfaa5d66c675ae9e6a575597325abff9f69bb31e31bb782c",
+    "SkewTrunc(Z(2), id, 12)":
+        "c7eb26c3c37d4f62f4a73e4f70415cd566f6d4f9cbbb680f118bb5e385bbf267",
 }
 
 

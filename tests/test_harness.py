@@ -256,14 +256,21 @@ def test_r12_and_r13_share_one_quotient_by_j(monkeypatch):
     assert built == [inv.jacobson_radical(R)]
 
 
+def _stub_report(fp):
+    """The least entry the cache reads as a report of fingerprint fp."""
+    return {"format": "analysis v1", "fingerprint": fp, "radicals": {},
+            "properties": {}}
+
+
 def test_cache_ignores_corrupt_and_stale_entries(tmp_path):
     from ringlab.cache import ReportCache
     cache = ReportCache(tmp_path)
     fp = canonical_fingerprint(zmod(2))
     cache._path(fp).write_text("not json")
     assert cache.get(fp) is None
-    cache.put(fp, {"format": "analysis v1", "x": 1})
-    assert cache.get(fp) == {"format": "analysis v1", "x": 1}
+    report = _stub_report(fp)
+    cache.put(fp, report)
+    assert cache.get(fp) == report
     cache.put(fp, {"format": "analysis v0"})
     assert cache.get(fp) is None
 
@@ -271,7 +278,7 @@ def test_cache_ignores_corrupt_and_stale_entries(tmp_path):
 def test_cache_entry_written_by_other_code_is_a_miss(tmp_path, monkeypatch):
     from ringlab import cache as cache_mod
     fp = canonical_fingerprint(zmod(2))
-    report = {"format": "analysis v1", "x": 1}
+    report = _stub_report(fp)
     with monkeypatch.context() as m:
         m.setattr(cache_mod, "code_version", lambda: "0" * 64)
         cache_mod.ReportCache(tmp_path).put(fp, report)
@@ -303,10 +310,10 @@ def test_cache_put_leaves_only_the_current_name_of_its_fingerprint(
         yield self / f"{fp}.{'2' * 64}.json"
     monkeypatch.setattr(Path, "glob", glob_with_vanished)
     cache = cache_mod.ReportCache(tmp_path)
-    cache.put(fp, {"format": "analysis v1"})
+    cache.put(fp, _stub_report(fp))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         keep + [cache._path(fp).name])
-    assert cache.get(fp) == {"format": "analysis v1"}
+    assert cache.get(fp) == _stub_report(fp)
 
 
 def test_code_version_is_a_digest_of_the_package_sources():
