@@ -18,7 +18,21 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
+from .invariants import RadicalReport
+from .properties import PROPERTY_CHECKS
+
 CACHE_VERSION = "analysis v1"
+
+#: The fields of a report as ``harness.analyze`` writes it, each with its
+#: type: the radicals as ``RadicalReport.to_dict`` writes them, and a
+#: verdict per registered property as ``PropertyVerdict.to_dict`` does.
+_REPORT = {"format": str, "ring": str, "order": int, "fingerprint": str,
+           "radicals": dict, "properties": dict}
+_RADICALS = {"format": str, "ring": str, "order": int,
+             **dict.fromkeys(("units", "nilpotents", "idempotents", "center",
+                              "jacobson", "lower_nil", "upper_nil"), list)}
+_VERDICT = {"name": str, "holds": bool, "witness": (dict, type(None)),
+            "method": str}
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,6 +51,31 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "ringlab"
+
+
+def _has_fields(obj, fields: dict) -> bool:
+    """obj is a dict with exactly these keys, each value of its type (a
+    bool is not an int here)."""
+    return (isinstance(obj, dict) and obj.keys() == fields.keys()
+            and all(type(obj[key]) in (t if isinstance(t, tuple) else (t,))
+                    for key, t in fields.items()))
+
+
+def _is_report(report, fingerprint: str) -> bool:
+    """Whether report has the keys and value types of the report
+    ``harness.analyze`` writes for this fingerprint."""
+    if not (_has_fields(report, _REPORT)
+            and report["format"] == CACHE_VERSION
+            and report["fingerprint"] == fingerprint):
+        return False
+    radicals, verdicts = report["radicals"], report["properties"]
+    return (_has_fields(radicals, _RADICALS)
+            and radicals["format"] == RadicalReport.VERSION
+            and all(type(x) is int for key, t in _RADICALS.items()
+                    if t is list for x in radicals[key])
+            and verdicts.keys() == PROPERTY_CHECKS.keys()
+            and all(_has_fields(v, _VERDICT) and v["name"] == name
+                    for name, v in verdicts.items()))
 
 
 class ReportCache:
@@ -58,11 +97,7 @@ class ReportCache:
             return None
         # stale versions, other rings' reports and malformed entries are
         # misses, overwritten on put
-        if not (isinstance(report, dict)
-                and report.get("format") == CACHE_VERSION
-                and report.get("fingerprint") == fingerprint
-                and isinstance(report.get("radicals"), dict)
-                and isinstance(report.get("properties"), dict)):
+        if not _is_report(report, fingerprint):
             self.misses += 1
             return None
         self.hits += 1

@@ -97,7 +97,10 @@ class FiniteRing:
     ``labels`` is a sequence of element names, or a zero-argument callable
     that makes it when ``labels`` is first read.  Values memoized in
     ``_cache``, and the labels, are computed without a lock, so threads
-    sharing a ring may compute one of them twice.
+    sharing a ring may compute one of them twice.  One such thread is the
+    CLI's fingerprint hasher (``cli._with_fingerprint``): it fills
+    ``_fingerprint`` beside the main thread's work, which reads the digest
+    only after joining it.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "_labels", "name",
@@ -294,13 +297,23 @@ def canonical_fingerprint(R: FiniteRing) -> str:
     contribute.
     """
     if R._fingerprint is None:
-        h = hashlib.sha256()
-        h.update(f"ring-fp-v1 {R.order} {R.zero} {R.one}".encode())
-        # hash the table buffers in place: a copy of each is 4 n^2 bytes
-        h.update(np.ascontiguousarray(R.add, dtype="<i4"))
-        h.update(np.ascontiguousarray(R.mul, dtype="<i4"))
-        R._fingerprint = h.hexdigest()
+        _memoize_fingerprint(R)
     return R._fingerprint
+
+
+def _memoize_fingerprint(R: FiniteRing) -> None:
+    """Hash R's tables into ``R._fingerprint``.
+
+    The CLI runs this on a second thread, under its private name: the
+    outside-in tracer of ``perfbench/tracing.py`` wraps public functions
+    only, and its spans assume one thread.
+    """
+    h = hashlib.sha256()
+    h.update(f"ring-fp-v1 {R.order} {R.zero} {R.one}".encode())
+    # hash the table buffers in place: a copy of each is 4 n^2 bytes
+    h.update(np.ascontiguousarray(R.add, dtype="<i4"))
+    h.update(np.ascontiguousarray(R.mul, dtype="<i4"))
+    R._fingerprint = h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

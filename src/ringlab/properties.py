@@ -33,9 +33,10 @@ decides each form in two steps:
   not nilpotent) has its set's table with every bit flipped, so it shares
   the set's classes instead of sorting a table of its own.
 * the least (b, c), from the boolean plane of that a, evaluated on the
-  tables directly, so every witness is the one a plain scan finds.  A
-  packed hit that the boolean plane does not confirm raises
-  InternalCheckError.
+  tables directly, so every witness is the one a plain scan finds.  Each
+  product of the plane is a gather of whole rows of R.mul, of its column
+  a or of a block of its columns, in row chunks of b.  A packed hit that
+  the boolean plane does not confirm raises InternalCheckError.
 
 Exchange and semiperiodicity ask one question per element a and take a in
 blocks of 1, 4, 16, ... up to the same byte budget: column scatters of
@@ -402,11 +403,37 @@ def _first_witness(R: FiniteRing, form: TripleForm) -> Optional[dict]:
     return None
 
 
+def _word_plane(R: FiniteRing, word: str, a: int, rows: slice) -> np.ndarray:
+    """The word's products at a, for b in rows and every c: b runs down the
+    rows, c along them (one column if the word has no c).
+
+    Each product is a gather of whole rows: the first pair reads R.mul[a],
+    R.mul[:, a], the rows R.mul[rows] or the column block R.mul[:, rows],
+    and a third letter a, c or b gathers R.mul[:, a], rows of R.mul or rows
+    of the column block at the pair's values.
+    """
+    mul = R.mul
+    x = {"ab": mul[a, rows, None], "ba": mul[rows, a, None],
+         "ac": mul[None, a], "ca": mul[None, :, a],
+         "bc": mul[rows], "cb": mul[:, rows].T}[word[:2]]     # views
+    if len(word) == 2:
+        return x
+    last = word[2]
+    if last == "a":
+        return mul[:, a].take(x)
+    if last == "c":                     # x depends on b alone
+        return mul.take(x[:, 0], axis=0)
+    return mul[:, rows].take(x[0], axis=0).T    # x depends on c alone
+
+
 def _least_bc(R: FiniteRing, form: TripleForm, a: int) -> tuple[int, int]:
     """The least (b, c) on the boolean plane of a, read in row chunks."""
-    idx = np.arange(R.order)
     for rows in _row_chunks(R.order):
-        plane = _form_plane(R, form, a, idx[rows, None], idx)
+        premise, conclusion = (_members(R, name).take(
+            _word_plane(R, word, a, rows))
+            for name, word in (form.premise, form.conclusion))
+        plane = np.broadcast_to(premise & conclusion,
+                                (rows.stop - rows.start, R.order))
         if plane.any():
             b, c = _first_true(plane)
             return rows.start + b, c

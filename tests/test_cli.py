@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from ringlab import cli
 from ringlab import constructions as cons
 from ringlab import exprs
 from ringlab import harness
+from ringlab import properties as props
 from ringlab.core import MAX_ORDER, BadArgumentError, canonical_fingerprint
 
 
@@ -86,6 +90,93 @@ def test_prop_exit_codes(capsys):
     assert code == 0
     code, _, err = run(capsys, "prop", "bogus", "Z(2)")
     assert code == 2 and "bogus" in err
+
+
+@pytest.fixture
+def hashers(monkeypatch):
+    """The thread of each hasher the CLI starts, each slowed down so that
+    one left unjoined is still alive when main returns."""
+    threads = []
+    memoize = cli._memoize_fingerprint
+
+    def slow_memoize(R):
+        threads.append(threading.current_thread())
+        time.sleep(0.05)
+        memoize(R)
+    monkeypatch.setattr(cli, "_memoize_fingerprint", slow_memoize)
+    return threads
+
+
+@pytest.mark.parametrize("name, expr, threaded", [
+    ("semicommutative", "Prod(Z(32), Z(32))", True),
+    ("nj_symmetric", "T(2, Z(4))", False)], ids=["thread", "inline"])
+def test_prop_json_fingerprint_is_that_of_a_fresh_build(capsys, hashers,
+                                                        name, expr, threaded):
+    R = exprs.build(expr)
+    assert (R.add.nbytes + R.mul.nbytes >= cli.HASH_THREAD_BYTES) is threaded
+    code, out, _ = run(capsys, "prop", name, expr, "--json")
+    assert code == 0
+    assert json.loads(out)["fingerprint"] == canonical_fingerprint(R)
+    assert len(hashers) == threaded
+    assert threading.main_thread() not in hashers
+
+
+def _raising_check(R):
+    raise RuntimeError("a check that raises")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["prop", "nj_symmetric", "T(2, Z(4))", "--json"], 0),
+    (["prop", "nj_symmetric", "M(2, Z(2))", "--json"], 1),
+    (["prop", "nope", "Z(2)", "--json"], 2),
+    (["prop", "nj_symmetric", "Z(2)", "--json"], None),
+    (["ideals", "M(2, Z(2))", "--json"], 0)],
+    ids=["holds", "fails", "unknown-property", "check-raises", "ideals"])
+def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
+    # every ring on the hasher thread
+    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
+    before = threading.active_count()
+    if code is None:
+        monkeypatch.setitem(props.PROPERTY_CHECKS, "nj_symmetric",
+                            _raising_check)
+        with pytest.raises(RuntimeError, match="a check that raises"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+    assert threading.active_count() == before
+    assert len(hashers) == 1 and hashers[0] is not threading.main_thread()
+
+
+def test_hashers_beside_their_work_under_contention():
+    # more callers than cores, each with a hasher, switching threads often:
+    # every caller gets its verdict and the serial digest
+    from ringlab.core import FiniteRing
+    R = exprs.build("Prod(Z(16), Z(32))")
+    want = (True, canonical_fingerprint(R))
+    results = []
+
+    def call():
+        S = FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
+        results.append(cli._with_fingerprint(
+            S, lambda: props.check_property(S, "semicommutative").holds))
+    callers = [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert results == [want] * 4
+
+
+def test_ideals_json_is_the_same_from_either_thread(capsys, monkeypatch):
+    inline = run(capsys, "ideals", "T(2, Z(4))", "--json")
+    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
+    assert run(capsys, "ideals", "T(2, Z(4))", "--json") == inline
 
 
 def test_parse_error_exits_2(capsys):
@@ -236,17 +327,45 @@ def test_cache_flag_round_trip(tmp_path, capsys):
     assert a == b
 
 
-@pytest.mark.parametrize("body", [[], "x", {"format": "analysis v1"},
-                                  {"format": "analysis v1", "radicals": {}},
-                                  "the report of Z(2)"],
-                         ids=["list", "string", "format", "no-properties",
-                              "other-ring"])
+def _z6_report_with(change):
+    """Z(6)'s report, with its real fingerprint, after change(report)."""
+    def body():
+        report = harness.analyze(cons.zmod(6))
+        change(report)
+        return report
+    return body
+
+
+def _drop_one_property(report):
+    del report["properties"][sorted(report["properties"])[0]]
+
+
+@pytest.mark.parametrize("body", [
+    [], "x", {"format": "analysis v1"},
+    {"format": "analysis v1", "radicals": {}},
+    lambda: harness.analyze(cons.zmod(2)),
+    _z6_report_with(lambda r: (r["radicals"].clear(),
+                               r["properties"].clear())),
+    _z6_report_with(_drop_one_property),
+    _z6_report_with(lambda r: r.update(extra=1)),
+    _z6_report_with(lambda r: r["radicals"].update(extra=[])),
+    _z6_report_with(lambda r: r["properties"]["reduced"].update(extra=1)),
+    _z6_report_with(lambda r: r.update(order="6")),
+    _z6_report_with(lambda r: r["radicals"].update(jacobson=3)),
+    _z6_report_with(lambda r: r["radicals"].update(units=["1", "5"])),
+    _z6_report_with(lambda r: r["properties"]["reduced"].update(holds=1)),
+    _z6_report_with(lambda r: r["properties"]["reduced"].update(witness=[])),
+    _z6_report_with(lambda r: r["properties"]["reduced"].update(name="x")),
+], ids=["list", "string", "format", "no-properties", "other-ring",
+        "emptied", "truncated", "extra-key", "extra-radical",
+        "extra-verdict-key", "order-type", "jacobson-type",
+        "units-item-type", "holds-type", "witness-type", "verdict-name"])
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, body, flags):
     from ringlab.cache import ReportCache
     fp = canonical_fingerprint(cons.zmod(6))
-    if body == "the report of Z(2)":
-        body = harness.analyze(cons.zmod(2))
+    if callable(body):
+        body = body()
     path = ReportCache(tmp_path)._path(fp)
     path.write_text(json.dumps(body))
     code, got, err = run(capsys, "analyze", "Z(6)", *flags,
@@ -256,6 +375,16 @@ def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, body, flags):
                               "--no-cache")[:2]
     # the miss wrote Z(6)'s report over the entry
     assert json.loads(path.read_text()) == harness.analyze(cons.zmod(6))
+
+
+def test_analyze_reports_are_cache_hits(tmp_path):
+    # every report analyze writes passes the cache's check of its fields
+    from ringlab.cache import ReportCache
+    cache = ReportCache(tmp_path)
+    for R in harness.default_corpus(max_order=64).rings:
+        harness.analyze(R, cache=cache)
+        assert harness.analyze(R, cache=cache) == harness.analyze(R), R.name
+    assert cache.hits == cache.misses
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

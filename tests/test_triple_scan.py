@@ -182,6 +182,47 @@ def test_failing_rings_match_oracle_in_every_form(expr, monkeypatch):
         assert props.nj_symmetric_forms(S) == want["nj_symmetric"]
 
 
+# -- the least (b, c) of a witness plane ---------------------------------------
+
+#: Rings beyond the default corpus whose acb, cba and ab forms have
+#: witnesses, up to order 1024, where a plane takes many row chunks.
+_WITNESS_RINGS = ("Prod(M(2, Z(2)), T(2, Z(4)))", "M(2, Z(4))", "M(2, Z(5))",
+                  "T(3, Z(2))", "WSC(0)", "CD(4, Z(2))",
+                  "SkewTrunc(Prod(Z(2), Z(2)), swap, 4)")
+
+
+def _flat_index_bc(R: FiniteRing, form, a: int) -> tuple[int, int]:
+    """The least (b, c) of a's plane through _form_plane's flat index."""
+    idx = np.arange(R.order)
+    return _first_true(props._form_plane(R, form, a, idx[:, None], idx))
+
+
+def test_least_bc_matches_flat_index_plane(monkeypatch):
+    from ringlab import exprs
+    rings = _DEFAULT + [exprs.build(e) for e in _WITNESS_RINGS]
+    # witnesses at the default budget, then the same planes one row a chunk
+    cases = [(R, form, w) for R in rings
+             for name, forms in props.TRIPLE_FORMS.items()
+             for form, w in zip(forms, props._form_witnesses(R, name))
+             if w is not None]
+    monkeypatch.setattr(props, "_BLOCK_BYTES", 64)
+    for R, form, w in cases:
+        a, b, c = (w[r] for r in form.roles)
+        want = _flat_index_bc(R, form, a)
+        assert (b, c) == want == props._least_bc(R, form, a), (R.name, form)
+    # every form of TRIPLE_FORMS has a witness on some ring
+    assert {form for _, form, _ in cases} == {
+        f for forms in props.TRIPLE_FORMS.values() for f in forms}
+
+
+def test_least_bc_of_a_plane_without_witness_raises():
+    # in Z(2), a = 0 has abc = bac = 0 for every (b, c): no symmetric witness
+    from ringlab import exprs
+    with pytest.raises(props.InternalCheckError, match="a=0"):
+        props._least_bc(exprs.build("Z(2)"),
+                        props.TRIPLE_FORMS["symmetric"][0], 0)
+
+
 # -- the scan plan -------------------------------------------------------------
 
 #: The definitional planes [b, c] of each product, and its element sets.
