@@ -16,23 +16,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
-
-from .invariants import RadicalReport
-from .properties import PROPERTY_CHECKS
+from typing import Callable, Optional
 
 CACHE_VERSION = "analysis v1"
-
-#: The fields of a report as ``harness.analyze`` writes it, each with its
-#: type: the radicals as ``RadicalReport.to_dict`` writes them, and a
-#: verdict per registered property as ``PropertyVerdict.to_dict`` does.
-_REPORT = {"format": str, "ring": str, "order": int, "fingerprint": str,
-           "radicals": dict, "properties": dict}
-_RADICALS = {"format": str, "ring": str, "order": int,
-             **dict.fromkeys(("units", "nilpotents", "idempotents", "center",
-                              "jacobson", "lower_nil", "upper_nil"), list)}
-_VERDICT = {"name": str, "holds": bool, "witness": (dict, type(None)),
-            "method": str}
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,31 +39,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "ringlab"
 
 
-def _has_fields(obj, fields: dict) -> bool:
-    """obj is a dict with exactly these keys, each value of its type (a
-    bool is not an int here)."""
-    return (isinstance(obj, dict) and obj.keys() == fields.keys()
-            and all(type(obj[key]) in (t if isinstance(t, tuple) else (t,))
-                    for key, t in fields.items()))
-
-
-def _is_report(report, fingerprint: str) -> bool:
-    """Whether report has the keys and value types of the report
-    ``harness.analyze`` writes for this fingerprint."""
-    if not (_has_fields(report, _REPORT)
-            and report["format"] == CACHE_VERSION
-            and report["fingerprint"] == fingerprint):
-        return False
-    radicals, verdicts = report["radicals"], report["properties"]
-    return (_has_fields(radicals, _RADICALS)
-            and radicals["format"] == RadicalReport.VERSION
-            and all(type(x) is int for key, t in _RADICALS.items()
-                    if t is list for x in radicals[key])
-            and verdicts.keys() == PROPERTY_CHECKS.keys()
-            and all(_has_fields(v, _VERDICT) and v["name"] == name
-                    for name, v in verdicts.items()))
-
-
 class ReportCache:
     def __init__(self, directory: Optional[Path] = None):
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -87,7 +48,10 @@ class ReportCache:
     def _path(self, fingerprint: str) -> Path:
         return self.directory / f"{fingerprint}.{code_version()}.json"
 
-    def get(self, fingerprint: str) -> Optional[dict]:
+    def get(self, fingerprint: str,
+            valid: Optional[Callable[[dict], bool]] = None) -> Optional[dict]:
+        """The report stored under fingerprint, or None.  valid is the
+        writer's check of a report's fields; an entry it rejects is a miss."""
         path = self._path(fingerprint)
         try:
             with open(path) as f:
@@ -97,7 +61,10 @@ class ReportCache:
             return None
         # stale versions, other rings' reports and malformed entries are
         # misses, overwritten on put
-        if not _is_report(report, fingerprint):
+        if not (isinstance(report, dict)
+                and report.get("format") == CACHE_VERSION
+                and report.get("fingerprint") == fingerprint
+                and (valid is None or valid(report))):
             self.misses += 1
             return None
         self.hits += 1

@@ -647,6 +647,20 @@ def search_counterexample(hypotheses: list, negated_conclusion: str,
     return SearchResult(None, None, examined)
 
 
+def _is_report(entry: dict) -> bool:
+    """Whether a cached entry has exactly the keys and value types of the
+    report ``analyze`` writes: the radicals and every property's verdict."""
+    verdicts = entry.get("properties")
+    return (entry.keys() == {"format", "ring", "order", "fingerprint",
+                             "radicals", "properties"}
+            and type(entry["ring"]) is str and type(entry["order"]) is int
+            and inv.RadicalReport.is_dict(entry["radicals"])
+            and type(verdicts) is dict
+            and verdicts.keys() == props.PROPERTY_CHECKS.keys()
+            and all(props.PropertyVerdict.is_dict(v) and v["name"] == name
+                    for name, v in verdicts.items()))
+
+
 def analyze(R: FiniteRing, cache=None) -> dict:
     """Full report: radicals plus every property verdict.
 
@@ -656,7 +670,7 @@ def analyze(R: FiniteRing, cache=None) -> dict:
     """
     fp = canonical_fingerprint(R)
     if cache is not None:
-        hit = cache.get(fp)
+        hit = cache.get(fp, valid=_is_report)
         if hit is not None:
             # the key is the tables alone, so equal tables under another
             # name hit: the report names the ring it was asked about

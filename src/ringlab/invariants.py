@@ -427,35 +427,33 @@ class RadicalReport:
     upper_nil: int
 
     VERSION = "radical v1"
+    #: The fields written as lists of element indices, in to_dict's order.
+    SETS = ("units", "nilpotents", "idempotents", "center", "jacobson",
+            "lower_nil", "upper_nil")
 
     def to_dict(self) -> dict:
-        return {
-            "format": self.VERSION,
-            "ring": self.ring_name,
-            "order": self.order,
-            "units": mask_indices(self.units),
-            "nilpotents": mask_indices(self.nilpotents),
-            "idempotents": mask_indices(self.idempotents),
-            "center": mask_indices(self.center),
-            "jacobson": mask_indices(self.jacobson),
-            "lower_nil": mask_indices(self.lower_nil),
-            "upper_nil": mask_indices(self.upper_nil),
-        }
+        return {"format": self.VERSION, "ring": self.ring_name,
+                "order": self.order,
+                **{key: mask_indices(getattr(self, key)) for key in self.SETS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RadicalReport":
         if d.get("format") != cls.VERSION:
             raise ValueError(f"unsupported radical report format: {d.get('format')}")
-        return cls(
-            ring_name=d["ring"], order=d["order"],
-            units=mask_from_indices(d["units"]),
-            nilpotents=mask_from_indices(d["nilpotents"]),
-            idempotents=mask_from_indices(d["idempotents"]),
-            center=mask_from_indices(d["center"]),
-            jacobson=mask_from_indices(d["jacobson"]),
-            lower_nil=mask_from_indices(d["lower_nil"]),
-            upper_nil=mask_from_indices(d["upper_nil"]),
-        )
+        return cls(ring_name=d["ring"], order=d["order"],
+                   **{key: mask_from_indices(d[key]) for key in cls.SETS})
+
+    @classmethod
+    def is_dict(cls, d) -> bool:
+        """Whether d has exactly the keys and value types to_dict writes (a
+        bool is not an int here)."""
+        return (type(d) is dict
+                and d.keys() == {"format", "ring", "order", *cls.SETS}
+                and d["format"] == cls.VERSION
+                and type(d["ring"]) is str and type(d["order"]) is int
+                and all(type(d[key]) is list
+                        and set(map(type, d[key])) <= {int}
+                        for key in cls.SETS))
 
 
 def radical_report(R: FiniteRing) -> RadicalReport:

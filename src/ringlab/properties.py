@@ -86,6 +86,16 @@ class PropertyVerdict:
         return {"name": self.name, "holds": self.holds,
                 "witness": self.witness, "method": self.method}
 
+    @classmethod
+    def is_dict(cls, d) -> bool:
+        """Whether d has exactly the keys and value types to_dict writes (a
+        bool is not an int here)."""
+        return (type(d) is dict
+                and d.keys() == {"name", "holds", "witness", "method"}
+                and type(d["name"]) is str and type(d["holds"]) is bool
+                and type(d["witness"]) in (dict, type(None))
+                and type(d["method"]) is str)
+
 
 #: Every registered property by name, in registration order.
 PROPERTY_CHECKS: dict[str, Callable[[FiniteRing], PropertyVerdict]] = {}
