@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (MAX_ORDER, BadArgumentError, FiniteRing, Labels,
-                   RingError, RingHom, SizeError, StructureError, mask_indices,
-                   mask_to_bool)
+                   RingError, RingHom, SizeError, StructureError, _span,
+                   _triple_law_violation, mask_indices)
 from .invariants import (NotAnIdealError, _coset_quotient,
                          two_sided_ideal_violation)
 
@@ -424,38 +424,33 @@ def corner(R: FiniteRing, e: int) -> FiniteRing:
         raise NotIdempotentError(f"element {e} is not idempotent")
     if e == R.zero and R.order > 1:
         raise NotIdempotentError("corner at zero is not a unital ring")
-    carrier = np.unique(R.mul[R.mul[e], e])
-    lut = np.full(R.order, -1, dtype=np.int32)
-    lut[carrier] = np.arange(len(carrier))
-    add = lut[R.add[np.ix_(carrier, carrier)]]
-    mul = lut[R.mul[np.ix_(carrier, carrier)]]
-    return FiniteRing(add, mul, int(lut[R.zero]), int(lut[e]),
-                      name=f"Corner({R.name}, {e})")
+    return _restrict(R, np.unique(R.mul[R.mul[e], e]), e,
+                     f"Corner({R.name}, {e})")
 
 
 def subring_generated(R: FiniteRing, seed_mask: int) -> FiniteRing:
-    """Smallest unital subring containing the seed set."""
-    members = mask_to_bool(seed_mask, R.order)
-    members[R.zero] = True
-    members[R.one] = True
-    neg = R.neg_table()
+    """Smallest unital subring containing the seed set: the additive span
+    of 1 and the seed, grown by products of two generators until none is new."""
+    members, gens = _span(R.add, np.arange(R.order) == R.zero,
+                          [R.one] + mask_indices(seed_mask))
     while True:
-        idx = np.flatnonzero(members)
-        new = members.copy()
-        new[R.add[np.ix_(idx, idx)].ravel()] = True
-        new[R.mul[np.ix_(idx, idx)].ravel()] = True
-        new[neg[idx]] = True
-        if (new == members).all():
+        members, new = _span(R.add, members, R.mul[np.ix_(gens, gens)].flat)
+        if not new:
             break
-        members = new
-    carrier = np.flatnonzero(members)
+        gens += new
+    seed = ",".join(str(i) for i in mask_indices(seed_mask))
+    return _restrict(R, np.flatnonzero(members), R.one,
+                     f"Sub({R.name}, [{seed}])")
+
+
+def _restrict(R: FiniteRing, carrier: np.ndarray, one: int,
+              name: str) -> FiniteRing:
+    """R's tables on a sorted carrier closed under them, renumbered 0..k-1."""
     lut = np.full(R.order, -1, dtype=np.int32)
     lut[carrier] = np.arange(len(carrier))
-    add = lut[R.add[np.ix_(carrier, carrier)]]
-    mul = lut[R.mul[np.ix_(carrier, carrier)]]
-    seed = ",".join(str(i) for i in mask_indices(seed_mask))
-    return FiniteRing(add, mul, int(lut[R.zero]), int(lut[R.one]),
-                      name=f"Sub({R.name}, [{seed}])")
+    block = np.ix_(carrier, carrier)
+    return FiniteRing(lut[R.add[block]], lut[R.mul[block]], int(lut[R.zero]),
+                      int(lut[one]), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +517,24 @@ class Bimodule:
             raise StructureError("right action width != |R2|")
         idx = np.arange(m)
         z = self.zero
+        imul = self.internal_mul
         if (add != add.T).any():
             raise BimoduleLawError("carrier addition not commutative")
         bad = ~(add == z).any(axis=1)
         if bad.any():
             raise BimoduleLawError("carrier element with no inverse",
                                    (int(np.argmax(bad)),))
-        for a in range(m):
-            if (add[add[a]] != add[a][add]).any():
-                raise BimoduleLawError("carrier addition not associative", (a,))
+        if require_internal and imul is None:
+            raise BimoduleLawError("internal multiplication required")
+        hit = _triple_law_violation(
+            add, imul if require_internal else np.full((m, m), z), z)
+        if hit is not None:
+            raise BimoduleLawError({
+                "additive associativity": "carrier addition not associative",
+                "multiplicative associativity": "internal mul not associative",
+                "left distributivity": "internal mul not left distributive",
+                "right distributivity": "internal mul not right distributive",
+            }[hit[0]], hit[1])
         # biadditivity
         for r in range(R1.order):
             row = la[r]
@@ -560,20 +564,6 @@ class Bimodule:
         if (ra[:, R2.one] != idx).any():
             raise BimoduleLawError("right action not unital")
         if require_internal:
-            imul = self.internal_mul
-            if imul is None:
-                raise BimoduleLawError("internal multiplication required")
-            for a in range(m):
-                if (imul[imul[a]] != imul[a][imul]).any():
-                    raise BimoduleLawError("internal mul not associative", (a,))
-                row = imul[a]
-                if (row[add] != add[row[:, None], row[None, :]]).any():
-                    raise BimoduleLawError("internal mul not left distributive",
-                                           (a,))
-                col = imul[:, a]
-                if (col[add] != add[col[:, None], col[None, :]]).any():
-                    raise BimoduleLawError(
-                        "internal mul not right distributive", (a,))
             # Dorroh compatibility: (aw)r = a(wr), (ar)w = a(rw), (ra)w = r(aw)
             for r in range(R1.order):
                 if (ra[imul, r] != imul[:, ra[:, r]]).any():

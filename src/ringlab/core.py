@@ -213,16 +213,66 @@ def _first_true(mask2d: np.ndarray) -> tuple:
     return tuple(int(x) for x in np.unravel_index(flat, mask2d.shape))
 
 
-def verify_axioms(R: FiniteRing, sample_triples: Optional[int] = None,
-                  seed: int = 0) -> AxiomReport:
-    """Check the ring axioms, returning the first violated axiom.
+def _span(add: np.ndarray, members: np.ndarray,
+          candidates: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """Grow the additive subgroup ``members`` by each candidate outside it,
+    in order, by one gather of h + k*g; returns the span and the candidates
+    taken.  The walk through g's multiples k*g ends at its first repeat, so a
+    table that is not a group still ends."""
+    members, gens = members.copy(), []
+    candidates = np.asarray(candidates, dtype=np.intp)
+    while len(candidates := candidates[~members[candidates]]):
+        g = m = int(candidates[0])
+        gens.append(g)
+        multiples = {m}
+        while (m := int(add[m, g])) not in multiples:
+            multiples.add(m)
+        members[add[np.ix_(np.flatnonzero(members), list(multiples))]] = True
+    return members, gens
 
-    Pairwise axioms (identities, commutativity, inverses) are always checked
-    exhaustively.  The O(n^3) triple axioms (associativity, distributivity)
-    are exhaustive by default; pass ``sample_triples`` to check that many
-    seeded random triples instead (for large orders).
 
-    The reported witness is the lexicographically least violating tuple.
+#: The triple laws in report order: where the tables break each at (a, b, c).
+_TRIPLE_LAWS = {
+    "additive associativity":
+        lambda add, mul, a, b, c: add[add[a, b], c] != add[a, add[b, c]],
+    "multiplicative associativity":
+        lambda add, mul, a, b, c: mul[mul[a, b], c] != mul[a, mul[b, c]],
+    "left distributivity":
+        lambda add, mul, a, b, c: mul[a, add[b, c]] != add[mul[a, b], mul[a, c]],
+    "right distributivity":
+        lambda add, mul, a, b, c: mul[add[b, c], a] != add[mul[b, a], mul[c, a]],
+}
+
+
+def _triple_law_violation(add: np.ndarray, mul: np.ndarray,
+                          zero: int) -> Optional[tuple[str, tuple]]:
+    """The first broken triple law and its least witness (a, b, c), or None,
+    for an ``add`` already commutative with identity ``zero`` and inverses.
+    Additive generators G decide the laws: the g with (x + y) + g =
+    x + (y + g) for all x, y are closed under +, and so, once + associates,
+    are the c of each distributive law; under both, (ab)c - a(bc) is
+    additive in each letter, so G^3 decides it.  Only a table that breaks a
+    law is scanned on every triple, for the witness."""
+    idx = np.arange(add.shape[0])
+    x, y = idx[:, None], idx[None, :]
+    g = np.array(_span(add, idx == zero, idx)[1], dtype=np.intp)
+    if not (any(_TRIPLE_LAWS[law](add, mul, x, y, c).any() for law in (
+            "additive associativity", "left distributivity",
+            "right distributivity") for c in g)
+            or _TRIPLE_LAWS["multiplicative associativity"](
+                add, mul, g[:, None, None], g[None, :, None], g).any()):
+        return None
+    for law, bad_at in _TRIPLE_LAWS.items():
+        for a in idx:
+            bad = bad_at(add, mul, a, x, y)
+            if bad.any():
+                return law, (int(a),) + _first_true(bad)
+
+
+def verify_axioms(R: FiniteRing) -> AxiomReport:
+    """Check the ring axioms exactly, returning the first violated axiom
+    with its lexicographically least witness.  The triple axioms
+    (associativity, distributivity) are decided by ``_triple_law_violation``.
     """
     n = R.order
     add, mul = R.add, R.mul
@@ -243,51 +293,8 @@ def verify_axioms(R: FiniteRing, sample_triples: Optional[int] = None,
     if bad.any():
         return AxiomReport(False, "multiplicative identity",
                            (int(np.argmax(bad)),))
-
-    if sample_triples is None:
-        for a in range(n):
-            bad = add[add[a]] != add[a][add]
-            if bad.any():
-                b, c = _first_true(bad)
-                return AxiomReport(False, "additive associativity", (a, b, c))
-        for a in range(n):
-            bad = mul[mul[a]] != mul[a][mul]
-            if bad.any():
-                b, c = _first_true(bad)
-                return AxiomReport(False, "multiplicative associativity",
-                                   (a, b, c))
-        for a in range(n):
-            row = mul[a]
-            bad = row[add] != add[row[:, None], row[None, :]]
-            if bad.any():
-                b, c = _first_true(bad)
-                return AxiomReport(False, "left distributivity", (a, b, c))
-        for a in range(n):
-            col = mul[:, a]
-            bad = col[add] != add[col[:, None], col[None, :]]
-            if bad.any():
-                b, c = _first_true(bad)
-                return AxiomReport(False, "right distributivity", (a, b, c))
-    else:
-        rng = np.random.default_rng(seed)
-        t = rng.integers(0, n, size=(int(sample_triples), 3))
-        a, b, c = t[:, 0], t[:, 1], t[:, 2]
-        checks = [
-            ("additive associativity", add[add[a, b], c] != add[a, add[b, c]]),
-            ("multiplicative associativity",
-             mul[mul[a, b], c] != mul[a, mul[b, c]]),
-            ("left distributivity",
-             mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]),
-            ("right distributivity",
-             mul[add[b, c], a] != add[mul[b, a], mul[c, a]]),
-        ]
-        for axiom, bad in checks:
-            if bad.any():
-                hits = np.flatnonzero(bad)
-                triples = sorted((int(a[i]), int(b[i]), int(c[i]))
-                                 for i in hits)
-                return AxiomReport(False, axiom, triples[0])
-    return AxiomReport(True)
+    hit = _triple_law_violation(add, mul, R.zero)
+    return AxiomReport(True) if hit is None else AxiomReport(False, *hit)
 
 
 def canonical_fingerprint(R: FiniteRing) -> str:

@@ -219,7 +219,7 @@ def _skew_map(node: Node, R: FiniteRing, spec,
         base = node.args[0]
         if not (isinstance(base, Node) and base.name == "Prod"):
             raise ExprError("swap needs a Prod(...) base ring", spec.offset)
-        n = int(round(R.order ** 0.5))
+        n = evaluate(base.args[0]).order
         if n * n != R.order:
             raise ExprError("swap needs equal-order factors", spec.offset)
         return cons._swap_map(n), "swap"

@@ -112,7 +112,7 @@ def default_corpus(max_order: int = MAX_ORDER) -> Corpus:
             bases.append(build(max_order=max_order))
         except SizeError as e:
             skipped.append((name, str(e)))
-    corners = [cons.corner(R, e) for R in bases
+    corners = [_corner(R, e) for R in bases
                for e in mask_indices(inv.idempotents(R))
                if e != R.zero or R.order == 1]
     # R itself when J = 0, which the deduplication drops
@@ -121,6 +121,11 @@ def default_corpus(max_order: int = MAX_ORDER) -> Corpus:
     for R in bases + corners + quotients:
         first.setdefault(canonical_fingerprint(R), R)
     return Corpus(list(first.values()), skipped)
+
+
+def _corner(R: FiniteRing, e: int) -> FiniteRing:
+    """``cons.corner(R, e)`` memoized on R; a corner holds no reference to R."""
+    return inv._cached(R, f"corner_{e}", lambda: cons.corner(R, e))
 
 
 def random_corpus(seed: int, count: int,
@@ -323,7 +328,7 @@ def _rule_r14(R: FiniteRing):
     for e in mask_indices(inv.idempotents(R)):
         if e == R.zero and R.order > 1:
             continue
-        ok = _holds(cons.corner(R, e), "nj_symmetric")
+        ok = _holds(_corner(R, e), "nj_symmetric")
         if lhs and not ok:
             return "fail", {"direction": "ring->corner", "e": e}
         corners_nj.append(ok)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (BadArgumentError, FiniteRing, RingError, _first_true,
-                   mask_contains, mask_from_bool, mask_from_indices,
+                   _span, mask_contains, mask_from_bool, mask_from_indices,
                    mask_indices, mask_to_bool)
 
 DEFAULT_LATTICE_CAP = 20000
@@ -108,9 +108,19 @@ def idempotents(R: FiniteRing) -> int:
     return mask_from_bool(idempotents_bool(R))
 
 
+def _additive_generators(R: FiniteRing) -> np.ndarray:
+    """R's additive generators, least first: each is the least element
+    outside the subgroup its predecessors generate."""
+    idx = np.arange(R.order)
+    return _cached(R, "add_gens", lambda: np.array(
+        _span(R.add, idx == R.zero, idx)[1], dtype=np.intp))
+
+
 def center_bool(R: FiniteRing) -> np.ndarray:
     def compute():
-        c = (R.mul == R.mul.T).all(axis=1)
+        # x commutes with all of R once it commutes with its generators
+        g = _additive_generators(R)
+        c = (R.mul[:, g] == R.mul[g].T).all(axis=1)
         c.setflags(write=False)
         return c
     return _cached(R, "center_b", compute)
@@ -152,18 +162,17 @@ def jacobson_radical(R: FiniteRing) -> int:
 # ---------------------------------------------------------------------------
 
 def two_sided_ideal_generated(R: FiniteRing, S: int) -> int:
-    """Close a subset under addition and left and right multiples."""
-    members = mask_to_bool(S, R.order)
-    members[R.zero] = True
+    """Close a subset under addition and left and right multiples: its
+    additive span, grown by g*r and r*g for its generators g and R's
+    additive generators r until none is new."""
+    r = _additive_generators(R)
+    members, gens = _span(R.add, np.arange(R.order) == R.zero, mask_indices(S))
     while True:
-        idx = np.flatnonzero(members)
-        new = members.copy()
-        new[R.add[np.ix_(idx, idx)].ravel()] = True
-        new[R.mul[:, idx].ravel()] = True
-        new[R.mul[idx, :].ravel()] = True
-        if (new == members).all():
+        members, new = _span(R.add, members, np.append(
+            R.mul[np.ix_(gens, r)], R.mul[np.ix_(r, gens)]))
+        if not new:
             return mask_from_bool(members)
-        members = new
+        gens += new
 
 
 def subgroup_violation(R: FiniteRing, mask: int) -> Optional[tuple]:

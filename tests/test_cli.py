@@ -185,6 +185,17 @@ def test_parse_error_exits_2(capsys):
     assert "offset 4" in err
 
 
+def test_swap_needs_factors_of_equal_order(capsys):
+    # |R| = 4 is a square, but the factors have orders 1 and 4
+    code, out, err = run(capsys, "prop", "nj_symmetric",
+                         "SkewTrunc(Prod(Z(1), Prod(Z(2), Z(2))), swap, 2)")
+    assert (code, out) == (2, "")
+    assert "swap needs equal-order factors" in err
+    # a second factor of the first's order builds, however it is written
+    R = exprs.build("SkewTrunc(Prod(Z(3), Prod(Z(1), Z(3))), swap, 2)")
+    assert R.order == 81
+
+
 def test_analyze_json_schema(capsys):
     code, out, _ = run(capsys, "analyze", "Z(4)", "--json", "--no-cache")
     assert code == 0

@@ -142,6 +142,43 @@ def test_subring_generated():
     assert S.order == 8
 
 
+def subring_closure(R, seed_mask):
+    """The unital subring a seed set generates, by all-pairs sums and
+    products: the oracle for ``subring_generated``."""
+    members = core.mask_to_bool(seed_mask, R.order)
+    members[[R.zero, R.one]] = True
+    while True:
+        idx = np.flatnonzero(members)
+        new = members.copy()
+        new[R.add[np.ix_(idx, idx)].ravel()] = True
+        new[R.mul[np.ix_(idx, idx)].ravel()] = True
+        new[R.neg_table()[idx]] = True
+        if (new == members).all():
+            return core.mask_from_bool(members)
+        members = new
+
+
+def test_generated_subrings_match_the_all_pairs_closure():
+    from ringlab import exprs, harness
+    rng = np.random.default_rng(18)
+    rings = (harness.default_corpus().rings
+             + [exprs.build(e) for e in ("M(2, Z(4))", "M(3, Z(2))")])
+    orders = set()
+    for R in rings:
+        for size in (1, 1, 2, 3):
+            seed = mask_from_indices(rng.integers(R.order, size=size).tolist())
+            S = cons.subring_generated(R, seed)
+            carrier = np.array(mask_indices(subring_closure(R, seed)))
+            assert S.order == len(carrier), R.name
+            # the subring's tables are R's, renumbered along the carrier
+            block = np.ix_(carrier, carrier)
+            assert (carrier[S.add] == R.add[block]).all(), R.name
+            assert (carrier[S.mul] == R.mul[block]).all(), R.name
+            assert carrier[S.zero] == R.zero and carrier[S.one] == R.one
+            orders.add((R.order, S.order))
+    assert any(s not in (1, r) for r, s in orders)
+
+
 def test_formal_triangular_matches_upper_triangular():
     Z2 = cons.zmod(2)
     T = cons.formal_triangular(Z2, Z2, cons.ring_bimodule(Z2))
@@ -220,6 +257,28 @@ def test_bimodule_validation_catches_broken_action():
                         internal_mul=M.internal_mul.copy())
     with pytest.raises(cons.BimoduleLawError):
         bad.validate(Z2, Z2)
+
+
+@pytest.mark.parametrize("table, message", [
+    ("add", "carrier addition not associative"),
+    ("internal_mul", "internal mul not associative")])
+def test_bimodule_validation_catches_a_poisoned_carrier_law(table, message):
+    # 2Z4 inside Z(8) as a (Z8, Z8)-bimodule and general ring; a changed
+    # diagonal cell keeps the carrier's addition commutative with inverses
+    Z8 = cons.zmod(8)
+    M = cons.ideal_bimodule(Z8, mask_from_indices([0, 2, 4, 6]))
+    M.validate(Z8, Z8, require_internal=True)
+    poisoned = getattr(M, table).copy()
+    poisoned[1, 1] = {"add": 0, "internal_mul": 1}[table]
+    bad = cons.Bimodule(**{"add": M.add, "left_act": M.left_act,
+                           "right_act": M.right_act,
+                           "internal_mul": M.internal_mul, table: poisoned})
+    with pytest.raises(cons.BimoduleLawError, match=message) as e:
+        bad.validate(Z8, Z8, require_internal=True)
+    a, b, c = e.value.witness
+    add, mul = bad.add, bad.internal_mul
+    assert (add[add[a, b], c] != add[a, add[b, c]]
+            or mul[mul[a, b], c] != mul[a, mul[b, c]])
 
 
 @pytest.mark.parametrize("table, value", [

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringlab import core
 from ringlab.constructions import direct_product, matrix_ring, zmod
+from ringlab.exprs import build
 
 
 def test_zmod_tables_are_read_only():
@@ -63,16 +64,115 @@ def test_axioms_identity_failure_reported_before_associativity():
     assert report.witness == (1,)
 
 
-def test_sampled_axioms_pass_and_catch_bugs():
+def exhaustive_axioms(R: core.FiniteRing) -> core.AxiomReport:
+    """The ring axioms checked on every pair and every triple: the oracle
+    for ``verify_axioms``, which decides the triple laws on generators."""
+    n = R.order
+    add, mul = R.add, R.mul
+    idx = np.arange(n)
+    bad = add[R.zero] != idx
+    if bad.any():
+        return core.AxiomReport(False, "additive identity",
+                                (int(np.argmax(bad)),))
+    bad = add != add.T
+    if bad.any():
+        return core.AxiomReport(False, "additive commutativity",
+                                core._first_true(bad))
+    bad = ~(add == R.zero).any(axis=1)
+    if bad.any():
+        return core.AxiomReport(False, "additive inverse",
+                                (int(np.argmax(bad)),))
+    bad = (mul[R.one] != idx) | (mul[:, R.one] != idx)
+    if bad.any():
+        return core.AxiomReport(False, "multiplicative identity",
+                                (int(np.argmax(bad)),))
+    laws = [
+        ("additive associativity", lambda a: add[add[a]] != add[a][add]),
+        ("multiplicative associativity",
+         lambda a: mul[mul[a]] != mul[a][mul]),
+        ("left distributivity",
+         lambda a: mul[a][add] != add[mul[a][:, None], mul[a][None, :]]),
+        ("right distributivity",
+         lambda a: mul[:, a][add] != add[mul[:, a][:, None],
+                                         mul[:, a][None, :]]),
+    ]
+    for axiom, bad_at in laws:
+        for a in range(n):
+            bad = bad_at(a)
+            if bad.any():
+                return core.AxiomReport(False, axiom,
+                                        (a,) + core._first_true(bad))
+    return core.AxiomReport(True)
+
+
+def _poisoned(R, table, i, j, value):
+    tables = {"add": R.add.copy(), "mul": R.mul.copy()}
+    tables[table][i, j] = value
+    return core.FiniteRing(**tables, zero=R.zero, one=R.one, name="poisoned")
+
+
+def test_axioms_pass_and_catch_a_poisoned_cell():
     R = matrix_ring(zmod(3), 2)
-    assert core.verify_axioms(R, sample_triples=2000, seed=42).ok
-    mul = R.mul.copy()
-    mul[5, 7] = (mul[5, 7] + 1) % R.order
-    broken = core.FiniteRing(add=R.add.copy(), mul=mul,
-                             zero=R.zero, one=R.one, name="broken")
-    # with enough samples the poisoned cell is hit almost surely
-    report = core.verify_axioms(broken, sample_triples=200000, seed=0)
+    assert core.verify_axioms(R).ok
+    broken = _poisoned(R, "mul", 5, 7, (R.mul[5, 7] + 1) % R.order)
+    report = core.verify_axioms(broken)
     assert not report.ok
+    assert report == exhaustive_axioms(broken)
+
+
+POISONED_BASES = ["Z(4)", "Z(6)", "Z(9)", "Prod(Z(2), Z(2))", "T(2, Z(2))",
+                  "SkewTrunc(Z(2), id, 3)", "M(2, Z(2))", "CD(2, Z(4))",
+                  "Prod(Z(4), Z(2))", "T(2, Z(3))"]
+
+
+def test_axioms_match_the_exhaustive_check_on_poisoned_tables():
+    # one cell of one table changed at a time; a changed add cell on the
+    # diagonal keeps + commutative, so those reach the triple laws too
+    rng = np.random.default_rng(18)
+    reached = set()
+    for k in range(1200):
+        R = build(POISONED_BASES[k % len(POISONED_BASES)])
+        n = R.order
+        table = ("mul", "add")[k % 2]
+        i = int(rng.integers(n))
+        j = i if table == "add" and k % 4 == 1 else int(rng.integers(n))
+        old = int(getattr(R, table)[i, j])
+        broken = _poisoned(R, table, i, j, (old + 1 + rng.integers(n - 1)) % n)
+        got, want = core.verify_axioms(broken), exhaustive_axioms(broken)
+        assert got == want, (R.name, table, i, j)
+        reached.add(want.axiom)
+    assert {"additive associativity", "multiplicative associativity",
+            "left distributivity"} <= reached
+    # a changed cell never breaks right distributivity alone, nor
+    # associativity while both distributive laws hold; these rings do
+    for R, law in ((_near_ring(False), "left distributivity"),
+                   (_near_ring(True), "right distributivity"),
+                   (_nonassociative_algebra(), "multiplicative associativity")):
+        assert core.verify_axioms(R) == exhaustive_axioms(R)
+        assert exhaustive_axioms(R).axiom == law
+
+
+def _nonassociative_algebra() -> core.FiniteRing:
+    """The Z(2)-algebra on 1, x, y with x*x = y, x*y = 1 and y*x = y*y = 0,
+    element bits (1, x, y): distributive, but (xx)x = 0 while x(xx) = 1."""
+    basis = np.array([[1, 2, 4], [2, 4, 1], [4, 0, 0]])
+    mul = np.zeros((8, 8), dtype=int)
+    for i in range(3):
+        for j in range(3):
+            both = (np.arange(8)[:, None] >> i & 1) & (np.arange(8) >> j & 1)
+            mul ^= both * basis[i, j]
+    xor = np.bitwise_xor.outer(np.arange(8), np.arange(8))
+    return core.FiniteRing(xor, mul, 0, 1)
+
+
+def _near_ring(opposite: bool) -> core.FiniteRing:
+    """The maps of Z(2) to itself under pointwise + and composition (or
+    composition the other way round): associative, with identity, but
+    distributive on one side only.  Map m sends 0 to m >> 1 and 1 to m & 1."""
+    value = np.array([[m >> 1, m & 1] for m in range(4)])
+    compose = 2 * value[:, value[:, 0]] + value[:, value[:, 1]]
+    xor = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+    return core.FiniteRing(xor, compose.T if opposite else compose, 0, 1)
 
 
 def test_fingerprint_ignores_name_and_labels():

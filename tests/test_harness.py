@@ -46,10 +46,7 @@ def test_corpus_deduplicated(corpus):
 
 def test_corpus_rings_satisfy_axioms(corpus):
     for R in corpus:
-        if R.order <= 64:
-            assert verify_axioms(R).ok, R.name
-        else:
-            assert verify_axioms(R, sample_triples=100000, seed=0).ok, R.name
+        assert verify_axioms(R).ok, R.name
 
 
 def test_corpus_entries_name_their_rings():
@@ -222,6 +219,33 @@ def test_r14_builds_each_corner_once(monkeypatch):
     assert harness._rule_r14(R) == ("pass", None)
     assert sorted(built) == sorted(set(built))
     assert len(built) == 5          # the nonzero idempotents of T(2, Z(2))
+
+
+def test_r14_reuses_the_corners_the_corpus_built(monkeypatch):
+    import gc
+    import weakref
+    corpus = harness.default_corpus()
+    built = []
+    corner = cons.corner
+
+    def counting_corner(R, e):
+        built.append(e)
+        return corner(R, e)
+    monkeypatch.setattr(cons, "corner", counting_corner)
+    for R in corpus:
+        if R.name == "T(2, Z(2))":
+            assert harness._rule_r14(R) == ("pass", None)
+    assert built == []
+    # a corner keeps no reference to its ring, so the memo makes no cycle
+    gc.disable()
+    try:
+        R = upper_triangular(zmod(2), 2)
+        harness._corner(R, R.one)
+        ref = weakref.ref(R)
+        del R
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("rule", [harness._rule_r12, harness._rule_r13])

@@ -322,3 +322,83 @@ def test_ring_with_cached_lattices_is_freed_without_the_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+# -- additive generators, and the center and ideals they decide ----------------
+
+
+def ideal_closure(R: FiniteRing, S: int) -> int:
+    """Close a subset under addition and left and right multiples of every
+    element: the oracle for ``two_sided_ideal_generated``."""
+    members = mask_to_bool(S, R.order)
+    members[R.zero] = True
+    while True:
+        idx = np.flatnonzero(members)
+        new = members.copy()
+        new[R.add[np.ix_(idx, idx)].ravel()] = True
+        new[R.mul[:, idx].ravel()] = True
+        new[R.mul[idx, :].ravel()] = True
+        if (new == members).all():
+            return mask_from_bool(members)
+        members = new
+
+
+def subgroup_closure(R: FiniteRing, S: int) -> int:
+    """The additive subgroup a subset generates, by all-pairs sums."""
+    members = mask_to_bool(S, R.order)
+    members[R.zero] = True
+    while True:
+        idx = np.flatnonzero(members)
+        new = members.copy()
+        new[R.add[np.ix_(idx, idx)].ravel()] = True
+        if (new == members).all():
+            return mask_from_bool(members)
+        members = new
+
+
+def _generator_rings():
+    from ringlab import exprs, harness
+    from test_ideal_lattice import ANALYZE_CACHED
+    scan_ladder = ["Prod(T(3, Z(2)), Z(4))", "Prod(WSC(0), Z(8))",
+                   "Prod(Z(32), Z(32))", "Prod(M(2, Z(2)), T(2, Z(4)))"]
+    return (harness.default_corpus().rings
+            + [exprs.build(e) for e in ANALYZE_CACHED + scan_ladder])
+
+
+GENERATOR_RINGS = _generator_rings()
+
+
+@pytest.mark.parametrize("extra", [None, "Z(1)", "T(3, Z(4))",
+                                   "SkewTrunc(Z(2), id, 12)"])
+def test_center_matches_the_whole_table_compare(extra):
+    from ringlab import exprs
+    rings = GENERATOR_RINGS if extra is None else [exprs.build(extra)]
+    for R in rings:
+        want = (R.mul == R.mul.T).all(axis=1)
+        assert (inv.center_bool(R) == want).all(), R.name
+
+
+def test_additive_generators_are_least_first_and_few():
+    for R in GENERATOR_RINGS + [zmod(1), zmod(7)]:
+        gens = inv._additive_generators(R).tolist()
+        assert len(gens) <= R.order.bit_length() - 1, R.name      # log2 n
+        span = 1 << R.zero
+        for g in gens:
+            outside = [x for x in range(R.order) if not (span >> x) & 1]
+            assert g == outside[0], R.name
+            span = subgroup_closure(R, span | 1 << g)
+        assert span == (1 << R.order) - 1, R.name
+
+
+def test_generated_ideals_match_the_all_pairs_closure():
+    rng = np.random.default_rng(18)
+    proper = 0
+    for R in GENERATOR_RINGS:
+        if R.order > 256:
+            continue
+        for size in (1, 1, 2, 3):
+            S = mask_from_indices(rng.integers(R.order, size=size).tolist())
+            got = inv.two_sided_ideal_generated(R, S)
+            assert got == ideal_closure(R, S), R.name
+            proper += got != (1 << R.order) - 1
+    assert proper > 20
