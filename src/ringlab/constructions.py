@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (MAX_ORDER, BadArgumentError, FiniteRing, Labels,
-                   RingError, RingHom, SizeError, StructureError, _span,
-                   _triple_law_violation, mask_indices)
+                   RingError, RingHom, SizeError, StructureError, _digest_of,
+                   _span, _triple_law_violation, mask_indices)
 from .invariants import (NotAnIdealError, _coset_quotient,
                          two_sided_ideal_violation)
 
@@ -85,16 +85,31 @@ def _check_power(base: int, coords: int, max_order: int, what: str) -> None:
 _BLOCK_BYTES = 1 << 19
 
 
+#: Folds of at most this many pairs broadcast in four axes, in three numpy
+#: calls: there the long-axis broadcast's six calls cost more than its
+#: longer inner loops save.
+_FOLD_4D_MAX = 64
+
+
 def _fold(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The table of the pairs (a, b), numbered a * len(B) + b, whose entry
-    at ((a, b), (a', b')) is the pair (A[a, a'], B[b, b'])."""
-    n = len(A) * len(B)
-    return (A[:, None, :, None] * len(B) + B[None, :, None, :]).reshape(n, n)
+    at ((a, b), (a', b')) is the pair (A[a, a'], B[b, b']).
+
+    Row (a, b) is A's row a, each entry times len(B) repeated len(B) times,
+    plus B's row b tiled len(A) times: one broadcast whose last axis runs
+    along a whole row, where a four-axis one runs along rows of B."""
+    na, nb = len(A), len(B)
+    n = na * nb
+    if n <= _FOLD_4D_MAX:
+        return (A[:, None, :, None] * nb + B[None, :, None, :]).reshape(n, n)
+    tiled = np.repeat(B[:, None, :], na, axis=1).reshape(nb, n)
+    return (np.repeat(A * nb, nb, axis=1)[:, None, :] + tiled).reshape(n, n)
 
 
 def _cut(radices: Sequence[int]) -> int:
     """Where to cut a run of coordinates into two runs of about sqrt as many
-    elements each: broadcasts are fast along a long last axis."""
+    elements each: the halves' own tables, |A|^2 + |B|^2 cells, and their
+    product rows, (|A| + |B|) n cells, are least when the halves balance."""
     heads = list(itertools.accumulate(radices, operator.mul))
     return 1 + min(range(len(radices) - 1),
                    key=lambda h: max(heads[h], heads[-1] // heads[h]))
@@ -199,32 +214,32 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
             raise RingError(f"{name}: {what} leaves the carrier of "
                             f"coordinate {c}") from None
 
-    zero_at = int(index(zero, "zero"))
+    zero_at, one_at = int(index(zero, "zero")), int(index(one, "one"))
     if not wide:        # the zero ring: its one sum and product are zero
-        return FiniteRing([[0]], [[0]], zero_at, int(index(one, "one")),
-                          name=name, labels=labels)
+        return FiniteRing([[0]], [[0]], zero_at, one_at, name=name,
+                          labels=labels)
     add = _sum_table([sums[c] for c in wide])
     # the single-coordinate elements of the wide coordinates, those of
     # wide[w] in rows starts[w]:starts[w + 1], as value columns, and their
     # product rows against every element.  A coordinate of radix 1 holds
     # only zero's value, so its single element is zero and adds nothing
-    starts = [0, *itertools.accumulate(radices[c] for c in wide)]
-    singles = np.repeat(np.asarray(zero, dtype=np.int32)[:, None],
-                        starts[-1], 1)
-    for w, c in enumerate(wide):
-        singles[c, starts[w]:starts[w + 1]] = carriers[c]
-    cols = [carrier.take(np.arange(n) // s % q)[None, :]
-            for carrier, s, q in zip(carriers, strides, radices)]
-    prods = np.empty((starts[-1], n), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (8 * n * (k + 1)))
-    for r0 in range(0, starts[-1], step):
-        xs = [v[r0:r0 + step, None] for v in singles]
-        prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
-
-    mul = _product_rows([prods[a:b] for a, b in zip(starts, starts[1:])],
-                        add.ravel())
-    return FiniteRing(add, mul, zero_at, int(index(one, "one")), name=name,
-                      labels=labels)
+    with _digest_of(add, zero_at, one_at) as digest:
+        starts = [0, *itertools.accumulate(radices[c] for c in wide)]
+        singles = np.repeat(np.asarray(zero, dtype=np.int32)[:, None],
+                            starts[-1], 1)
+        for w, c in enumerate(wide):
+            singles[c, starts[w]:starts[w + 1]] = carriers[c]
+        cols = [carrier.take(np.arange(n) // s % q)[None, :]
+                for carrier, s, q in zip(carriers, strides, radices)]
+        prods = np.empty((starts[-1], n), dtype=np.int32)
+        step = max(1, _BLOCK_BYTES // (8 * n * (k + 1)))
+        for r0 in range(0, starts[-1], step):
+            xs = [v[r0:r0 + step, None] for v in singles]
+            prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
+        mul = _product_rows([prods[a:b] for a, b in zip(starts, starts[1:])],
+                            add.ravel())
+        return FiniteRing(add, mul, zero_at, one_at, name=name, labels=labels,
+                          digest=digest)
 
 
 def _op(T: np.ndarray) -> Callable:
@@ -383,10 +398,11 @@ def direct_product(R1: FiniteRing, R2: FiniteRing,
     _check_order(R1.order * R2.order, max_order,
                  f"Prod({R1.name}, {R2.name})")
     n2 = R2.order
-    return FiniteRing(_fold(R1.add, R2.add), _fold(R1.mul, R2.mul),
-                      R1.zero * n2 + R2.zero,
-                      R1.one * n2 + R2.one,
-                      name=f"Prod({R1.name}, {R2.name})")
+    add = _fold(R1.add, R2.add)
+    zero, one = R1.zero * n2 + R2.zero, R1.one * n2 + R2.one
+    with _digest_of(add, zero, one) as digest:
+        return FiniteRing(add, _fold(R1.mul, R2.mul), zero, one,
+                          name=f"Prod({R1.name}, {R2.name})", digest=digest)
 
 
 def product_index(R2_order: int, a: int, b: int) -> int:

@@ -7,7 +7,9 @@ predicates, the rule harness) works against this one representation.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -16,6 +18,13 @@ import numpy as np
 #: Hard cap on ring order accepted from constructions.  Keeps the table
 #: memory bounded; raise at your own risk.
 MAX_ORDER = 4096
+
+#: Tables (add plus mul) of at least this many bytes are hashed on a thread
+#: of their own, started while the ring is built (see ``_Digest``).
+#: hashlib and numpy's gathers drop the GIL, so on two cores the hashing
+#: runs beside the build and the command's work; below this a thread costs
+#: more to start and join than hashing the tables inline.
+HASH_THREAD_BYTES = 1 << 21
 
 
 class RingError(Exception):
@@ -97,17 +106,21 @@ class FiniteRing:
     ``labels`` is a sequence of element names, or a zero-argument callable
     that makes it when ``labels`` is first read.  Values memoized in
     ``_cache``, and the labels, are computed without a lock, so threads
-    sharing a ring may compute one of them twice.  One such thread is the
-    CLI's fingerprint hasher (``cli._with_fingerprint``): it fills
-    ``_fingerprint`` beside the main thread's work, which reads the digest
-    only after joining it.
+    sharing a ring may compute one of them twice.
+
+    A ring whose tables reach ``HASH_THREAD_BYTES`` holds a pending
+    ``_Digest``: its fingerprint, hashed on a thread of its own from the
+    time the tables exist.  A construction that finishes ``add`` before
+    ``mul`` starts it itself and passes it as ``digest``, with ``add`` and
+    the same zero and one; any other large ring starts it here.
+    ``canonical_fingerprint`` joins it.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "_labels", "name",
-                 "_neg", "_fingerprint", "_cache", "__weakref__")
+                 "_neg", "_fingerprint", "_digest", "_cache", "__weakref__")
 
     def __init__(self, add, mul, zero: int, one: int, name: str = "",
-                 labels: Labels = None):
+                 labels: Labels = None, digest: Optional["_Digest"] = None):
         add = np.ascontiguousarray(add, dtype=np.int32)
         mul = np.ascontiguousarray(mul, dtype=np.int32)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
@@ -118,9 +131,10 @@ class FiniteRing:
         if mul.shape != (n, n):
             raise StructureError(
                 f"mul table shape {mul.shape} does not match order {n}")
-        if add.min() < 0 or add.max() >= n:
+        # a negative entry reads as 2**31 or more without its sign
+        if add.view(np.uint32).max() >= n:
             raise StructureError("add table entry out of range")
-        if mul.min() < 0 or mul.max() >= n:
+        if mul.view(np.uint32).max() >= n:
             raise StructureError("mul table entry out of range")
         if not (0 <= zero < n) or not (0 <= one < n):
             raise StructureError("zero/one index out of range")
@@ -137,6 +151,11 @@ class FiniteRing:
         self._labels = labels if callable(labels) else self._checked(labels)
         self._neg = None
         self._fingerprint = None
+        if digest is None and add.nbytes + mul.nbytes >= HASH_THREAD_BYTES:
+            digest = _Digest(n, self.zero, self.one, add)
+        if digest is not None:
+            digest.hand(mul)
+        self._digest = digest
         self._cache = {}
 
     def __repr__(self) -> str:
@@ -304,23 +323,88 @@ def canonical_fingerprint(R: FiniteRing) -> str:
     contribute.
     """
     if R._fingerprint is None:
-        _memoize_fingerprint(R)
+        if R._digest is None:
+            _memoize_fingerprint(R)
+        else:
+            R._fingerprint = R._digest.hexdigest()
+            R._digest = None
     return R._fingerprint
 
 
-def _memoize_fingerprint(R: FiniteRing) -> None:
-    """Hash R's tables into ``R._fingerprint``.
+def _fingerprint_header(order: int, zero: int, one: int) -> bytes:
+    return f"ring-fp-v1 {order} {zero} {one}".encode()
 
-    The CLI runs this on a second thread, under its private name: the
-    outside-in tracer of ``perfbench/tracing.py`` wraps public functions
-    only, and its spans assume one thread.
-    """
-    h = hashlib.sha256()
-    h.update(f"ring-fp-v1 {R.order} {R.zero} {R.one}".encode())
-    # hash the table buffers in place: a copy of each is 4 n^2 bytes
-    h.update(np.ascontiguousarray(R.add, dtype="<i4"))
-    h.update(np.ascontiguousarray(R.mul, dtype="<i4"))
+
+def _table_bytes(table: np.ndarray) -> np.ndarray:
+    # the table buffer in place: a copy of it is 4 n^2 bytes
+    return np.ascontiguousarray(table, dtype="<i4")
+
+
+def _memoize_fingerprint(R: FiniteRing) -> None:
+    """Hash R's tables into ``R._fingerprint`` on this thread."""
+    h = hashlib.sha256(_fingerprint_header(R.order, R.zero, R.one))
+    h.update(_table_bytes(R.add))
+    h.update(_table_bytes(R.mul))
     R._fingerprint = h.hexdigest()
+
+
+class _Digest:
+    """The fingerprint of tables being built, hashed on a thread of its own:
+    the header and ``add`` from the start, ``mul`` once ``hand`` passes it
+    over, as the same bytes ``_memoize_fingerprint`` hashes.
+
+    The thread calls private names only: the outside-in tracer of
+    ``perfbench/tracing.py`` wraps public functions, and its spans assume
+    one thread.
+    """
+
+    def __init__(self, order: int, zero: int, one: int, add: np.ndarray):
+        self._sha = hashlib.sha256(_fingerprint_header(order, zero, one))
+        self._mul = None
+        self._handed = threading.Event()
+        # a daemon, so that the tables of a ring never fingerprinted do not
+        # hold up the interpreter's exit
+        self._thread = threading.Thread(target=self._run, args=(add,),
+                                        name="ringlab-fingerprint",
+                                        daemon=True)
+        self._thread.start()
+
+    def _run(self, add: np.ndarray) -> None:
+        self._sha.update(_table_bytes(add))
+        self._handed.wait()
+        if self._mul is not None:
+            self._sha.update(_table_bytes(self._mul))
+
+    def hand(self, mul: Optional[np.ndarray]) -> None:
+        """Pass the product table over; None ends the thread undone."""
+        self._mul = mul
+        self._handed.set()
+
+    def abandon(self) -> None:
+        """End the thread if it got no product table, and wait for it."""
+        if not self._handed.is_set():
+            self.hand(None)
+            self._thread.join()
+
+    def hexdigest(self) -> str:
+        self._thread.join()
+        return self._sha.hexdigest()
+
+
+@contextlib.contextmanager
+def _digest_of(add: np.ndarray, zero: int, one: int):
+    """A ``_Digest`` started on a finished ``add`` whose ``mul`` is still to
+    be built, or None when the two tables stay under HASH_THREAD_BYTES.
+    If the body hands no ``mul`` over, as when the build raises, the thread
+    is ended and joined on the way out."""
+    if 2 * add.nbytes < HASH_THREAD_BYTES:
+        yield None
+        return
+    digest = _Digest(len(add), zero, one, add)
+    try:
+        yield digest
+    finally:
+        digest.abandon()
 
 
 # ---------------------------------------------------------------------------

@@ -267,12 +267,11 @@ def _packed_rows(count: int, n: int,
 
 
 def _column_blocks(n: int) -> list[slice]:
-    """Row slices of R.mul that a column table is packed from: the whole
-    table when a row is one 64-bit word, else heights that are multiples
-    of 8 whose lookups fit _BLOCK_BYTES.  A block of h rows makes lookups
-    of h/8 rows at a time, each through an intp index into a uint8 array
-    beside a uint8 accumulator: 10 bytes a cell."""
-    step = n if n <= 64 else 8 * max(1, _BLOCK_BYTES // (10 * n))
+    """Row slices of R.mul that a column table is packed from, of heights
+    that are multiples of 8 whose lookups fit _BLOCK_BYTES.  A block of h
+    rows makes lookups of h/8 rows at a time, each through an intp index
+    into a uint8 array beside a uint8 accumulator: 10 bytes a cell."""
+    step = 8 * max(1, _BLOCK_BYTES // (10 * n))
     return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
@@ -280,23 +279,42 @@ def _word_table(R: FiniteRing, name: str, column: bool) -> np.ndarray:
     """Row y holds bits{x : y*x in S}, packed by _packed_rows, or for the
     column table bits{x : x*y in S}, in the same layout.
 
-    A column table is read along rows of R.mul, not down its columns.  Byte
-    k of row y is the OR over j < 8 of bit j set when x = 8k + j has x*y in
-    S: for a block of rows x, lookup j reads rows x = j, j + 8, ... of the
-    block in a copy of S shifted left by j, and the ORed bytes, one row per
-    k, are written transposed into the block's bytes of every row y.
+    The zero set's row table compares products with zero, which costs less
+    than a gather through its one-hot vector.  A column table of one word a
+    row packs the whole table down its columns at once; a wider one is made
+    by ``_shifted_columns``.
     """
     members = _members(R, name)
     n = R.order
     if not column:
+        if name == "zero":
+            return _packed_rows(n, n, lambda rows: R.mul[rows] == R.zero)
         return _packed_rows(n, n, lambda rows: members.take(R.mul[rows]))
+    if n > 64:
+        return _shifted_columns(R.mul, members)
+    out = np.zeros((n, 1), dtype="<u8")
+    out.view(np.uint8)[:, :-(-n // 8)] = np.packbits(
+        members.take(R.mul), axis=0, bitorder="little").T
+    return out
+
+
+def _shifted_columns(mul: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The column table of ``_word_table``, read along rows of ``mul``, not
+    down its columns.
+
+    Byte k of row y is the OR over j < 8 of bit j set when x = 8k + j has
+    x*y in S: for a block of rows x, lookup j reads rows x = j, j + 8, ... of
+    the block in a copy of S shifted left by j, and the ORed bytes, one row
+    per k, are written transposed into the block's bytes of every row y.
+    """
+    n = len(mul)
     shifted = members.astype(np.uint8) << np.arange(8, dtype=np.uint8)[:, None]
     out = np.zeros((n, -(-n // 64)), dtype="<u8")
     raw = out.view(np.uint8)
     for rows in _column_blocks(n):
-        acc = shifted[0].take(R.mul[rows.start:rows.stop:8])
+        acc = shifted[0].take(mul[rows.start:rows.stop:8])
         for j in range(1, 8):
-            x = R.mul[rows.start + j:rows.stop:8]
+            x = mul[rows.start + j:rows.stop:8]
             acc[:len(x)] |= shifted[j].take(x)
         raw[:, rows.start // 8:rows.start // 8 + len(acc)] = acc.T
     return out

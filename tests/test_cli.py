@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ringlab import cli
+from ringlab import core
 from ringlab import constructions as cons
 from ringlab import exprs
 from ringlab import harness
@@ -94,17 +95,26 @@ def test_prop_exit_codes(capsys):
 
 @pytest.fixture
 def hashers(monkeypatch):
-    """The thread of each hasher the CLI starts, each slowed down so that
-    one left unjoined is still alive when main returns."""
+    """The thread of each table hasher started, each slowed down so that
+    one that main returns without joining is still alive then."""
     threads = []
-    memoize = cli._memoize_fingerprint
+    run_digest = core._Digest._run
 
-    def slow_memoize(R):
+    def slow_run(digest, add):
         threads.append(threading.current_thread())
-        time.sleep(0.05)
-        memoize(R)
-    monkeypatch.setattr(cli, "_memoize_fingerprint", slow_memoize)
+        time.sleep(0.02)
+        run_digest(digest, add)
+    monkeypatch.setattr(core._Digest, "_run", slow_run)
     return threads
+
+
+def _serial_fingerprint(R):
+    """The digest of R's tables hashed on this thread, from a fresh copy."""
+    S = core.FiniteRing(R.add.copy(), R.mul.copy(), R.zero, R.one)
+    core._memoize_fingerprint(S)
+    if S._digest is not None:       # the copy's own hasher agrees
+        assert S._digest.hexdigest() == S._fingerprint
+    return S._fingerprint
 
 
 @pytest.mark.parametrize("name, expr, threaded", [
@@ -112,13 +122,15 @@ def hashers(monkeypatch):
     ("nj_symmetric", "T(2, Z(4))", False)], ids=["thread", "inline"])
 def test_prop_json_fingerprint_is_that_of_a_fresh_build(capsys, hashers,
                                                         name, expr, threaded):
-    R = exprs.build(expr)
-    assert (R.add.nbytes + R.mul.nbytes >= cli.HASH_THREAD_BYTES) is threaded
     code, out, _ = run(capsys, "prop", name, expr, "--json")
     assert code == 0
-    assert json.loads(out)["fingerprint"] == canonical_fingerprint(R)
+    # only the product reaches the threshold, not its factors
     assert len(hashers) == threaded
     assert threading.main_thread() not in hashers
+    R = exprs.build(expr)
+    assert (R.add.nbytes + R.mul.nbytes >= core.HASH_THREAD_BYTES) is threaded
+    assert (R._digest is not None) is threaded
+    assert json.loads(out)["fingerprint"] == _serial_fingerprint(R)
 
 
 def _raising_check(R):
@@ -133,9 +145,11 @@ def _raising_check(R):
     (["ideals", "M(2, Z(2))", "--json"], 0)],
     ids=["holds", "fails", "unknown-property", "check-raises", "ideals"])
 def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
-    # every ring on the hasher thread
-    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
-    before = threading.active_count()
+    # every ring on a hasher thread: the printed ring's is joined before
+    # main returns, and the others (factors, rings never printed) end on
+    # their own, without waiting for anything more
+    monkeypatch.setattr(core, "HASH_THREAD_BYTES", 0)
+    before = set(threading.enumerate())
     if code is None:
         monkeypatch.setitem(props.PROPERTY_CHECKS, "nj_symmetric",
                             _raising_check)
@@ -143,22 +157,29 @@ def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
             cli.main(argv)
     else:
         assert cli.main(argv) == code
-    assert threading.active_count() == before
-    assert len(hashers) == 1 and hashers[0] is not threading.main_thread()
+    if code in (0, 1):
+        assert not hashers[-1].is_alive()
+    for t in hashers:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in hashers)
+    assert set(threading.enumerate()) <= before
+    assert hashers and threading.main_thread() not in hashers
 
 
 def test_hashers_beside_their_work_under_contention():
-    # more callers than cores, each with a hasher, switching threads often:
-    # every caller gets its verdict and the serial digest
-    from ringlab.core import FiniteRing
+    # more callers than cores, each building rings whose tables are hashed
+    # on threads of their own, switching threads often: every caller gets
+    # its verdict and the serial digest, by either way of starting a hasher
     R = exprs.build("Prod(Z(16), Z(32))")
-    want = (True, canonical_fingerprint(R))
+    assert R._digest is not None
+    want = (True, _serial_fingerprint(R))
     results = []
 
     def call():
-        S = FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
-        results.append(cli._with_fingerprint(
-            S, lambda: props.check_property(S, "semicommutative").holds))
+        for S in (core.FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name),
+                  cons.direct_product(cons.zmod(16), cons.zmod(32))):
+            results.append((props.check_property(S, "semicommutative").holds,
+                            canonical_fingerprint(S)))
     callers = [threading.Thread(target=call) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -170,12 +191,12 @@ def test_hashers_beside_their_work_under_contention():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert results == [want] * 4
+    assert results == [want] * 8
 
 
 def test_ideals_json_is_the_same_from_either_thread(capsys, monkeypatch):
     inline = run(capsys, "ideals", "T(2, Z(4))", "--json")
-    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
+    monkeypatch.setattr(core, "HASH_THREAD_BYTES", 0)
     assert run(capsys, "ideals", "T(2, Z(4))", "--json") == inline
 
 

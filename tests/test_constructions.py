@@ -88,6 +88,24 @@ def test_direct_product_matches_index_gather_build():
             assert P.one == R1.one * R2.order + R2.one
 
 
+def _fold_4d(A, B):
+    # the four-axis broadcast that the long-axis one replaced above 64 pairs
+    n = len(A) * len(B)
+    return (A[:, None, :, None] * len(B) + B[None, :, None, :]).reshape(n, n)
+
+
+def test_fold_matches_the_four_axis_broadcast():
+    rng = np.random.default_rng(19)
+    sizes = (1, 2, 3, 4, 7, 8, 9, 16, 31, 64)
+    for na in sizes:
+        for nb in sizes:
+            A = rng.integers(0, na, (na, na), dtype=np.int32)
+            B = rng.integers(0, nb, (nb, nb), dtype=np.int32)
+            got, want = cons._fold(A, B), _fold_4d(A, B)
+            assert got.dtype == want.dtype == np.int32
+            assert np.array_equal(got, want), (na, nb)
+
+
 def test_quotient_of_z8_by_four_matches_z4():
     Z8 = cons.zmod(8)
     Q, pi = cons.quotient(Z8, mask_from_indices([0, 4]))

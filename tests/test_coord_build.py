@@ -8,11 +8,14 @@ stays here as the oracle for all eight constructions that use the builder.
 
 import gc
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from ringlab import constructions as cons
+from ringlab import core
 from ringlab import harness
 from ringlab.core import FiniteRing, RingError, canonical_fingerprint
 
@@ -474,6 +477,33 @@ def test_value_off_its_carrier_raises():
     with pytest.raises(RingError, match="one leaves the carrier"):
         cons._coord_build([[0, 2]], [z4.add], coordwise_mul, [0], [1],
                           name="bad")
+
+
+def test_a_failing_large_build_ends_its_hasher(monkeypatch):
+    # 512 elements reach HASH_THREAD_BYTES, so the addition table is being
+    # hashed, slowly, when a product leaves the carrier; the build must still
+    # raise its RingError and end the hasher, which never gets a product table
+    z8 = cons.zmod(8)
+    started = []
+    run_digest = core._Digest._run
+
+    def slow_run(digest, add):
+        started.append(threading.current_thread())
+        time.sleep(0.05)
+        run_digest(digest, add)
+    monkeypatch.setattr(core._Digest, "_run", slow_run)
+    for t in threading.enumerate():     # hashers of earlier tests' rings
+        if t.name == "ringlab-fingerprint":
+            t.join(timeout=60)
+    before = threading.active_count()
+
+    def off_carrier(X, Y):
+        return [x + y * 0 + 8 for x, y in zip(X, Y)]
+    with pytest.raises(RingError, match="a product leaves the carrier"):
+        cons._coord_build([range(8)] * 3, [z8.add] * 3, off_carrier,
+                          [0] * 3, [1] * 3, name="bad")
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("k", [6, 8, 64])

@@ -24,6 +24,46 @@ def test_structure_validation_rejects_bad_tables():
                         mul=np.array([[0, 0], [0, 1]]), zero=0, one=1)
 
 
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("value", [-1, -(1 << 31), 3, 1 << 30, (1 << 31) - 1])
+def test_table_entries_out_of_range_raise(table, value):
+    # negative entries and entries >= n each name the table they are in
+    R = zmod(3)
+    tables = {"add": R.add.copy(), "mul": R.mul.copy()}
+    tables[table][1, 2] = value
+    with pytest.raises(core.StructureError,
+                       match=f"^{table} table entry out of range$"):
+        core.FiniteRing(tables["add"], tables["mul"], R.zero, R.one)
+
+
+def _serial_fingerprint(R):
+    """The digest of R's tables hashed on this thread, from a fresh copy."""
+    S = core.FiniteRing(R.add.copy(), R.mul.copy(), R.zero, R.one)
+    core._memoize_fingerprint(S)
+    if S._digest is not None:       # the copy's own hasher agrees
+        assert S._digest.hexdigest() == S._fingerprint
+    return S._fingerprint
+
+
+@pytest.mark.parametrize("expr", [
+    "Prod(M(2, Z(2)), T(2, Z(4)))", "Prod(WSC(0), Z(8))", "T(4, Z(2))",
+    "SkewTrunc(Z(2), id, 10)",
+    # order 512, hashed from __init__: the corner at (1, 1, 0)
+    "Corner(Prod(Prod(Z(16), Z(32)), Z(2)), 66)"])
+def test_pipelined_digests_equal_the_serial_digest(expr):
+    R = build(expr)
+    assert R.order >= 512 and R._digest is not None
+    assert core.canonical_fingerprint(R) == _serial_fingerprint(R)
+    assert R._digest is None
+
+
+def test_small_rings_hash_inline():
+    R = build("Prod(Z(16), Z(16))")
+    assert R.add.nbytes + R.mul.nbytes < core.HASH_THREAD_BYTES
+    assert R._digest is None
+    assert core.canonical_fingerprint(R) == _serial_fingerprint(R)
+
+
 def test_size_cap():
     with pytest.raises(core.SizeError):
         zmod(core.MAX_ORDER + 1)

@@ -324,14 +324,47 @@ def test_tables_of_odd_orders(expr, block_bytes):
     n = R.order
     blocks = props._column_blocks(n)
     if n <= 64:
-        # one word a row: the whole column table is one block
-        assert blocks == [slice(0, n)]
+        # one word a row: the column tables are packed down the columns at
+        # once, as the blocked shifted lookups would pack them
+        assert_small_column_tables_match_shifted_lookups(R)
     elif block_bytes is not None:
         # a budget too small for 8 rows still packs 8 rows a block, and the
         # last block is shorter
         assert {b.stop - b.start for b in blocks[:-1]} == {8}
         assert blocks[-1].stop - blocks[-1].start == n % 8
     assert_classes_reproduce_tables(R)
+
+
+def assert_small_column_tables_match_shifted_lookups(R: FiniteRing) -> None:
+    R = _fresh(R)
+    assert R.order <= 64
+    for name in ("zero", "nil", "not_jac", "nonzero", "not_nil"):
+        got = props._word_table(R, name, True)
+        want = props._shifted_columns(R.mul, props._members(R, name))
+        assert got.dtype == want.dtype and np.array_equal(got, want), \
+            (R.name, name)
+
+
+def test_small_column_tables_match_shifted_lookups(block_bytes):
+    for R in _SCANNED:
+        if R.order <= 64:
+            assert_small_column_tables_match_shifted_lookups(R)
+
+
+#: The rings of perfbench's scan-ladder workload, orders 256 to 1024.
+_SCAN_LADDER = ("Prod(T(3, Z(2)), Z(4))", "Prod(WSC(0), Z(8))",
+                "Prod(Z(32), Z(32))", "Prod(M(2, Z(2)), T(2, Z(4)))")
+
+
+def test_zero_row_tables_match_the_one_hot_gather():
+    from ringlab import exprs
+    for R in _DEFAULT + [exprs.build(e) for e in _SCAN_LADDER]:
+        n = R.order
+        one_hot = np.arange(n) == R.zero
+        want = props._packed_rows(n, n,
+                                  lambda rows: one_hot.take(R.mul[rows]))
+        assert np.array_equal(props._word_table(R, "zero", False), want), \
+            R.name
 
 
 def test_complement_sets_share_classes(block_bytes):
