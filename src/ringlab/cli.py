@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -93,7 +92,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(cache_mod._dumps(obj) + "\n")
 
 
 def _open_cache(args):
@@ -102,11 +101,32 @@ def _open_cache(args):
     return cache_mod.ReportCache(args.cache)
 
 
+def _indexed_report(cache, args):
+    """The cached report of the ring the expression index names for this
+    text and size cap, under the indexed name, or None."""
+    entry = cache._index_get(args.expr, args.max_order)
+    if entry is None:
+        return None
+    fp, name = entry
+    report = cache.get(fp, valid=harness._is_report)
+    return None if report is None else harness._renamed(report, name)
+
+
 def _cmd_analyze(args) -> int:
-    R = exprs.build(args.expr, max_order=args.max_order)
-    report = harness.analyze(R, cache=_open_cache(args))
+    # parsed first, so a syntax error exits 2 whatever the cache holds
+    tree = exprs.parse(args.expr)
+    cache = _open_cache(args)
+    indexed = cache is not None and not exprs._reads_files(tree)
+    report = _indexed_report(cache, args) if indexed else None
+    if report is None:
+        R = exprs.evaluate(tree, max_order=args.max_order)
+        report = harness.analyze(R, cache=cache)
+        if indexed:
+            cache._index_put(args.expr, args.max_order, report["fingerprint"],
+                             R.name)
     if args.json:
-        _emit(report)
+        sys.stdout.write(cache._text(report) if cache is not None
+                         else cache_mod._dumps(report) + "\n")
         return 0
     print(f"ring        {report['ring']}")
     print(f"order       {report['order']}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -25,6 +26,10 @@ MAX_ORDER = 4096
 #: runs beside the build and the command's work; below this a thread costs
 #: more to start and join than hashing the tables inline.
 HASH_THREAD_BYTES = 1 << 21
+
+#: Bytes a hasher thread hashes between two looks at whether its ring is
+#: still alive; a collected ring's thread stops at the next look.
+_HASH_CHUNK = 1 << 20
 
 
 class RingError(Exception):
@@ -155,6 +160,7 @@ class FiniteRing:
             digest = _Digest(n, self.zero, self.one, add)
         if digest is not None:
             digest.hand(mul)
+            weakref.finalize(self, digest._dropped.set)
         self._digest = digest
         self._cache = {}
 
@@ -351,7 +357,9 @@ def _memoize_fingerprint(R: FiniteRing) -> None:
 class _Digest:
     """The fingerprint of tables being built, hashed on a thread of its own:
     the header and ``add`` from the start, ``mul`` once ``hand`` passes it
-    over, as the same bytes ``_memoize_fingerprint`` hashes.
+    over, as the same bytes ``_memoize_fingerprint`` hashes.  It hashes in
+    chunks of ``_HASH_CHUNK`` bytes and stops at the next one once the ring
+    is collected, since no one can ask for that ring's fingerprint any more.
 
     The thread calls private names only: the outside-in tracer of
     ``perfbench/tracing.py`` wraps public functions, and its spans assume
@@ -362,6 +370,7 @@ class _Digest:
         self._sha = hashlib.sha256(_fingerprint_header(order, zero, one))
         self._mul = None
         self._handed = threading.Event()
+        self._dropped = threading.Event()     # set when the ring is collected
         # a daemon, so that the tables of a ring never fingerprinted do not
         # hold up the interpreter's exit
         self._thread = threading.Thread(target=self._run, args=(add,),
@@ -370,10 +379,19 @@ class _Digest:
         self._thread.start()
 
     def _run(self, add: np.ndarray) -> None:
-        self._sha.update(_table_bytes(add))
-        self._handed.wait()
-        if self._mul is not None:
-            self._sha.update(_table_bytes(self._mul))
+        if self._hash(add):
+            self._handed.wait()
+            if self._mul is not None:
+                self._hash(self._mul)
+
+    def _hash(self, table: np.ndarray) -> bool:
+        """Hash table's bytes; False if the ring was collected first."""
+        data = _table_bytes(table).reshape(-1).view(np.uint8)
+        for start in range(0, len(data), _HASH_CHUNK):
+            if self._dropped.is_set():
+                return False
+            self._sha.update(data[start:start + _HASH_CHUNK])
+        return True
 
     def hand(self, mul: Optional[np.ndarray]) -> None:
         """Pass the product table over; None ends the thread undone."""

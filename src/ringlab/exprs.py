@@ -149,6 +149,15 @@ def parse(text: str) -> Node:
     return tree
 
 
+def _reads_files(node) -> bool:
+    """Whether a parsed tree has a string argument.  Strings name bimodule
+    and skew-map files, whose contents the text does not fix; corner labels
+    are strings too and are counted alike."""
+    if isinstance(node, str):
+        return True
+    return isinstance(node, Node) and any(map(_reads_files, node.args))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------

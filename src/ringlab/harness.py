@@ -7,7 +7,6 @@ the default corpus; a failing rule always means an implementation bug.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -17,6 +16,7 @@ import numpy as np
 from .core import (MAX_ORDER, BadArgumentError, FiniteRing, SizeError,
                    canonical_fingerprint, mask_contains, mask_from_indices,
                    mask_indices, serialize_ring)
+from .cache import _dumps
 from . import constructions as cons
 from . import exprs
 from . import invariants as inv
@@ -217,7 +217,7 @@ class RuleReport:
                 "corpus_skipped": [list(s) for s in self.corpus_skipped]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _dumps(self.to_dict()) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "RuleReport":
@@ -666,6 +666,13 @@ def _is_report(entry: dict) -> bool:
                     for name, v in verdicts.items()))
 
 
+def _renamed(report: dict, name: str) -> dict:
+    """report, retitled for the ring called name: cached reports are keyed
+    by tables alone, so equal tables under another name read them."""
+    report["ring"] = report["radicals"]["ring"] = name
+    return report
+
+
 def analyze(R: FiniteRing, cache=None) -> dict:
     """Full report: radicals plus every property verdict.
 
@@ -677,10 +684,7 @@ def analyze(R: FiniteRing, cache=None) -> dict:
     if cache is not None:
         hit = cache.get(fp, valid=_is_report)
         if hit is not None:
-            # the key is the tables alone, so equal tables under another
-            # name hit: the report names the ring it was asked about
-            hit["ring"] = hit["radicals"]["ring"] = R.name
-            return hit
+            return _renamed(hit, R.name)
     report = {
         "format": "analysis v1",
         "ring": R.name,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -164,6 +165,29 @@ def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
     assert not any(t.is_alive() for t in hashers)
     assert set(threading.enumerate()) <= before
     assert hashers and threading.main_thread() not in hashers
+
+
+def test_a_collected_rings_hasher_stops_early(hashers, monkeypatch):
+    # the hasher sleeps before its first chunk, and the ring is gone by then
+    before = threading.active_count()
+    monkeypatch.setattr(core, "HASH_THREAD_BYTES", 0)
+    S = exprs.build("Prod(Z(16), Z(32))")
+    R = core.FiniteRing(S.add.copy(), S.mul.copy(), S.zero, S.one)
+    digest = R._digest
+    thread = digest._thread
+    del R
+    thread.join(timeout=10)
+    assert thread in hashers
+    assert not thread.is_alive() and digest._dropped.is_set()
+    # nothing past the header was hashed
+    header = core._fingerprint_header(S.order, S.zero, S.one)
+    assert digest._sha.hexdigest() == hashlib.sha256(header).hexdigest()
+    # the live ring's digest, over chunks that split its entries, is whole
+    monkeypatch.setattr(core, "_HASH_CHUNK", 1001)
+    assert canonical_fingerprint(S) == _serial_fingerprint(S)
+    for t in hashers:
+        t.join(timeout=10)
+    assert threading.active_count() == before
 
 
 def test_hashers_beside_their_work_under_contention():
