@@ -115,15 +115,18 @@ class ReportCache:
         return self.directory / f"{fingerprint}.{code_version()}.json"
 
     def get(self, fingerprint: str,
-            valid: Optional[Callable[[dict], bool]] = None) -> Optional[dict]:
+            valid: Optional[Callable[[dict], bool]] = None,
+            count_miss: bool = True) -> Optional[dict]:
         """The report stored under fingerprint, or None.  valid is the
-        writer's check of a report's fields; an entry it rejects is a miss."""
+        writer's check of a report's fields; an entry it rejects is a miss.
+        A caller that looks the ring up again after a miss passes
+        ``count_miss=False``, so that one request counts one miss."""
         path = self._path(fingerprint)
         try:
             with open(path) as f:
                 report = json.load(f)
         except _UNREADABLE:
-            self.misses += 1
+            self.misses += count_miss
             return None
         # stale versions, other rings' reports and malformed entries are
         # misses, overwritten on put
@@ -131,7 +134,7 @@ class ReportCache:
                 and report.get("format") == CACHE_VERSION
                 and report.get("fingerprint") == fingerprint
                 and (valid is None or valid(report))):
-            self.misses += 1
+            self.misses += count_miss
             return None
         self.hits += 1
         return report

@@ -11,9 +11,10 @@ import argparse
 import functools
 import os
 import sys
+import threading
 
 from .core import (MAX_ORDER, BadArgumentError, RingError, SizeError,
-                   canonical_fingerprint, mask_indices)
+                   _memoize_fingerprint, canonical_fingerprint, mask_indices)
 from . import cache as cache_mod
 from . import exprs
 from . import harness
@@ -95,6 +96,31 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(cache_mod._dumps(obj) + "\n")
 
 
+#: Tables (R.add plus R.mul) of at least this many bytes, order 512 and up,
+#: are hashed on a second thread while the command decides the ring it
+#: prints.  hashlib and numpy's gathers drop the GIL, so the two run side by
+#: side; below this a thread costs more to start and join than hashing the
+#: tables inline.
+HASH_THREAD_BYTES = 1 << 21
+
+
+def _with_fingerprint(R, work):
+    """(work(), canonical_fingerprint(R)), hashing a large ring's tables
+    on a thread of its own while work runs.  The thread is joined before
+    this returns or raises."""
+    if R.add.nbytes + R.mul.nbytes < HASH_THREAD_BYTES:
+        return work(), canonical_fingerprint(R)
+    hasher = threading.Thread(target=_memoize_fingerprint, args=(R,),
+                              name="ringlab-fingerprint")
+    hasher.start()
+    try:
+        result = work()
+    finally:
+        hasher.join()
+    # the thread left the digest memoized on the ring
+    return result, canonical_fingerprint(R)
+
+
 def _open_cache(args):
     if args.no_cache:
         return None
@@ -108,7 +134,9 @@ def _indexed_report(cache, args):
     if entry is None:
         return None
     fp, name = entry
-    report = cache.get(fp, valid=harness._is_report)
+    # on a miss the caller builds the ring and harness.analyze looks it up
+    # again, which counts the miss
+    report = cache.get(fp, valid=harness._is_report, count_miss=False)
     return None if report is None else harness._renamed(report, name)
 
 
@@ -147,13 +175,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_prop(args) -> int:
     R = exprs.build(args.expr, max_order=args.max_order)
-    verdict = props.check_property(R, args.name)
     if args.json:
+        verdict, fingerprint = _with_fingerprint(
+            R, lambda: props.check_property(R, args.name))
         out = verdict.to_dict()
         out["ring"] = R.name
-        out["fingerprint"] = canonical_fingerprint(R)
+        out["fingerprint"] = fingerprint
         _emit(out)
     else:
+        verdict = props.check_property(R, args.name)
         state = "holds" if verdict.holds else "fails"
         print(f"{args.name} {state} on {R.name}")
         if verdict.witness:
@@ -262,17 +292,21 @@ def _cmd_search(args) -> int:
 
 def _cmd_ideals(args) -> int:
     R = exprs.build(args.expr, max_order=args.max_order)
-    left, right, two = (inv.all_left_ideals(R, cap=args.cap),
-                        inv.all_right_ideals(R, cap=args.cap),
-                        inv.all_two_sided_ideals(R, cap=args.cap))
+
+    def lattices():
+        return (inv.all_left_ideals(R, cap=args.cap),
+                inv.all_right_ideals(R, cap=args.cap),
+                inv.all_two_sided_ideals(R, cap=args.cap))
     if args.json:
+        (left, right, two), fingerprint = _with_fingerprint(R, lattices)
         _emit({"format": "ideals v1", "ring": R.name, "order": R.order,
-               "fingerprint": canonical_fingerprint(R),
+               "fingerprint": fingerprint,
                "left": [mask_indices(m) for m in sorted(left.ideals)],
                "right": [mask_indices(m) for m in sorted(right.ideals)],
                "two_sided": [mask_indices(m) for m in sorted(two.ideals)],
                "truncated": left.truncated or right.truncated or two.truncated})
         return 0
+    left, right, two = lattices()
     for title, lat in (("left", left), ("right", right), ("two-sided", two)):
         note = " (truncated)" if lat.truncated else ""
         print(f"{title} ideals: {len(lat.ideals)}{note}")

@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (MAX_ORDER, BadArgumentError, FiniteRing, Labels,
-                   RingError, RingHom, SizeError, StructureError, _digest_of,
-                   _span, _triple_law_violation, mask_indices)
+                   RingError, RingHom, SizeError, StructureError, _span,
+                   _triple_law_violation, mask_indices)
 from .invariants import (NotAnIdealError, _coset_quotient,
                          two_sided_ideal_violation)
 
@@ -223,23 +223,21 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
     # wide[w] in rows starts[w]:starts[w + 1], as value columns, and their
     # product rows against every element.  A coordinate of radix 1 holds
     # only zero's value, so its single element is zero and adds nothing
-    with _digest_of(add, zero_at, one_at) as digest:
-        starts = [0, *itertools.accumulate(radices[c] for c in wide)]
-        singles = np.repeat(np.asarray(zero, dtype=np.int32)[:, None],
-                            starts[-1], 1)
-        for w, c in enumerate(wide):
-            singles[c, starts[w]:starts[w + 1]] = carriers[c]
-        cols = [carrier.take(np.arange(n) // s % q)[None, :]
-                for carrier, s, q in zip(carriers, strides, radices)]
-        prods = np.empty((starts[-1], n), dtype=np.int32)
-        step = max(1, _BLOCK_BYTES // (8 * n * (k + 1)))
-        for r0 in range(0, starts[-1], step):
-            xs = [v[r0:r0 + step, None] for v in singles]
-            prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
-        mul = _product_rows([prods[a:b] for a, b in zip(starts, starts[1:])],
-                            add.ravel())
-        return FiniteRing(add, mul, zero_at, one_at, name=name, labels=labels,
-                          digest=digest)
+    starts = [0, *itertools.accumulate(radices[c] for c in wide)]
+    singles = np.repeat(np.asarray(zero, dtype=np.int32)[:, None],
+                        starts[-1], 1)
+    for w, c in enumerate(wide):
+        singles[c, starts[w]:starts[w + 1]] = carriers[c]
+    cols = [carrier.take(np.arange(n) // s % q)[None, :]
+            for carrier, s, q in zip(carriers, strides, radices)]
+    prods = np.empty((starts[-1], n), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (8 * n * (k + 1)))
+    for r0 in range(0, starts[-1], step):
+        xs = [v[r0:r0 + step, None] for v in singles]
+        prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
+    mul = _product_rows([prods[a:b] for a, b in zip(starts, starts[1:])],
+                        add.ravel())
+    return FiniteRing(add, mul, zero_at, one_at, name=name, labels=labels)
 
 
 def _op(T: np.ndarray) -> Callable:
@@ -398,11 +396,9 @@ def direct_product(R1: FiniteRing, R2: FiniteRing,
     _check_order(R1.order * R2.order, max_order,
                  f"Prod({R1.name}, {R2.name})")
     n2 = R2.order
-    add = _fold(R1.add, R2.add)
-    zero, one = R1.zero * n2 + R2.zero, R1.one * n2 + R2.one
-    with _digest_of(add, zero, one) as digest:
-        return FiniteRing(add, _fold(R1.mul, R2.mul), zero, one,
-                          name=f"Prod({R1.name}, {R2.name})", digest=digest)
+    return FiniteRing(_fold(R1.add, R2.add), _fold(R1.mul, R2.mul),
+                      R1.zero * n2 + R2.zero, R1.one * n2 + R2.one,
+                      name=f"Prod({R1.name}, {R2.name})")
 
 
 def product_index(R2_order: int, a: int, b: int) -> int:

@@ -7,10 +7,7 @@ predicates, the rule harness) works against this one representation.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -19,17 +16,6 @@ import numpy as np
 #: Hard cap on ring order accepted from constructions.  Keeps the table
 #: memory bounded; raise at your own risk.
 MAX_ORDER = 4096
-
-#: Tables (add plus mul) of at least this many bytes are hashed on a thread
-#: of their own, started while the ring is built (see ``_Digest``).
-#: hashlib and numpy's gathers drop the GIL, so on two cores the hashing
-#: runs beside the build and the command's work; below this a thread costs
-#: more to start and join than hashing the tables inline.
-HASH_THREAD_BYTES = 1 << 21
-
-#: Bytes a hasher thread hashes between two looks at whether its ring is
-#: still alive; a collected ring's thread stops at the next look.
-_HASH_CHUNK = 1 << 20
 
 
 class RingError(Exception):
@@ -111,21 +97,18 @@ class FiniteRing:
     ``labels`` is a sequence of element names, or a zero-argument callable
     that makes it when ``labels`` is first read.  Values memoized in
     ``_cache``, and the labels, are computed without a lock, so threads
-    sharing a ring may compute one of them twice.
-
-    A ring whose tables reach ``HASH_THREAD_BYTES`` holds a pending
-    ``_Digest``: its fingerprint, hashed on a thread of its own from the
-    time the tables exist.  A construction that finishes ``add`` before
-    ``mul`` starts it itself and passes it as ``digest``, with ``add`` and
-    the same zero and one; any other large ring starts it here.
-    ``canonical_fingerprint`` joins it.
+    sharing a ring may compute one of them twice.  One such thread is the
+    CLI's fingerprint hasher (``cli._with_fingerprint``): it fills
+    ``_fingerprint`` beside the main thread's work on the ring the command
+    prints, and the main thread reads the digest only after joining it.
+    A ring never starts a thread of its own.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "_labels", "name",
-                 "_neg", "_fingerprint", "_digest", "_cache", "__weakref__")
+                 "_neg", "_fingerprint", "_cache", "__weakref__")
 
     def __init__(self, add, mul, zero: int, one: int, name: str = "",
-                 labels: Labels = None, digest: Optional["_Digest"] = None):
+                 labels: Labels = None):
         add = np.ascontiguousarray(add, dtype=np.int32)
         mul = np.ascontiguousarray(mul, dtype=np.int32)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
@@ -156,12 +139,6 @@ class FiniteRing:
         self._labels = labels if callable(labels) else self._checked(labels)
         self._neg = None
         self._fingerprint = None
-        if digest is None and add.nbytes + mul.nbytes >= HASH_THREAD_BYTES:
-            digest = _Digest(n, self.zero, self.one, add)
-        if digest is not None:
-            digest.hand(mul)
-            weakref.finalize(self, digest._dropped.set)
-        self._digest = digest
         self._cache = {}
 
     def __repr__(self) -> str:
@@ -329,100 +306,22 @@ def canonical_fingerprint(R: FiniteRing) -> str:
     contribute.
     """
     if R._fingerprint is None:
-        if R._digest is None:
-            _memoize_fingerprint(R)
-        else:
-            R._fingerprint = R._digest.hexdigest()
-            R._digest = None
+        _memoize_fingerprint(R)
     return R._fingerprint
 
 
-def _fingerprint_header(order: int, zero: int, one: int) -> bytes:
-    return f"ring-fp-v1 {order} {zero} {one}".encode()
-
-
-def _table_bytes(table: np.ndarray) -> np.ndarray:
-    # the table buffer in place: a copy of it is 4 n^2 bytes
-    return np.ascontiguousarray(table, dtype="<i4")
-
-
 def _memoize_fingerprint(R: FiniteRing) -> None:
-    """Hash R's tables into ``R._fingerprint`` on this thread."""
-    h = hashlib.sha256(_fingerprint_header(R.order, R.zero, R.one))
-    h.update(_table_bytes(R.add))
-    h.update(_table_bytes(R.mul))
-    R._fingerprint = h.hexdigest()
+    """Hash R's tables into ``R._fingerprint``.
 
-
-class _Digest:
-    """The fingerprint of tables being built, hashed on a thread of its own:
-    the header and ``add`` from the start, ``mul`` once ``hand`` passes it
-    over, as the same bytes ``_memoize_fingerprint`` hashes.  It hashes in
-    chunks of ``_HASH_CHUNK`` bytes and stops at the next one once the ring
-    is collected, since no one can ask for that ring's fingerprint any more.
-
-    The thread calls private names only: the outside-in tracer of
-    ``perfbench/tracing.py`` wraps public functions, and its spans assume
-    one thread.
+    The CLI runs this on a second thread, under its private name: the
+    outside-in tracer of ``perfbench/tracing.py`` wraps public functions
+    only, and its spans assume one thread.
     """
-
-    def __init__(self, order: int, zero: int, one: int, add: np.ndarray):
-        self._sha = hashlib.sha256(_fingerprint_header(order, zero, one))
-        self._mul = None
-        self._handed = threading.Event()
-        self._dropped = threading.Event()     # set when the ring is collected
-        # a daemon, so that the tables of a ring never fingerprinted do not
-        # hold up the interpreter's exit
-        self._thread = threading.Thread(target=self._run, args=(add,),
-                                        name="ringlab-fingerprint",
-                                        daemon=True)
-        self._thread.start()
-
-    def _run(self, add: np.ndarray) -> None:
-        if self._hash(add):
-            self._handed.wait()
-            if self._mul is not None:
-                self._hash(self._mul)
-
-    def _hash(self, table: np.ndarray) -> bool:
-        """Hash table's bytes; False if the ring was collected first."""
-        data = _table_bytes(table).reshape(-1).view(np.uint8)
-        for start in range(0, len(data), _HASH_CHUNK):
-            if self._dropped.is_set():
-                return False
-            self._sha.update(data[start:start + _HASH_CHUNK])
-        return True
-
-    def hand(self, mul: Optional[np.ndarray]) -> None:
-        """Pass the product table over; None ends the thread undone."""
-        self._mul = mul
-        self._handed.set()
-
-    def abandon(self) -> None:
-        """End the thread if it got no product table, and wait for it."""
-        if not self._handed.is_set():
-            self.hand(None)
-            self._thread.join()
-
-    def hexdigest(self) -> str:
-        self._thread.join()
-        return self._sha.hexdigest()
-
-
-@contextlib.contextmanager
-def _digest_of(add: np.ndarray, zero: int, one: int):
-    """A ``_Digest`` started on a finished ``add`` whose ``mul`` is still to
-    be built, or None when the two tables stay under HASH_THREAD_BYTES.
-    If the body hands no ``mul`` over, as when the build raises, the thread
-    is ended and joined on the way out."""
-    if 2 * add.nbytes < HASH_THREAD_BYTES:
-        yield None
-        return
-    digest = _Digest(len(add), zero, one, add)
-    try:
-        yield digest
-    finally:
-        digest.abandon()
+    h = hashlib.sha256(f"ring-fp-v1 {R.order} {R.zero} {R.one}".encode())
+    # hash the table buffers in place: a copy of each is 4 n^2 bytes
+    h.update(np.ascontiguousarray(R.add, dtype="<i4"))
+    h.update(np.ascontiguousarray(R.mul, dtype="<i4"))
+    R._fingerprint = h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,8 @@ def _load_bimodule(path: str, offset: int) -> cons.Bimodule:
         raise ExprError(f"bad bimodule file {path!r}: {e}", offset)
 
 
-def _skew_map(node: Node, R: FiniteRing, spec,
-              offset: int) -> tuple[np.ndarray, str]:
+def _skew_map(node: Node, R: FiniteRing, spec, offset: int,
+              max_order: int) -> tuple[np.ndarray, str]:
     if isinstance(spec, Ident) and spec.name == "id":
         return np.arange(R.order), "id"
     if isinstance(spec, Ident) and spec.name == "swap":
@@ -228,7 +228,7 @@ def _skew_map(node: Node, R: FiniteRing, spec,
         base = node.args[0]
         if not (isinstance(base, Node) and base.name == "Prod"):
             raise ExprError("swap needs a Prod(...) base ring", spec.offset)
-        n = evaluate(base.args[0]).order
+        n = evaluate(base.args[0], max_order).order
         if n * n != R.order:
             raise ExprError("swap needs equal-order factors", spec.offset)
         return cons._swap_map(n), "swap"
@@ -306,7 +306,8 @@ def evaluate(node: Node, max_order: int = MAX_ORDER) -> FiniteRing:
     if name == "SkewTrunc":
         R = sub(0)
         k = _want(node, 2, (int,), "a truncation degree")
-        psi, label = _skew_map(node, R, node.args[1], node.offset)
+        psi, label = _skew_map(node, R, node.args[1], node.offset,
+                               max_order)
         return cons.truncated_skew_poly(R, psi, k, max_order=max_order,
                                         hom_name=label)
     raise AssertionError(name)

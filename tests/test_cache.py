@@ -140,6 +140,28 @@ def test_damaged_index_entry_is_a_miss_and_is_rewritten(tmp_path, capsys,
     assert report == harness.analyze(cons.zmod(6))
 
 
+@pytest.mark.parametrize("damage, counts", [
+    (None, (1, 0)), (_truncate, (1, 0)), (_report_of("Z(6)", None), (0, 1)),
+    (_report_of("Z(6)", b"{}"), (0, 1))],
+    ids=["warm", "index-truncated", "report-missing", "report-malformed"])
+def test_one_analyze_counts_one_hit_or_one_miss(tmp_path, capsys, monkeypatch,
+                                                damage, counts):
+    run(capsys, "analyze", "Z(6)", "--cache", str(tmp_path))
+    [entry] = _index_files(tmp_path)
+    if damage is not None:
+        damage(entry)
+    opened = []
+
+    def open_cache(args):
+        opened.append(ReportCache(args.cache))
+        return opened[-1]
+    monkeypatch.setattr(cli, "_open_cache", open_cache)
+    assert run(capsys, "analyze", "Z(6)", "--json",
+               "--cache", str(tmp_path))[0] == 0
+    [cache] = opened
+    assert (cache.hits, cache.misses) == counts
+
+
 def test_index_entry_holds_text_cap_fingerprint_and_name(tmp_path, capsys):
     run(capsys, "analyze", "Quo(Z(8), gen(4))", "--max-order", "64",
         "--cache", str(tmp_path))

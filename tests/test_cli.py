@@ -1,4 +1,3 @@
-import hashlib
 import json
 import sys
 import threading
@@ -96,16 +95,16 @@ def test_prop_exit_codes(capsys):
 
 @pytest.fixture
 def hashers(monkeypatch):
-    """The thread of each table hasher started, each slowed down so that
-    one that main returns without joining is still alive then."""
+    """The thread of each hasher the CLI starts, each slowed down so that
+    one left unjoined is still alive when main returns."""
     threads = []
-    run_digest = core._Digest._run
+    memoize = cli._memoize_fingerprint
 
-    def slow_run(digest, add):
+    def slow_memoize(R):
         threads.append(threading.current_thread())
-        time.sleep(0.02)
-        run_digest(digest, add)
-    monkeypatch.setattr(core._Digest, "_run", slow_run)
+        time.sleep(0.05)
+        memoize(R)
+    monkeypatch.setattr(cli, "_memoize_fingerprint", slow_memoize)
     return threads
 
 
@@ -113,8 +112,6 @@ def _serial_fingerprint(R):
     """The digest of R's tables hashed on this thread, from a fresh copy."""
     S = core.FiniteRing(R.add.copy(), R.mul.copy(), R.zero, R.one)
     core._memoize_fingerprint(S)
-    if S._digest is not None:       # the copy's own hasher agrees
-        assert S._digest.hexdigest() == S._fingerprint
     return S._fingerprint
 
 
@@ -125,12 +122,11 @@ def test_prop_json_fingerprint_is_that_of_a_fresh_build(capsys, hashers,
                                                         name, expr, threaded):
     code, out, _ = run(capsys, "prop", name, expr, "--json")
     assert code == 0
-    # only the product reaches the threshold, not its factors
+    # only the printed ring is hashed, never its factors
     assert len(hashers) == threaded
     assert threading.main_thread() not in hashers
     R = exprs.build(expr)
-    assert (R.add.nbytes + R.mul.nbytes >= core.HASH_THREAD_BYTES) is threaded
-    assert (R._digest is not None) is threaded
+    assert (R.add.nbytes + R.mul.nbytes >= cli.HASH_THREAD_BYTES) is threaded
     assert json.loads(out)["fingerprint"] == _serial_fingerprint(R)
 
 
@@ -146,10 +142,9 @@ def _raising_check(R):
     (["ideals", "M(2, Z(2))", "--json"], 0)],
     ids=["holds", "fails", "unknown-property", "check-raises", "ideals"])
 def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
-    # every ring on a hasher thread: the printed ring's is joined before
-    # main returns, and the others (factors, rings never printed) end on
-    # their own, without waiting for anything more
-    monkeypatch.setattr(core, "HASH_THREAD_BYTES", 0)
+    # every printed ring on the hasher thread, which main joins before it
+    # returns or raises
+    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
     before = set(threading.enumerate())
     if code is None:
         monkeypatch.setitem(props.PROPERTY_CHECKS, "nj_symmetric",
@@ -158,52 +153,22 @@ def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
             cli.main(argv)
     else:
         assert cli.main(argv) == code
-    if code in (0, 1):
-        assert not hashers[-1].is_alive()
-    for t in hashers:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in hashers)
-    assert set(threading.enumerate()) <= before
-    assert hashers and threading.main_thread() not in hashers
-
-
-def test_a_collected_rings_hasher_stops_early(hashers, monkeypatch):
-    # the hasher sleeps before its first chunk, and the ring is gone by then
-    before = threading.active_count()
-    monkeypatch.setattr(core, "HASH_THREAD_BYTES", 0)
-    S = exprs.build("Prod(Z(16), Z(32))")
-    R = core.FiniteRing(S.add.copy(), S.mul.copy(), S.zero, S.one)
-    digest = R._digest
-    thread = digest._thread
-    del R
-    thread.join(timeout=10)
-    assert thread in hashers
-    assert not thread.is_alive() and digest._dropped.is_set()
-    # nothing past the header was hashed
-    header = core._fingerprint_header(S.order, S.zero, S.one)
-    assert digest._sha.hexdigest() == hashlib.sha256(header).hexdigest()
-    # the live ring's digest, over chunks that split its entries, is whole
-    monkeypatch.setattr(core, "_HASH_CHUNK", 1001)
-    assert canonical_fingerprint(S) == _serial_fingerprint(S)
-    for t in hashers:
-        t.join(timeout=10)
-    assert threading.active_count() == before
+    assert set(threading.enumerate()) == before
+    assert len(hashers) == 1 and hashers[0] is not threading.main_thread()
 
 
 def test_hashers_beside_their_work_under_contention():
-    # more callers than cores, each building rings whose tables are hashed
-    # on threads of their own, switching threads often: every caller gets
-    # its verdict and the serial digest, by either way of starting a hasher
+    # more callers than cores, each with a hasher, switching threads often:
+    # every caller gets its verdict and the serial digest
     R = exprs.build("Prod(Z(16), Z(32))")
-    assert R._digest is not None
+    assert R.add.nbytes + R.mul.nbytes >= cli.HASH_THREAD_BYTES
     want = (True, _serial_fingerprint(R))
     results = []
 
     def call():
-        for S in (core.FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name),
-                  cons.direct_product(cons.zmod(16), cons.zmod(32))):
-            results.append((props.check_property(S, "semicommutative").holds,
-                            canonical_fingerprint(S)))
+        S = core.FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
+        results.append(cli._with_fingerprint(
+            S, lambda: props.check_property(S, "semicommutative").holds))
     callers = [threading.Thread(target=call) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -215,12 +180,12 @@ def test_hashers_beside_their_work_under_contention():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert results == [want] * 8
+    assert results == [want] * 4
 
 
 def test_ideals_json_is_the_same_from_either_thread(capsys, monkeypatch):
     inline = run(capsys, "ideals", "T(2, Z(4))", "--json")
-    monkeypatch.setattr(core, "HASH_THREAD_BYTES", 0)
+    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
     assert run(capsys, "ideals", "T(2, Z(4))", "--json") == inline
 
 
@@ -239,6 +204,15 @@ def test_swap_needs_factors_of_equal_order(capsys):
     # a second factor of the first's order builds, however it is written
     R = exprs.build("SkewTrunc(Prod(Z(3), Prod(Z(1), Z(3))), swap, 2)")
     assert R.order == 81
+
+
+def test_swap_reads_its_first_factor_under_the_given_cap(capsys):
+    # Z(4097) is past the default cap but within --max-order, so the order
+    # check is the one that fails
+    code, out, err = run(capsys, "prop", "commutative", "--max-order", "10000",
+                         "SkewTrunc(Prod(Z(4097), Z(2)), swap, 1)")
+    assert (code, out) == (2, "")
+    assert "swap needs equal-order factors" in err
 
 
 def test_analyze_json_schema(capsys):

@@ -9,13 +9,11 @@ stays here as the oracle for all eight constructions that use the builder.
 import gc
 import itertools
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from ringlab import constructions as cons
-from ringlab import core
 from ringlab import harness
 from ringlab.core import FiniteRing, RingError, canonical_fingerprint
 
@@ -479,22 +477,18 @@ def test_value_off_its_carrier_raises():
                           name="bad")
 
 
-def test_a_failing_large_build_ends_its_hasher(monkeypatch):
-    # 512 elements reach HASH_THREAD_BYTES, so the addition table is being
-    # hashed, slowly, when a product leaves the carrier; the build must still
-    # raise its RingError and end the hasher, which never gets a product table
+def test_a_failing_large_build_starts_no_thread(monkeypatch):
+    # 512 elements reach the CLI's threshold for hashing on a thread, but a
+    # build hashes nothing: a product that leaves the carrier raises its
+    # RingError with no thread started
     z8 = cons.zmod(8)
     started = []
-    run_digest = core._Digest._run
 
-    def slow_run(digest, add):
-        started.append(threading.current_thread())
-        time.sleep(0.05)
-        run_digest(digest, add)
-    monkeypatch.setattr(core._Digest, "_run", slow_run)
-    for t in threading.enumerate():     # hashers of earlier tests' rings
-        if t.name == "ringlab-fingerprint":
-            t.join(timeout=60)
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Recorded)
     before = threading.active_count()
 
     def off_carrier(X, Y):
@@ -502,8 +496,7 @@ def test_a_failing_large_build_ends_its_hasher(monkeypatch):
     with pytest.raises(RingError, match="a product leaves the carrier"):
         cons._coord_build([range(8)] * 3, [z8.add] * 3, off_carrier,
                           [0] * 3, [1] * 3, name="bad")
-    assert len(started) == 1 and not started[0].is_alive()
-    assert threading.active_count() == before
+    assert started == [] and threading.active_count() == before
 
 
 @pytest.mark.parametrize("k", [6, 8, 64])
