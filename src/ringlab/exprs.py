@@ -219,19 +219,19 @@ def _load_bimodule(path: str, offset: int) -> cons.Bimodule:
         raise ExprError(f"bad bimodule file {path!r}: {e}", offset)
 
 
-def _skew_map(node: Node, R: FiniteRing, spec, offset: int,
-              max_order: int) -> tuple[np.ndarray, str]:
+def _skew_map(R: FiniteRing, first: Optional[int], spec,
+              offset: int) -> tuple[np.ndarray, str]:
+    """The map of a SkewTrunc over R; ``first`` is the order of R's first
+    factor when R is written as a Prod, else None."""
     if isinstance(spec, Ident) and spec.name == "id":
         return np.arange(R.order), "id"
     if isinstance(spec, Ident) and spec.name == "swap":
         # coordinate swap of a direct product with equal-order factors
-        base = node.args[0]
-        if not (isinstance(base, Node) and base.name == "Prod"):
+        if first is None:
             raise ExprError("swap needs a Prod(...) base ring", spec.offset)
-        n = evaluate(base.args[0], max_order).order
-        if n * n != R.order:
+        if first * first != R.order:
             raise ExprError("swap needs equal-order factors", spec.offset)
-        return cons._swap_map(n), "swap"
+        return cons._swap_map(first), "swap"
     if isinstance(spec, str):
         try:
             with open(spec) as f:
@@ -243,6 +243,14 @@ def _skew_map(node: Node, R: FiniteRing, spec, offset: int,
                             f"expected {R.order}", offset)
         return np.asarray(values), spec
     raise ExprError("ring map must be id, swap or a table file path", offset)
+
+
+def _product(node: Node, max_order: int) -> tuple[FiniteRing, int]:
+    """A Prod's ring and its first factor's order, each factor evaluated
+    once."""
+    A, B = (evaluate(_want(node, i, (Node,), "a ring expression"), max_order)
+            for i in (0, 1))
+    return cons.direct_product(A, B, max_order=max_order), A.order
 
 
 def evaluate(node: Node, max_order: int = MAX_ORDER) -> FiniteRing:
@@ -270,7 +278,7 @@ def evaluate(node: Node, max_order: int = MAX_ORDER) -> FiniteRing:
               "CD": cons.constant_diagonal}[name]
         return fn(R, k, max_order=max_order)
     if name == "Prod":
-        return cons.direct_product(sub(0), sub(1), max_order=max_order)
+        return _product(node, max_order)[0]
     if name == "Quo":
         R = sub(0)
         mask, label = _ideal_mask(R, node.args[1], node.offset)
@@ -304,10 +312,13 @@ def evaluate(node: Node, max_order: int = MAX_ORDER) -> FiniteRing:
         return cons.dorroh(R, _load_bimodule(path, node.offset),
                            max_order=max_order).ring
     if name == "SkewTrunc":
-        R = sub(0)
+        base = _want(node, 0, (Node,), "a ring expression")
+        if base.name == "Prod" and len(base.args) == _ARITY["Prod"]:
+            R, first = _product(base, max_order)
+        else:       # a Prod of the wrong arity raises its own error here
+            R, first = evaluate(base, max_order), None
         k = _want(node, 2, (int,), "a truncation degree")
-        psi, label = _skew_map(node, R, node.args[1], node.offset,
-                               max_order)
+        psi, label = _skew_map(R, first, node.args[1], node.offset)
         return cons.truncated_skew_poly(R, psi, k, max_order=max_order,
                                         hom_name=label)
     raise AssertionError(name)

@@ -310,9 +310,13 @@ def all_two_sided_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> Ideal
 def _coset_quotient(R: FiniteRing, ideal_mask: int,
                     name: str) -> tuple[FiniteRing, np.ndarray]:
     """R / I with least-index coset representatives, and the projection
-    table; the caller vouches that ``ideal_mask`` is a two-sided ideal."""
+    table; the caller vouches that ``ideal_mask`` is a two-sided ideal.
+    Each x's representative, the least of x + I, is read in row blocks
+    within ``_BLOCK_BYTES``, so the n x |I| plane is never held whole."""
     members = np.array(mask_indices(ideal_mask), dtype=np.intp)
-    rep_of = R.add[:, members].min(axis=1)
+    step = max(1, _BLOCK_BYTES // (4 * len(members)))     # int32 cells
+    rep_of = np.concatenate([R.add[r:r + step, members].min(axis=1)
+                             for r in range(0, R.order, step)])
     reps = np.unique(rep_of)
     lut = np.full(R.order, -1, dtype=np.int32)
     lut[reps] = np.arange(len(reps))

@@ -215,6 +215,23 @@ def test_swap_reads_its_first_factor_under_the_given_cap(capsys):
     assert "swap needs equal-order factors" in err
 
 
+def test_swap_evaluates_each_factor_once(monkeypatch):
+    calls = []
+    matrix_ring = cons.matrix_ring
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return matrix_ring(*args, **kwargs)
+
+    monkeypatch.setattr(cons, "matrix_ring", counted)
+    R = exprs.build("SkewTrunc(Prod(M(2, Z(2)), M(2, Z(2))), swap, 1)")
+    assert R.order == 256 and calls == [2, 2]
+    # a SkewTrunc over a Prod with another map builds the same ring
+    calls.clear()
+    assert exprs.build("SkewTrunc(Prod(M(2, Z(2)), Z(2)), id, 1)").order == 32
+    assert calls == [2]
+
+
 def test_analyze_json_schema(capsys):
     code, out, _ = run(capsys, "analyze", "Z(4)", "--json", "--no-cache")
     assert code == 0

@@ -167,6 +167,26 @@ def test_jacobson_over_nilpotent_rows_matches_all_rows(budget, monkeypatch):
         assert (inv.jacobson_bool(R) == _jacobson_all_rows(R)).all(), R.name
 
 
+def test_coset_representatives_in_row_blocks_are_the_least(monkeypatch):
+    # at a 64-byte budget each block holds one or two rows x; x's class must
+    # still be numbered by the least element of x + J, read from the whole
+    # n x |J| plane
+    from ringlab import exprs
+    for expr in ("T(3, Z(2))", "SkewTrunc(Z(2), id, 5)",
+                 "Prod(M(2, Z(2)), T(2, Z(4)))"):
+        R = exprs.build(expr)
+        J = inv.jacobson_radical(R)
+        least = R.add[:, mask_indices(J)].min(axis=1)
+        Q, proj = inv._coset_quotient(R, J, "Q")
+        monkeypatch.setattr(inv, "_BLOCK_BYTES", 64)
+        Q64, proj64 = inv._coset_quotient(R, J, "Q")
+        monkeypatch.undo()
+        first = np.unique(proj64, return_index=True)[1]
+        assert (first[proj64] == least).all(), expr
+        assert (proj64 == proj).all(), expr
+        assert (Q64.add == Q.add).all() and (Q64.mul == Q.mul).all(), expr
+
+
 def test_jacobson_equals_intersection_of_maximal_left_ideals():
     for R in (zmod(6), zmod(8), matrix_ring(zmod(2), 2),
               upper_triangular(zmod(3), 2)):

@@ -406,3 +406,91 @@ def test_bad_pairs_in_several_chunks(monkeypatch):
             want = (bits[0][:, None] & bits[1][None]).any(axis=2)
             assert (props._bad_pairs(p_rows, q_rows) == want).all()
     assert_hits_match_definition(R)
+
+
+# -- the J-saturated predicates on R/J(R) --------------------------------------
+
+def _scans(R: FiniteRing, name: str) -> tuple[Optional[dict], ...]:
+    """The packed scan of R, each form on its own."""
+    return tuple(props._first_witness(R, f) for f in props.TRIPLE_FORMS[name])
+
+
+def assert_lift_matches_scan(R: FiniteRing) -> None:
+    R = _fresh(R)
+    routed = [name for name, forms in props.TRIPLE_FORMS.items()
+              if props._quotient_route(R, forms) is not None]
+    # the route is chosen by the forms' element sets
+    assert routed == ["weak_symmetric", "nj_symmetric"], R.name
+    for name in routed:
+        assert props._form_witnesses(R, name) == _scans(R, name), \
+            (R.name, name)
+
+
+def test_lift_matches_scan_on_small_rings(block_bytes, monkeypatch):
+    # every ring with J != 0 is routed once the order bound is 0
+    monkeypatch.setattr(props, "_SCAN_MAX_ORDER", 0)
+    lifted = [R for R in _SCANNED if inv._mod_jacobson(R)[1] is not None]
+    assert len(lifted) > 20
+    for R in lifted:
+        assert_lift_matches_scan(R)
+
+
+@pytest.mark.parametrize("expr", ["Prod(M(2, Z(2)), T(2, Z(4)))",
+                                  "T(4, Z(2))", "Prod(T(3, Z(2)), Z(4))"])
+def test_lift_matches_scan_at_the_bound(expr):
+    from ringlab import exprs
+    R = _fresh(exprs.build(expr))
+    for name in ("weak_symmetric", "nj_symmetric"):
+        assert props._form_witnesses(R, name) == _scans(_fresh(R), name), \
+            (expr, name)
+
+
+def test_routed_ring_builds_no_row_classes(monkeypatch):
+    from ringlab import exprs
+    R = _fresh(exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))"))
+    want = {name: _scans(_fresh(R), name)
+            for name in ("weak_symmetric", "nj_symmetric")}
+    row_classes = props._row_classes
+
+    def on_quotient_only(S, reading):
+        if S is R:
+            raise AssertionError(f"row classes of {reading} built on R")
+        return row_classes(S, reading)
+
+    monkeypatch.setattr(props, "_row_classes", on_quotient_only)
+    for name, forms in want.items():
+        assert None not in forms
+        assert props._form_witnesses(R, name) == forms
+        v = props.check_property(R, name)
+        assert v.witness == forms[0] and props.reverify_witness(R, v)
+
+
+@pytest.mark.parametrize("expr, names, holds", [
+    # J = 0 above the bound, failing and holding
+    ("M(2, Z(5))", ("weak_symmetric", "nj_symmetric"), False),
+    ("Prod(Z(31), Z(29))", ("weak_symmetric", "nj_symmetric"), True),
+    # J != 0 at the bound
+    ("Prod(T(3, Z(2)), Z(4))", ("weak_symmetric", "nj_symmetric"), True),
+    # zero premises on a ring whose J-saturated predicates are routed
+    ("Prod(M(2, Z(2)), T(2, Z(4)))", ("symmetric", "semicommutative", "gws"),
+     False),
+])
+def test_scanned_rings_and_predicates(expr, names, holds, monkeypatch):
+    from ringlab import exprs
+    R = _fresh(exprs.build(expr))
+
+    def no_lift(*args):
+        raise AssertionError("lifted from R/J(R)")
+
+    monkeypatch.setattr(props, "_lifted_witness", no_lift)
+    for name in names:
+        assert props._quotient_route(R, props.TRIPLE_FORMS[name]) is None
+        v = props.check_property(R, name)
+        assert v.holds is holds, (expr, name)
+        assert holds or props.reverify_witness(R, v)
+
+
+def test_rule_suite_rings_are_scanned():
+    # R12 and R13 compare a scan of R with one of R/J(R)
+    assert harness.DERIVED_SCAN_MAX_ORDER <= props._SCAN_MAX_ORDER
+    assert max(R.order for R in _DEFAULT) <= props._SCAN_MAX_ORDER
