@@ -7,9 +7,11 @@ sources, so an edited predicate never reads a report an older one wrote.
 The cache directory defaults to ``~/.cache/ringlab`` and can be overridden
 with the RINGLAB_CACHE environment variable or the --cache flag.
 
-Its ``index`` subdirectory maps an ``analyze`` expression's text and size
-cap to the fingerprint and name of the ring it builds, so a repeated
-``analyze`` finds its report without building or hashing the ring.
+Its ``index`` subdirectory maps an expression's text and size cap to the
+fingerprint and name of the ring it builds.  A repeated ``analyze`` finds
+its report there without building or hashing the ring, and a repeated
+``prop --json`` or ``ideals --json`` prints the ring's fingerprint without
+hashing its tables.  The three commands read and write the same entries.
 """
 
 from __future__ import annotations
@@ -179,11 +181,11 @@ class ReportCache:
 
     # -- the expression index ---------------------------------------------
     #
-    # An ``analyze`` of one expression text under one size cap builds the
-    # same tables under the same name whenever the code is the same, unless
-    # the expression reads a file; callers index only expressions that read
-    # none.  An entry holds the text and cap it was made for, the ring's
-    # fingerprint and its name.
+    # One expression text under one size cap builds the same tables under
+    # the same name whenever the code is the same, unless the expression
+    # reads a file; callers (``analyze``, ``prop --json``, ``ideals
+    # --json``) index only expressions that read none.  An entry holds the
+    # text and cap it was made for, the ring's fingerprint and its name.
 
     def _index_path(self, text: str, max_order: int) -> Path:
         key = hashlib.sha256(f"{max_order}\n{text}".encode(

@@ -29,10 +29,13 @@ def _global_flags(p: argparse.ArgumentParser) -> None:
                    help="size cap for constructed rings (default %(default)s; "
                         "WSC(n) grows fast: WSC(1) already has order 1024)")
     p.add_argument("--cache", metavar="DIR", default=None,
-                   help="cache directory (default $RINGLAB_CACHE or "
+                   help="cache directory, read by analyze, prop --json and "
+                        "ideals --json (default $RINGLAB_CACHE or "
                         "~/.cache/ringlab)")
     p.add_argument("--no-cache", action="store_true",
-                   help="do not read or write the report cache")
+                   help="do not read or write the cache (analyze's reports, "
+                        "and the expression index of analyze, prop --json "
+                        "and ideals --json)")
     p.add_argument("--threads", type=int, metavar="N",
                    default=os.cpu_count() or 1,
                    help="accepted for compatibility; the rule suite runs "
@@ -104,21 +107,40 @@ def _emit(obj: dict) -> None:
 HASH_THREAD_BYTES = 1 << 21
 
 
-def _with_fingerprint(R, work):
+def _with_fingerprint(R, work, tree=None, text=None, max_order=None,
+                      cache=None):
     """(work(), canonical_fingerprint(R)), hashing a large ring's tables
     on a thread of its own while work runs.  The thread is joined before
-    this returns or raises."""
+    this returns or raises.
+
+    Given a cache and the expression (parsed as tree) that built R under
+    max_order, an expression that reads no file takes the fingerprint from
+    its expression index entry when that entry names R, and hashes nothing;
+    otherwise R is hashed and the entry written.  An entry that cannot be
+    written is skipped."""
+    indexed = cache is not None and not exprs._reads_files(tree)
+    if indexed:
+        entry = cache._index_get(text, max_order)
+        if entry is not None and entry[1] == R.name:
+            return work(), entry[0]
     if R.add.nbytes + R.mul.nbytes < HASH_THREAD_BYTES:
-        return work(), canonical_fingerprint(R)
-    hasher = threading.Thread(target=_memoize_fingerprint, args=(R,),
-                              name="ringlab-fingerprint")
-    hasher.start()
-    try:
         result = work()
-    finally:
-        hasher.join()
-    # the thread left the digest memoized on the ring
-    return result, canonical_fingerprint(R)
+    else:
+        hasher = threading.Thread(target=_memoize_fingerprint, args=(R,),
+                                  name="ringlab-fingerprint")
+        hasher.start()
+        try:
+            result = work()
+        finally:
+            hasher.join()
+    # hashed inline here, or memoized on the ring by the thread
+    fingerprint = canonical_fingerprint(R)
+    if indexed:
+        try:
+            cache._index_put(text, max_order, fingerprint, R.name)
+        except OSError:
+            pass
+    return result, fingerprint
 
 
 def _open_cache(args):
@@ -174,10 +196,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_prop(args) -> int:
-    R = exprs.build(args.expr, max_order=args.max_order)
+    tree = exprs.parse(args.expr)
+    R = exprs.evaluate(tree, max_order=args.max_order)
     if args.json:
         verdict, fingerprint = _with_fingerprint(
-            R, lambda: props.check_property(R, args.name))
+            R, lambda: props.check_property(R, args.name), tree, args.expr,
+            args.max_order, _open_cache(args))
         out = verdict.to_dict()
         out["ring"] = R.name
         out["fingerprint"] = fingerprint
@@ -291,14 +315,16 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    R = exprs.build(args.expr, max_order=args.max_order)
+    tree = exprs.parse(args.expr)
+    R = exprs.evaluate(tree, max_order=args.max_order)
 
     def lattices():
         return (inv.all_left_ideals(R, cap=args.cap),
                 inv.all_right_ideals(R, cap=args.cap),
                 inv.all_two_sided_ideals(R, cap=args.cap))
     if args.json:
-        (left, right, two), fingerprint = _with_fingerprint(R, lattices)
+        (left, right, two), fingerprint = _with_fingerprint(
+            R, lattices, tree, args.expr, args.max_order, _open_cache(args))
         _emit({"format": "ideals v1", "ring": R.name, "order": R.order,
                "fingerprint": fingerprint,
                "left": [mask_indices(m) for m in sorted(left.ideals)],

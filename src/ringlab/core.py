@@ -17,6 +17,8 @@ import numpy as np
 #: memory bounded; raise at your own risk.
 MAX_ORDER = 4096
 
+_BLOCK_BYTES = 1 << 20      # bound on one block's temporaries
+
 
 class RingError(Exception):
     """Base class for all ringlab errors."""
@@ -161,9 +163,17 @@ class FiniteRing:
         return range(self.order)
 
     def neg_table(self) -> np.ndarray:
-        """Per-element additive inverse, as a lookup vector."""
+        """Per-element additive inverse, as a lookup vector.  The rows of
+        the sum table are compared with zero in blocks within
+        ``_BLOCK_BYTES``, so the boolean plane of the whole table is never
+        held."""
         if self._neg is None:
-            neg = np.argmax(self.add == self.zero, axis=1).astype(np.int32)
+            n = self.order
+            step = max(1, _BLOCK_BYTES // n)    # one bool per cell
+            neg = np.empty(n, dtype=np.int32)
+            for i in range(0, n, step):
+                neg[i:i + step] = np.argmax(self.add[i:i + step] == self.zero,
+                                            axis=1)
             neg.setflags(write=False)
             self._neg = neg
         return self._neg

@@ -29,12 +29,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (BadArgumentError, FiniteRing, RingError, _first_true,
-                   _span, mask_contains, mask_from_bool, mask_from_indices,
-                   mask_indices, mask_to_bool)
+from .core import (_BLOCK_BYTES, BadArgumentError, FiniteRing, RingError,
+                   _first_true, _span, mask_contains, mask_from_bool,
+                   mask_from_indices, mask_indices, mask_to_bool)
 
 DEFAULT_LATTICE_CAP = 20000
-_BLOCK_BYTES = 1 << 20      # bound on one block's temporaries
 
 
 class NotAnIdealError(RingError):
@@ -56,9 +55,16 @@ def _cached(R: FiniteRing, key: str, compute: Callable):
 # ---------------------------------------------------------------------------
 
 def units_bool(R: FiniteRing) -> np.ndarray:
+    """x has a right inverse: some xy = 1.  A finite ring is
+    Dedekind-finite, so xy = 1 already gives yx = 1.  The rows of R.mul
+    are compared with one in blocks within ``_BLOCK_BYTES``, so the
+    boolean plane of the whole table is never held."""
     def compute():
-        # a finite ring is Dedekind-finite: xy = 1 already gives yx = 1
-        u = (R.mul == R.one).any(axis=1)
+        n = R.order
+        step = max(1, _BLOCK_BYTES // n)    # one bool per cell
+        u = np.empty(n, dtype=bool)
+        for i in range(0, n, step):
+            u[i:i + step] = (R.mul[i:i + step] == R.one).any(axis=1)
         u.setflags(write=False)
         return u
     return _cached(R, "units_b", compute)

@@ -288,6 +288,153 @@ def test_miss_prints_the_text_it_wrote(tmp_path, capsys, monkeypatch):
     assert ReportCache(tmp_path)._path(_fp("Z(6)")).read_text() == out
 
 
+# -- prop --json and ideals --json ---------------------------------------------
+
+def _refuse_hashing(monkeypatch):
+    """Make hashing a ring's tables, or starting a thread, fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run hashed a ring or started a thread")
+    monkeypatch.setattr(core, "_memoize_fingerprint", refuse)
+    monkeypatch.setattr(cli, "_memoize_fingerprint", refuse)
+    monkeypatch.setattr(cli.threading, "Thread", refuse)
+
+
+# an order-1024 ring hashed on a thread when cold, an order-512 lattice, and
+# small rings hashed inline
+FINGERPRINTED = [
+    ["prop", "nj_symmetric", "Prod(M(2, Z(2)), T(2, Z(4)))", "--json"],
+    ["prop", "weak_symmetric", "Prod(M(2, Z(2)), T(2, Z(4)))", "--json"],
+    ["prop", "nj_symmetric", "M(2, Z(2))", "--json"],
+    ["prop", "symmetric", "T(2, Z(4))", "--json"],
+    ["ideals", "Prod(Z(32), Z(16))", "--json"],
+    ["ideals", "T(2, Z(4))", "--json"]]
+
+
+@pytest.mark.parametrize("argv", FINGERPRINTED, ids=" ".join)
+def test_warm_fingerprint_prints_the_fresh_output(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    fresh = run(capsys, *argv, "--no-cache")
+    assert fresh[0] in (0, 1) and fresh[2] == ""
+    assert run(capsys, *argv, "--cache", str(tmp_path)) == fresh
+    [entry] = _index_files(tmp_path)
+    R = exprs.build(argv[-2])
+    assert json.loads(entry.read_text()) == {
+        "text": argv[-2], "max_order": MAX_ORDER,
+        "fingerprint": canonical_fingerprint(R), "ring": R.name}
+    with monkeypatch.context() as m:
+        _refuse_hashing(m)
+        assert run(capsys, *argv, "--cache", str(tmp_path)) == fresh
+    assert _index_files(tmp_path) == [entry]
+
+
+def test_warm_prop_at_order_4096_hashes_nothing(tmp_path, capsys,
+                                                monkeypatch):
+    argv = ["prop", "commutative", "T(3, Z(4))", "--json"]
+    fresh = run(capsys, *argv, "--no-cache")
+    assert fresh[0] == 1
+    assert run(capsys, *argv, "--cache", str(tmp_path)) == fresh
+    _refuse_hashing(monkeypatch)
+    assert run(capsys, *argv, "--cache", str(tmp_path)) == fresh
+
+
+@pytest.mark.parametrize("first", ["prop", "analyze"])
+def test_prop_and_analyze_share_one_entry(tmp_path, capsys, monkeypatch,
+                                          first):
+    expr = "T(2, Z(4))"
+    argvs = {"prop": ["prop", "nj_symmetric", expr, "--json"],
+             "analyze": ["analyze", expr, "--json"]}
+    fresh = {k: run(capsys, *a, "--no-cache") for k, a in argvs.items()}
+    second = "analyze" if first == "prop" else "prop"
+    assert run(capsys, *argvs[first], "--cache", str(tmp_path)) == fresh[first]
+    [entry] = _index_files(tmp_path)
+    written = entry.read_text()
+    assert run(capsys, *argvs[second], "--cache", str(tmp_path)) \
+        == fresh[second]
+    assert _index_files(tmp_path) == [entry]
+    assert entry.read_text() == written
+    # prop builds the ring it decides; neither command hashes it
+    _refuse_hashing(monkeypatch)
+    for k, a in argvs.items():
+        assert run(capsys, *a, "--cache", str(tmp_path)) == fresh[k]
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate, lambda p: p.write_text(""), _edit_entry(ring="Z(2)"),
+    _edit_entry(fingerprint=7), _edit_entry(max_order=64)],
+    ids=["truncated", "empty", "other-ring", "fingerprint-type",
+         "other-max-order"])
+@pytest.mark.parametrize("argv", [
+    ["prop", "nj_symmetric", "M(2, Z(2))", "--json"],
+    ["ideals", "T(2, Z(4))", "--json"]], ids=lambda a: a[0])
+def test_damaged_entry_is_rehashed_and_rewritten(tmp_path, capsys,
+                                                 monkeypatch, argv, damage):
+    fresh = run(capsys, *argv, "--no-cache")
+    run(capsys, *argv, "--cache", str(tmp_path))
+    [entry] = _index_files(tmp_path)
+    good = entry.read_text()
+    damage(entry)
+    hashed = []
+    memoize = cli._memoize_fingerprint
+    with monkeypatch.context() as m:
+        m.setattr(core, "_memoize_fingerprint",
+                  lambda R: hashed.append(R.name) or memoize(R))
+        assert run(capsys, *argv, "--cache", str(tmp_path)) == fresh
+    assert hashed == [argv[-2]]
+    assert _index_files(tmp_path) == [entry]
+    assert entry.read_text() == good
+
+
+@pytest.mark.parametrize("command", [["prop", "nj_symmetric"], ["ideals"]],
+                         ids=lambda c: c[0])
+def test_fingerprints_of_expressions_that_read_files_are_never_indexed(
+        tmp_path, capsys, command):
+    path = tmp_path / "m.bim"
+    Z2 = cons.zmod(2)
+    path.write_text(cons.serialize_bimodule(cons.ring_bimodule(Z2), 2, 2))
+    argv = [*command, f'Dorroh(Z(2), "{path}")', "--json"]
+    fresh = run(capsys, *argv, "--no-cache")
+    cache_dir = tmp_path / "cache"
+    for _ in range(2):
+        assert run(capsys, *argv, "--cache", str(cache_dir)) == fresh
+    assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", FINGERPRINTED[2:] + [
+    ["prop", "nope", "Z(2)", "--json"]], ids=" ".join)
+def test_unusable_cache_keeps_the_output_and_exit_code(tmp_path, capsys,
+                                                       argv, under):
+    fresh = run(capsys, *argv, "--no-cache")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+    for _ in range(2):
+        assert run(capsys, *argv, "--cache", str(blocker / under)) == fresh
+    assert blocker.read_text() == "a regular file"
+
+
+def test_no_cache_and_the_environment(tmp_path, capsys, monkeypatch):
+    # an entry that names the ring with another fingerprint shows whether
+    # the index was read
+    env = tmp_path / "env"
+    monkeypatch.setenv("RINGLAB_CACHE", str(env))
+    argv = ["prop", "nj_symmetric", "T(2, Z(4))", "--json"]
+    fresh = run(capsys, *argv, "--no-cache")
+    assert not env.exists()
+    ReportCache(env)._index_put("T(2, Z(4))", MAX_ORDER, "0" * 64,
+                                "T(2, Z(4))")
+    written = _index_files(env)
+    assert run(capsys, *argv, "--no-cache") == fresh
+    code, out, _ = run(capsys, *argv)
+    assert code == fresh[0]
+    assert json.loads(out)["fingerprint"] == "0" * 64
+    # --cache outranks the environment, and text output reads no cache
+    assert run(capsys, *argv, "--cache", str(tmp_path / "flag")) == fresh
+    assert len(_index_files(tmp_path / "flag")) == 1
+    run(capsys, "prop", "nj_symmetric", "Z(6)")
+    run(capsys, "ideals", "Z(6)")
+    assert _index_files(env) == written
+
+
 # -- the JSON writer -----------------------------------------------------------
 
 def _shapes():

@@ -76,6 +76,27 @@ def test_units_match_the_two_sided_test():
         assert agree(exprs.build(expr)), expr
 
 
+def _units_whole_plane(R):
+    # the one comparison of the whole table that the row blocks replaced
+    return (R.mul == R.one).any(axis=1)
+
+
+@pytest.mark.parametrize("budget", [inv._BLOCK_BYTES, 64, 1])
+def test_units_in_row_blocks_match_the_whole_plane(budget, monkeypatch):
+    from ringlab import exprs, harness
+    rings = (harness.default_corpus().rings
+             + [R for s in range(3) for R in harness.random_corpus(s, 30)]
+             + [exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))"),
+                exprs.build("M(2, Z(5))")])
+    if budget == inv._BLOCK_BYTES:
+        # 256 rows a block, 16 blocks
+        rings.append(exprs.build("T(3, Z(4))"))
+    monkeypatch.setattr(inv, "_BLOCK_BYTES", budget)
+    for R in rings:
+        R = FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
+        assert (inv.units_bool(R) == _units_whole_plane(R)).all(), R.name
+
+
 def test_nilpotents_of_z4():
     assert mask_indices(inv.nilpotents(zmod(4))) == [0, 2]
 
