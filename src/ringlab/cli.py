@@ -107,23 +107,16 @@ def _emit(obj: dict) -> None:
 HASH_THREAD_BYTES = 1 << 21
 
 
-def _with_fingerprint(R, work, tree=None, text=None, max_order=None,
-                      cache=None):
+def _with_fingerprint(R, work, index=None):
     """(work(), canonical_fingerprint(R)), hashing a large ring's tables
     on a thread of its own while work runs.  The thread is joined before
-    this returns or raises.
-
-    Given a cache and the expression (parsed as tree) that built R under
-    max_order, an expression that reads no file takes the fingerprint from
-    its expression index entry when that entry names R, and hashes nothing;
-    otherwise R is hashed and the entry written.  An entry that cannot be
-    written is skipped."""
-    indexed = cache is not None and not exprs._reads_files(tree)
-    if indexed:
-        entry = cache._index_get(text, max_order)
-        if entry is not None and entry[1] == R.name:
-            return work(), entry[0]
-    if R.add.nbytes + R.mul.nbytes < HASH_THREAD_BYTES:
+    this returns or raises.  With the expression index of the expression
+    that built R, R takes its fingerprint from there when it can, and is
+    then not hashed at all."""
+    if index is not None:
+        index.memoize(R)
+    if (R._fingerprint is not None
+            or R.add.nbytes + R.mul.nbytes < HASH_THREAD_BYTES):
         result = work()
     else:
         hasher = threading.Thread(target=_memoize_fingerprint, args=(R,),
@@ -133,13 +126,10 @@ def _with_fingerprint(R, work, tree=None, text=None, max_order=None,
             result = work()
         finally:
             hasher.join()
-    # hashed inline here, or memoized on the ring by the thread
+    # read from the index, hashed inline here, or memoized by the thread
     fingerprint = canonical_fingerprint(R)
-    if indexed:
-        try:
-            cache._index_put(text, max_order, fingerprint, R.name)
-        except OSError:
-            pass
+    if index is not None:
+        index.record(R)
     return result, fingerprint
 
 
@@ -149,31 +139,63 @@ def _open_cache(args):
     return cache_mod.ReportCache(args.cache)
 
 
-def _indexed_report(cache, args):
-    """The cached report of the ring the expression index names for this
-    text and size cap, under the indexed name, or None."""
-    entry = cache._index_get(args.expr, args.max_order)
-    if entry is None:
-        return None
-    fp, name = entry
-    # on a miss the caller builds the ring and harness.analyze looks it up
-    # again, which counts the miss
-    report = cache.get(fp, valid=harness._is_report, count_miss=False)
-    return None if report is None else harness._renamed(report, name)
+class _ExpressionIndex:
+    """The expression index entry for args.expr (parsed as tree) under
+    args.max_order, for the commands that print a fingerprint: ``analyze``
+    reads the report the entry names, ``prop --json`` and ``ideals --json``
+    the fingerprint itself.  Without a cache, or for an expression that
+    reads a file, whose text does not fix its ring, there is no entry and
+    nothing is written."""
+
+    def __init__(self, cache, args, tree):
+        self.cache = None if exprs._reads_files(tree) else cache
+        self.key = (args.expr, args.max_order)
+        self.entry = (None if self.cache is None
+                      else self.cache._index_get(*self.key))
+
+    def report(self):
+        """The cached report of the ring the entry names, under that name,
+        or None."""
+        if self.entry is None:
+            return None
+        fp, name = self.entry
+        # on a miss the caller builds the ring and harness.analyze looks it
+        # up again, which counts the miss
+        report = self.cache.get(fp, valid=harness._is_report,
+                                count_miss=False)
+        return None if report is None else harness._renamed(report, name)
+
+    def memoize(self, R) -> None:
+        """Give R the entry's fingerprint when the entry names R, so that
+        R's tables are never hashed."""
+        if self.entry is not None and self.entry[1] == R.name:
+            R._fingerprint = self.entry[0]
+
+    def record(self, R) -> None:
+        """Write R's entry unless the entry read already holds it, hashing
+        R unless its fingerprint is memoized.  An entry that cannot be
+        written is skipped: it changes no output and no exit code."""
+        if self.cache is None:
+            return
+        fingerprint = canonical_fingerprint(R)
+        if self.entry == (fingerprint, R.name):
+            return
+        try:
+            self.cache._index_put(*self.key, fingerprint, R.name)
+        except OSError:
+            pass
 
 
 def _cmd_analyze(args) -> int:
     # parsed first, so a syntax error exits 2 whatever the cache holds
     tree = exprs.parse(args.expr)
     cache = _open_cache(args)
-    indexed = cache is not None and not exprs._reads_files(tree)
-    report = _indexed_report(cache, args) if indexed else None
+    index = _ExpressionIndex(cache, args, tree)
+    report = index.report()
     if report is None:
         R = exprs.evaluate(tree, max_order=args.max_order)
         report = harness.analyze(R, cache=cache)
-        if indexed:
-            cache._index_put(args.expr, args.max_order, report["fingerprint"],
-                             R.name)
+        index.record(R)
     if args.json:
         sys.stdout.write(cache._text(report) if cache is not None
                          else cache_mod._dumps(report) + "\n")
@@ -200,8 +222,8 @@ def _cmd_prop(args) -> int:
     R = exprs.evaluate(tree, max_order=args.max_order)
     if args.json:
         verdict, fingerprint = _with_fingerprint(
-            R, lambda: props.check_property(R, args.name), tree, args.expr,
-            args.max_order, _open_cache(args))
+            R, lambda: props.check_property(R, args.name),
+            _ExpressionIndex(_open_cache(args), args, tree))
         out = verdict.to_dict()
         out["ring"] = R.name
         out["fingerprint"] = fingerprint
@@ -324,7 +346,7 @@ def _cmd_ideals(args) -> int:
                 inv.all_two_sided_ideals(R, cap=args.cap))
     if args.json:
         (left, right, two), fingerprint = _with_fingerprint(
-            R, lattices, tree, args.expr, args.max_order, _open_cache(args))
+            R, lattices, _ExpressionIndex(_open_cache(args), args, tree))
         _emit({"format": "ideals v1", "ring": R.name, "order": R.order,
                "fingerprint": fingerprint,
                "left": [mask_indices(m) for m in sorted(left.ideals)],

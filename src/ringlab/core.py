@@ -17,7 +17,8 @@ import numpy as np
 #: memory bounded; raise at your own risk.
 MAX_ORDER = 4096
 
-_BLOCK_BYTES = 1 << 20      # bound on one block's temporaries
+#: Bound on one row block's temporaries, here and in ``invariants``.
+_BLOCK_BYTES = 1 << 20
 
 
 class RingError(Exception):
@@ -103,6 +104,8 @@ class FiniteRing:
     CLI's fingerprint hasher (``cli._with_fingerprint``): it fills
     ``_fingerprint`` beside the main thread's work on the ring the command
     prints, and the main thread reads the digest only after joining it.
+    The CLI also fills ``_fingerprint`` from its expression index, before
+    any thread starts, so that a ring it has printed before is not hashed.
     A ring never starts a thread of its own.
     """
 

@@ -29,9 +29,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (_BLOCK_BYTES, BadArgumentError, FiniteRing, RingError,
-                   _first_true, _span, mask_contains, mask_from_bool,
-                   mask_from_indices, mask_indices, mask_to_bool)
+from . import core
+from .core import (BadArgumentError, FiniteRing, RingError, _first_true,
+                   _span, mask_contains, mask_from_bool, mask_from_indices,
+                   mask_indices, mask_to_bool)
 
 DEFAULT_LATTICE_CAP = 20000
 
@@ -57,11 +58,11 @@ def _cached(R: FiniteRing, key: str, compute: Callable):
 def units_bool(R: FiniteRing) -> np.ndarray:
     """x has a right inverse: some xy = 1.  A finite ring is
     Dedekind-finite, so xy = 1 already gives yx = 1.  The rows of R.mul
-    are compared with one in blocks within ``_BLOCK_BYTES``, so the
+    are compared with one in blocks within ``core._BLOCK_BYTES``, so the
     boolean plane of the whole table is never held."""
     def compute():
         n = R.order
-        step = max(1, _BLOCK_BYTES // n)    # one bool per cell
+        step = max(1, core._BLOCK_BYTES // n)    # one bool per cell
         u = np.empty(n, dtype=bool)
         for i in range(0, n, step):
             u[i:i + step] = (R.mul[i:i + step] == R.one).any(axis=1)
@@ -142,14 +143,14 @@ def jacobson_bool(R: FiniteRing) -> np.ndarray:
 
     J(R) is nil in a finite ring, so only the nilpotent x are tested, each
     on its own contiguous row of R.mul.  Those rows are taken in blocks
-    within ``_BLOCK_BYTES``, so their plane of x*r is never held whole.
+    within ``core._BLOCK_BYTES``, so their plane of x*r is never held whole.
     """
     def compute():
         n = R.order
         # quasi[y]: 1 - y is a unit
         quasi = units_bool(R)[R.add[R.one][R.neg_table()]]
         nil = np.flatnonzero(nilpotents_bool(R))
-        step = max(1, _BLOCK_BYTES // (13 * n))    # int32 row, intp, bool
+        step = max(1, core._BLOCK_BYTES // (13 * n))  # int32 row, intp, bool
         j = np.zeros(n, dtype=bool)
         for i in range(0, len(nil), step):
             x = nil[i:i + step]
@@ -248,7 +249,7 @@ def _cyclic_left_ideals(R: FiniteRing, opposite: bool) -> list[int]:
     def compute():
         n = R.order
         mul = R.mul.T if opposite else R.mul     # opposite ring: a*b = b*a
-        step = max(1, _BLOCK_BYTES // (8 * n))   # intp index of one block
+        step = max(1, core._BLOCK_BYTES // (8 * n))   # intp index of one block
         cyclic = set()
         for a0 in range(0, n, step):             # row a of block: True at r*a
             cols = mul[:, a0:a0 + step]
@@ -318,9 +319,9 @@ def _coset_quotient(R: FiniteRing, ideal_mask: int,
     """R / I with least-index coset representatives, and the projection
     table; the caller vouches that ``ideal_mask`` is a two-sided ideal.
     Each x's representative, the least of x + I, is read in row blocks
-    within ``_BLOCK_BYTES``, so the n x |I| plane is never held whole."""
+    within ``core._BLOCK_BYTES``, so the n x |I| plane is never held whole."""
     members = np.array(mask_indices(ideal_mask), dtype=np.intp)
-    step = max(1, _BLOCK_BYTES // (4 * len(members)))     # int32 cells
+    step = max(1, core._BLOCK_BYTES // (4 * len(members)))     # int32 cells
     rep_of = np.concatenate([R.add[r:r + step, members].min(axis=1)
                              for r in range(0, R.order, step)])
     reps = np.unique(rep_of)
@@ -386,11 +387,11 @@ def _two_sided_mod_jacobson(R: FiniteRing, ideal_mask: int,
 
 def _socle(R: FiniteRing) -> int:
     """The left socle {x : J(R)x = 0}, memoized; rows of J(R) are taken in
-    blocks within ``_BLOCK_BYTES``."""
+    blocks within ``core._BLOCK_BYTES``."""
     def compute():
         n = R.order
         jac = np.flatnonzero(jacobson_bool(R))
-        step = max(1, _BLOCK_BYTES // (5 * n))     # int32 row + bool per cell
+        step = max(1, core._BLOCK_BYTES // (5 * n))  # int32 row + bool a cell
         soc = np.ones(n, dtype=bool)
         for j0 in range(0, len(jac), step):
             soc &= (R.mul[jac[j0:j0 + step]] == R.zero).all(axis=0)

@@ -183,10 +183,16 @@ def test_hashers_beside_their_work_under_contention():
     assert results == [want] * 4
 
 
-def test_ideals_json_is_the_same_from_either_thread(capsys, monkeypatch):
-    inline = run(capsys, "ideals", "T(2, Z(4))", "--json")
+def test_ideals_json_is_the_same_from_either_thread(capsys, hashers,
+                                                    monkeypatch):
+    # --no-cache: a fingerprint read from the expression index is hashed
+    # on no thread at all
+    argv = ["ideals", "T(2, Z(4))", "--json", "--no-cache"]
+    inline = run(capsys, *argv)
+    assert hashers == []
     monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
-    assert run(capsys, "ideals", "T(2, Z(4))", "--json") == inline
+    assert run(capsys, *argv) == inline
+    assert len(hashers) == 1 and hashers[0] is not threading.main_thread()
 
 
 def test_parse_error_exits_2(capsys):

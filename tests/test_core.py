@@ -346,21 +346,3 @@ def test_sub_matches_addition_inverse(n):
     for a in range(n):
         for b in range(n):
             assert R.add[core.sub(R, a, b), b] == a
-
-
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64, 1])
-def test_neg_table_in_row_blocks_matches_the_whole_plane(budget, monkeypatch):
-    from ringlab import harness
-    rings = (harness.default_corpus().rings
-             + [R for s in range(3) for R in harness.random_corpus(s, 30)]
-             + [build("Prod(M(2, Z(2)), T(2, Z(4)))"), build("M(2, Z(5))")])
-    if budget == core._BLOCK_BYTES:
-        # 256 rows a block, 16 blocks
-        rings.append(build("T(3, Z(4))"))
-    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
-    for R in rings:
-        R = core.FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
-        # the one comparison of the whole table that the row blocks replaced
-        want = np.argmax(R.add == R.zero, axis=1)
-        assert (R.neg_table() == want).all(), R.name
-        assert R.neg_table().dtype == np.int32

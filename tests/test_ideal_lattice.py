@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from ringlab import exprs, harness
+from ringlab import core, exprs, harness
 from ringlab import invariants as inv
 from ringlab import properties as props
 from ringlab.core import (FiniteRing, mask_from_bool, mask_indices, mask_size,
@@ -320,7 +320,7 @@ CAPS = (1, 2, 3, 5, 8, 13)
 def block_bytes(request, monkeypatch):
     """The default block budget, and one so small each block is one row."""
     if request.param is not None:
-        monkeypatch.setattr(inv, "_BLOCK_BYTES", request.param)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", request.param)
     return request.param
 
 
@@ -465,12 +465,12 @@ def wide_rings():
             + [exprs.build(e) for e in ON_R_RINGS])
 
 
-@pytest.mark.parametrize("budget", [inv._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
 def test_socle_and_r_mod_j_match_the_routes_on_r(wide_rings, budget,
                                                  monkeypatch):
     # at 64 bytes the socle, J(R) and the cyclic ideals take one row of
     # R.mul a block
-    monkeypatch.setattr(inv, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     failing = dict.fromkeys(("left_quasi_duo", "right_quasi_duo", "melt",
                              "R10"), 0)
     for R in wide_rings:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ringlab import constructions as cons
+from ringlab import core
 from ringlab import invariants as inv
 from ringlab.core import (FiniteRing, mask_from_bool, mask_from_indices,
                           mask_indices, mask_size, mask_to_bool)
@@ -76,25 +77,32 @@ def test_units_match_the_two_sided_test():
         assert agree(exprs.build(expr)), expr
 
 
-def _units_whole_plane(R):
-    # the one comparison of the whole table that the row blocks replaced
-    return (R.mul == R.one).any(axis=1)
+# the one comparison of the whole table that each one's row blocks replaced
+WHOLE_PLANE = {
+    "units_bool": (inv.units_bool, lambda R: (R.mul == R.one).any(axis=1)),
+    "neg_table": (FiniteRing.neg_table,
+                  lambda R: np.argmax(R.add == R.zero, axis=1)),
+}
 
 
-@pytest.mark.parametrize("budget", [inv._BLOCK_BYTES, 64, 1])
-def test_units_in_row_blocks_match_the_whole_plane(budget, monkeypatch):
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64, 1])
+@pytest.mark.parametrize("name", WHOLE_PLANE)
+def test_row_blocks_match_the_whole_plane(name, budget, monkeypatch):
     from ringlab import exprs, harness
+    blocked, whole = WHOLE_PLANE[name]
     rings = (harness.default_corpus().rings
              + [R for s in range(3) for R in harness.random_corpus(s, 30)]
              + [exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))"),
                 exprs.build("M(2, Z(5))")])
-    if budget == inv._BLOCK_BYTES:
+    if budget == core._BLOCK_BYTES:
         # 256 rows a block, 16 blocks
         rings.append(exprs.build("T(3, Z(4))"))
-    monkeypatch.setattr(inv, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     for R in rings:
         R = FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
-        assert (inv.units_bool(R) == _units_whole_plane(R)).all(), R.name
+        got = blocked(R)
+        assert (got == whole(R)).all(), R.name
+        assert got.dtype == (bool if name == "units_bool" else np.int32)
 
 
 def test_nilpotents_of_z4():
@@ -166,17 +174,17 @@ def _jacobson_all_rows(R):
     # is a unit for every r, tested for every x, rows r taken in blocks
     n = R.order
     quasi = inv.units_bool(R)[R.add[R.one][R.neg_table()]]
-    step = max(1, inv._BLOCK_BYTES // (9 * n))
+    step = max(1, core._BLOCK_BYTES // (9 * n))
     j = np.ones(n, dtype=bool)
     for r0 in range(0, n, step):
         j &= quasi[R.mul[r0:r0 + step]].all(axis=0)
     return j
 
 
-@pytest.mark.parametrize("budget", [inv._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
 def test_jacobson_over_nilpotent_rows_matches_all_rows(budget, monkeypatch):
     from ringlab import exprs, harness
-    monkeypatch.setattr(inv, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     # the nilpotents of M(2, Z(2)) x T(2, Z(4)) are more than J(R), so the
     # rows left out are not the only ones that could fail
     wide = exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))")
@@ -199,7 +207,7 @@ def test_coset_representatives_in_row_blocks_are_the_least(monkeypatch):
         J = inv.jacobson_radical(R)
         least = R.add[:, mask_indices(J)].min(axis=1)
         Q, proj = inv._coset_quotient(R, J, "Q")
-        monkeypatch.setattr(inv, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 64)
         Q64, proj64 = inv._coset_quotient(R, J, "Q")
         monkeypatch.undo()
         first = np.unique(proj64, return_index=True)[1]
