@@ -436,7 +436,11 @@ def corner(R: FiniteRing, e: int) -> FiniteRing:
         raise NotIdempotentError(f"element {e} is not idempotent")
     if e == R.zero and R.order > 1:
         raise NotIdempotentError("corner at zero is not a unital ring")
-    return _restrict(R, np.unique(R.mul[R.mul[e], e]), e,
+    # the sorted elements of eRe, by a count, not by np.unique, which
+    # imports numpy.ma on its first call
+    carrier = np.flatnonzero(np.bincount(R.mul[R.mul[e], e],
+                                         minlength=R.order))
+    return _restrict(R, carrier, e,
                      f"Corner({R.name}, {e})")
 
 

@@ -324,7 +324,9 @@ def _coset_quotient(R: FiniteRing, ideal_mask: int,
     step = max(1, core._BLOCK_BYTES // (4 * len(members)))     # int32 cells
     rep_of = np.concatenate([R.add[r:r + step, members].min(axis=1)
                              for r in range(0, R.order, step)])
-    reps = np.unique(rep_of)
+    # x represents its coset exactly when it is the least of x + I; read
+    # so, not by np.unique, which imports numpy.ma on its first call
+    reps = np.flatnonzero(rep_of == np.arange(R.order))
     lut = np.full(R.order, -1, dtype=np.int32)
     lut[reps] = np.arange(len(reps))
     proj = lut[rep_of]

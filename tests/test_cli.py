@@ -519,3 +519,54 @@ def test_bad_construction_arguments_are_ring_errors():
     assert not issubclass(cons.BadArgumentError, SizeError)
     with pytest.raises(cons.BadArgumentError):
         cons.example_weak_symmetric_component(-1)
+
+
+def test_main_keeps_freed_tables_for_the_next_command(monkeypatch):
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    cli._keep_freed_tables.__wrapped__()
+    assert calls == [(cli._M_MMAP_THRESHOLD, 32 << 20),
+                     (cli._M_TRIM_THRESHOLD, 64 << 20)]
+
+
+def test_a_c_library_without_mallopt_keeps_its_defaults(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert cli._keep_freed_tables.__wrapped__() is None
+
+
+def test_repeated_commands_reuse_their_tables_memory(capsys):
+    # an order-1024 ring's two tables are 8 MiB, some 2,000 pages; before
+    # the thresholds were raised each repeat faulted about 1,000 of them in
+    import resource
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    argv = ["prop", "semicommutative", "Prod(Z(32), Z(32))"]
+    for _ in range(2):
+        assert cli.main(argv) == 0
+    before = faults()
+    for _ in range(3):
+        assert cli.main(argv) == 0
+    assert faults() - before < 300
+    capsys.readouterr()
+
+
+def test_one_command_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, 10-17 ms of a one-shot
+    # run; the quotient route and corners do without it
+    import subprocess
+    import sys
+    code = ("import sys, ringlab.cli as c; "
+            "c.main(['prop', 'weak_symmetric', '--json', '--no-cache', "
+            "'Prod(M(2, Z(2)), T(2, Z(4)))']); "
+            "c.main(['prop', 'commutative', 'Corner(M(2, Z(2)), 1)']); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
