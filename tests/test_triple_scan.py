@@ -445,19 +445,29 @@ def test_lift_matches_scan_at_the_bound(expr):
             (expr, name)
 
 
+def _refuse_row_classes_of(R: FiniteRing, monkeypatch) -> None:
+    """Make building row classes of R, not of another ring, fail."""
+    row_classes = props._row_classes
+
+    def not_of_R(S, reading):
+        if S is R:
+            raise AssertionError(f"row classes of {reading} built on R")
+        return row_classes(S, reading)
+    monkeypatch.setattr(props, "_row_classes", not_of_R)
+
+
+def _refuse_lifts(monkeypatch) -> None:
+    def no_lift(*args):
+        raise AssertionError("lifted from R/J(R)")
+    monkeypatch.setattr(props, "_lifted_witness", no_lift)
+
+
 def test_routed_ring_builds_no_row_classes(monkeypatch):
     from ringlab import exprs
     R = _fresh(exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))"))
     want = {name: _scans(_fresh(R), name)
             for name in ("weak_symmetric", "nj_symmetric")}
-    row_classes = props._row_classes
-
-    def on_quotient_only(S, reading):
-        if S is R:
-            raise AssertionError(f"row classes of {reading} built on R")
-        return row_classes(S, reading)
-
-    monkeypatch.setattr(props, "_row_classes", on_quotient_only)
+    _refuse_row_classes_of(R, monkeypatch)
     for name, forms in want.items():
         assert None not in forms
         assert props._form_witnesses(R, name) == forms
@@ -466,9 +476,11 @@ def test_routed_ring_builds_no_row_classes(monkeypatch):
 
 
 @pytest.mark.parametrize("expr, names, holds", [
-    # J = 0 above the bound, failing and holding
+    # J = 0 above the bound: a ring with J = 0 on which NJ-symmetry holds
+    # is a product of fields, which is commutative and not scanned
     ("M(2, Z(5))", ("weak_symmetric", "nj_symmetric"), False),
-    ("Prod(Z(31), Z(29))", ("weak_symmetric", "nj_symmetric"), True),
+    # a field factor leaves a product non-commutative
+    ("Prod(M(2, Z(3)), Z(5))", tuple(props.TRIPLE_FORMS), False),
     # J != 0 at the bound
     ("Prod(T(3, Z(2)), Z(4))", ("weak_symmetric", "nj_symmetric"), True),
     # zero premises on a ring whose J-saturated predicates are routed
@@ -478,11 +490,8 @@ def test_routed_ring_builds_no_row_classes(monkeypatch):
 def test_scanned_rings_and_predicates(expr, names, holds, monkeypatch):
     from ringlab import exprs
     R = _fresh(exprs.build(expr))
-
-    def no_lift(*args):
-        raise AssertionError("lifted from R/J(R)")
-
-    monkeypatch.setattr(props, "_lifted_witness", no_lift)
+    _refuse_lifts(monkeypatch)
+    assert not inv.center_bool(R).all()
     for name in names:
         assert props._quotient_route(R, props.TRIPLE_FORMS[name]) is None
         v = props.check_property(R, name)
@@ -494,3 +503,37 @@ def test_rule_suite_rings_are_scanned():
     # R12 and R13 compare a scan of R with one of R/J(R)
     assert harness.DERIVED_SCAN_MAX_ORDER <= props._SCAN_MAX_ORDER
     assert max(R.order for R in _DEFAULT) <= props._SCAN_MAX_ORDER
+
+
+# -- commutative rings ---------------------------------------------------------
+
+def assert_commutative_route_matches_scan(R: FiniteRing, monkeypatch) -> None:
+    """R's forms are settled without row classes of R and without a lift,
+    and give the packed scan's witnesses."""
+    R = _fresh(R)
+    assert inv.center_bool(R).all(), R.name
+    want = {name: _scans(_fresh(R), name) for name in props.TRIPLE_FORMS}
+    with monkeypatch.context() as m:
+        _refuse_row_classes_of(R, m)
+        _refuse_lifts(m)
+        for name, forms in want.items():
+            assert props._form_witnesses(R, name) == forms, (R.name, name)
+            assert props.check_property(R, name).holds
+
+
+def test_commutative_route_matches_scan_on_small_rings(monkeypatch):
+    # every commutative ring is routed once the order bound is 0
+    monkeypatch.setattr(props, "_SCAN_MAX_ORDER", 0)
+    commutative = [R for R in _SCANNED if inv.center_bool(R).all()]
+    assert len(commutative) > 10
+    for R in commutative:
+        assert_commutative_route_matches_scan(R, monkeypatch)
+
+
+@pytest.mark.parametrize("expr", ["Prod(Z(32), Z(32))", "Prod(Z(31), Z(29))"])
+def test_commutative_route_at_the_bound(expr, monkeypatch):
+    # J != 0 and J = 0 (a product of fields)
+    from ringlab import exprs
+    R = exprs.build(expr)
+    assert R.order > props._SCAN_MAX_ORDER
+    assert_commutative_route_matches_scan(R, monkeypatch)
