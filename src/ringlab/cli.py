@@ -312,6 +312,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     hyps = [h.strip() for h in args.hyp.split(",") if h.strip()]
+    if not hyps:
+        raise BadArgumentError(f"--hyp names no property: {args.hyp!r}")
     result = harness.search_counterexample(hyps, args.negated,
                                            budget=args.budget, seed=args.seed,
                                            max_order=args.max_order)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (MAX_ORDER, BadArgumentError, FiniteRing, Labels,
                    RingError, RingHom, SizeError, StructureError, _span,
-                   _triple_law_violation, mask_indices)
+                   _triple_law_violation, mask_indices, mask_to_bool)
 from .invariants import (NotAnIdealError, _coset_quotient,
                          two_sided_ideal_violation)
 
@@ -426,7 +426,8 @@ def quotient(R: FiniteRing, ideal_mask: int,
         raise NotAnIdealError(f"not a two-sided ideal: closure fails at {v}", v)
     spec = ideal_name if ideal_name is not None else \
         "gen(" + ",".join(str(i) for i in mask_indices(ideal_mask)) + ")"
-    Q, proj = _coset_quotient(R, ideal_mask, f"Quo({R.name}, {spec})")
+    Q, proj = _coset_quotient(R, mask_to_bool(ideal_mask, R.order),
+                              f"Quo({R.name}, {spec})")
     return Q, RingHom(R, Q, proj)
 
 

@@ -76,12 +76,17 @@ def units(R: FiniteRing) -> int:
 
 
 def nilpotents_bool(R: FiniteRing) -> np.ndarray:
+    """x has some power 0.  Each squaring reads x*x for every x at once,
+    as one flat gather of the diagonal cells of R.mul at x."""
     def compute():
         # x^1 .. x^(m-1) are distinct and nonzero when x^m is the first zero
         # power, so m <= n: x is nilpotent iff x^(2^k) = 0 for 2^k >= n
-        cur = np.arange(R.order)
-        for _ in range((R.order - 1).bit_length()):
-            cur = R.mul[cur, cur]
+        n = R.order
+        flat = R.mul.ravel()
+        cur = np.arange(n)
+        for _ in range((n - 1).bit_length()):
+            # cell (x, x) is flat index x*(n + 1); intp, as n*n may pass int32
+            cur = flat.take(np.multiply(cur, n + 1, dtype=np.intp))
         nil = cur == R.zero
         nil.setflags(write=False)
         return nil
@@ -138,23 +143,24 @@ def center(R: FiniteRing) -> int:
 
 
 def jacobson_bool(R: FiniteRing) -> np.ndarray:
-    """x is right quasi-regular for every right multiple: 1 - x*r a unit
-    for all r.
+    """J(R) = {x in N(R) : x*r in N(R) for every r}.
 
-    J(R) is nil in a finite ring, so only the nilpotent x are tested, each
-    on its own contiguous row of R.mul.  Those rows are taken in blocks
-    within ``core._BLOCK_BYTES``, so their plane of x*r is never held whole.
+    In a finite ring J(R) is nil, and a right ideal all of whose elements
+    are nilpotent lies in J(R).  So x is in J(R) exactly when xR, which
+    holds x = x*1, is nil: only the nilpotent x are tested, each on its own
+    contiguous row of R.mul against ``nilpotents_bool``.  Those rows are
+    taken in blocks within ``core._BLOCK_BYTES``, so their plane of x*r is
+    never held whole.
     """
     def compute():
         n = R.order
-        # quasi[y]: 1 - y is a unit
-        quasi = units_bool(R)[R.add[R.one][R.neg_table()]]
-        nil = np.flatnonzero(nilpotents_bool(R))
+        nil = nilpotents_bool(R)
+        rows = np.flatnonzero(nil)
         step = max(1, core._BLOCK_BYTES // (13 * n))  # int32 row, intp, bool
         j = np.zeros(n, dtype=bool)
-        for i in range(0, len(nil), step):
-            x = nil[i:i + step]
-            j[x] = quasi.take(R.mul[x]).all(axis=1)
+        for i in range(0, len(rows), step):
+            x = rows[i:i + step]
+            j[x] = nil.take(R.mul[x]).all(axis=1)
         j.setflags(write=False)
         return j
     return _cached(R, "jac_b", compute)
@@ -314,16 +320,22 @@ def all_two_sided_ideals(R: FiniteRing, cap: int = DEFAULT_LATTICE_CAP) -> Ideal
     return _cached(R, f"two_sided_lattice_{cap}", compute)
 
 
-def _coset_quotient(R: FiniteRing, ideal_mask: int,
+def _coset_quotient(R: FiniteRing, ideal: np.ndarray,
                     name: str) -> tuple[FiniteRing, np.ndarray]:
     """R / I with least-index coset representatives, and the projection
-    table; the caller vouches that ``ideal_mask`` is a two-sided ideal.
-    Each x's representative, the least of x + I, is read in row blocks
-    within ``core._BLOCK_BYTES``, so the n x |I| plane is never held whole."""
-    members = np.array(mask_indices(ideal_mask), dtype=np.intp)
-    step = max(1, core._BLOCK_BYTES // (4 * len(members)))     # int32 cells
-    rep_of = np.concatenate([R.add[r:r + step, members].min(axis=1)
-                             for r in range(0, R.order, step)])
+    table; ``ideal`` is I's boolean vector, and the caller vouches that I
+    is a two-sided ideal.
+
+    + is commutative, so x's representative, the least of x + I, is the
+    least j + x over the members j: for every x at once, the minimum of
+    R.add's contiguous rows at I's members.  Those rows are read in blocks
+    within ``core._BLOCK_BYTES``, so the |I| x n plane is never held whole."""
+    members = np.flatnonzero(ideal)
+    step = max(1, core._BLOCK_BYTES // (4 * R.order))     # int32 cells
+    rep_of = R.add[members[:step]].min(axis=0)
+    for i in range(step, len(members), step):
+        np.minimum(rep_of, R.add[members[i:i + step]].min(axis=0),
+                   out=rep_of)
     # x represents its coset exactly when it is the least of x + I; read
     # so, not by np.unique, which imports numpy.ma on its first call
     reps = np.flatnonzero(rep_of == np.arange(R.order))
@@ -339,8 +351,8 @@ def _coset_quotient(R: FiniteRing, ideal_mask: int,
 def _mod_jacobson(R: FiniteRing) -> tuple[FiniteRing, Optional[np.ndarray]]:
     """R/J(R) and the projection table, memoized; (R, None) when J = 0."""
     def compute():
-        J = jacobson_radical(R)
-        if J == 1 << R.zero:
+        J = jacobson_bool(R)
+        if J.sum() == 1:
             return None      # R itself: caching R on R would be a cycle
         return _coset_quotient(R, J, f"Quo({R.name}, J)")
     hit = _cached(R, "mod_J", compute)

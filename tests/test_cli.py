@@ -359,6 +359,20 @@ def test_verify_corpus_file(tmp_path, capsys):
     assert len(r1) == 4
 
 
+@pytest.mark.parametrize("hyp", [",", "", " , "])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_search_hyp_naming_no_property_is_a_usage_error(capsys, hyp,
+                                                        json_flag):
+    code, out, err = run(capsys, "search", "--hyp", hyp, "--not",
+                         "nj_symmetric", *json_flag)
+    assert code == 2 and out == ""
+    assert err == f"error: --hyp names no property: {hyp!r}\n"
+    args = cli._make_parser().parse_args(["search", "--hyp", hyp,
+                                          "--not", "nj_symmetric"])
+    with pytest.raises(BadArgumentError):
+        cli._cmd_search(args)
+
+
 def test_search_cli(capsys):
     code, out, _ = run(capsys, "search", "--hyp", "nj_symmetric",
                        "--not", "symmetric")

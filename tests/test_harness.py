@@ -8,8 +8,8 @@ from ringlab import exprs
 from ringlab import harness
 from ringlab import invariants as inv
 from ringlab import properties as props
-from ringlab.core import (MAX_ORDER, canonical_fingerprint, mask_indices,
-                          verify_axioms)
+from ringlab.core import (MAX_ORDER, canonical_fingerprint, mask_from_bool,
+                          mask_indices, verify_axioms)
 from ringlab.constructions import matrix_ring, upper_triangular, zmod
 
 
@@ -272,7 +272,7 @@ def test_r12_and_r13_share_one_quotient_by_j(monkeypatch):
     coset_quotient = inv._coset_quotient
 
     def counting_quotient(R, ideal, name):
-        built.append(ideal)
+        built.append(mask_from_bool(ideal))
         return coset_quotient(R, ideal, name)
     monkeypatch.setattr(inv, "_coset_quotient", counting_quotient)
     monkeypatch.setattr(cons, "_coset_quotient", counting_quotient)

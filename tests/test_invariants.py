@@ -8,7 +8,8 @@ from ringlab.core import (FiniteRing, mask_from_bool, mask_from_indices,
                           mask_indices, mask_size, mask_to_bool)
 from ringlab.constructions import (matrix_ring, matrix_unit, upper_triangular,
                                    zmod)
-from test_ideal_lattice import jacobson_via_maximal_left_ideals
+from test_ideal_lattice import (_fresh, _jacobson_whole,
+                                jacobson_via_maximal_left_ideals)
 
 # -- helpers used only by these tests ------------------------------------------
 
@@ -109,6 +110,19 @@ def test_nilpotents_of_z4():
     assert mask_indices(inv.nilpotents(zmod(4))) == [0, 2]
 
 
+@pytest.fixture(scope="module")
+def oracle_rings():
+    """The rings each new form of N(R), J(R) and R/J(R) is checked on: the
+    default corpus, random corpora of seeds 0-5, and two rings of order
+    1024.  The nilpotents of M(2, Z(2)) x T(2, Z(4)) are more than J(R), so
+    the rows J leaves out are not the only ones that could fail."""
+    from ringlab import exprs, harness
+    return (harness.default_corpus().rings
+            + [R for s in range(6) for R in harness.random_corpus(s, 30)]
+            + [exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))"),
+               exprs.build("T(4, Z(2))")])
+
+
 def _nilpotents_by_powers(R):
     # the n-step power walk that repeated squaring replaced
     idx = np.arange(R.order)
@@ -120,13 +134,19 @@ def _nilpotents_by_powers(R):
     return nil
 
 
-def test_nilpotents_match_the_power_walk():
-    from ringlab import harness
-    rings = (harness.default_corpus().rings
-             + [R for seed in (0, 1, 2) for R in harness.random_corpus(seed, 30)]
-             + [zmod(1), zmod(2)])
-    for R in rings:
-        assert (inv.nilpotents_bool(R) == _nilpotents_by_powers(R)).all(), R.name
+def _nilpotents_by_squares(R):
+    # the 2-D squaring that the flat gather of the diagonal cells replaced
+    cur = np.arange(R.order)
+    for _ in range((R.order - 1).bit_length()):
+        cur = R.mul[cur, cur]
+    return cur == R.zero
+
+
+def test_nilpotents_match_the_power_walk(oracle_rings):
+    for R in oracle_rings + [zmod(1), zmod(2)]:
+        got = inv.nilpotents_bool(_fresh(R))
+        assert (got == _nilpotents_by_squares(R)).all(), R.name
+        assert (got == _nilpotents_by_powers(R)).all(), R.name
 
 
 def test_nilpotency_index():
@@ -170,8 +190,9 @@ def test_jacobson_radical_values():
 
 
 def _jacobson_all_rows(R):
-    # the formula that the nilpotent rows replaced: x is in J(R) when 1 - r*x
-    # is a unit for every r, tested for every x, rows r taken in blocks
+    # the formula that the nil right ideals replaced: x is in J(R) when
+    # 1 - r*x is a unit for every r, tested for every x, rows r taken in
+    # blocks
     n = R.order
     quasi = inv.units_bool(R)[R.add[R.one][R.neg_table()]]
     step = max(1, core._BLOCK_BYTES // (9 * n))
@@ -182,38 +203,75 @@ def _jacobson_all_rows(R):
 
 
 @pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
-def test_jacobson_over_nilpotent_rows_matches_all_rows(budget, monkeypatch):
-    from ringlab import exprs, harness
+def test_jacobson_over_nilpotent_rows_matches_all_rows(oracle_rings, budget,
+                                                       monkeypatch):
+    # x*R nil for each nilpotent x, against the quasi-regular x of both
+    # the blocked rows and the whole plane
     monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
-    # the nilpotents of M(2, Z(2)) x T(2, Z(4)) are more than J(R), so the
-    # rows left out are not the only ones that could fail
-    wide = exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))")
+    wide = oracle_rings[-2]
     assert inv.nilpotents_bool(wide).sum() > inv.jacobson_bool(wide).sum()
-    for R in (harness.default_corpus().rings
-              + [R for s in range(6) for R in harness.random_corpus(s, 30)]
-              + [wide]):
-        R = FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
-        assert (inv.jacobson_bool(R) == _jacobson_all_rows(R)).all(), R.name
+    for R in oracle_rings:
+        got = inv.jacobson_bool(_fresh(R))
+        assert (got == _jacobson_all_rows(R)).all(), R.name
+        assert (got == _jacobson_whole(R)).all(), R.name
 
 
-def test_coset_representatives_in_row_blocks_are_the_least(monkeypatch):
-    # at a 64-byte budget each block holds one or two rows x; x's class must
-    # still be numbered by the least element of x + J, read from the whole
-    # n x |J| plane
+def test_r_mod_j_reads_no_units_and_no_negation(monkeypatch):
     from ringlab import exprs
-    for expr in ("T(3, Z(2))", "SkewTrunc(Z(2), id, 5)",
-                 "Prod(M(2, Z(2)), T(2, Z(4)))"):
-        R = exprs.build(expr)
-        J = inv.jacobson_radical(R)
-        least = R.add[:, mask_indices(J)].min(axis=1)
-        Q, proj = inv._coset_quotient(R, J, "Q")
-        monkeypatch.setattr(core, "_BLOCK_BYTES", 64)
-        Q64, proj64 = inv._coset_quotient(R, J, "Q")
-        monkeypatch.undo()
-        first = np.unique(proj64, return_index=True)[1]
-        assert (first[proj64] == least).all(), expr
-        assert (proj64 == proj).all(), expr
-        assert (Q64.add == Q.add).all() and (Q64.mul == Q.mul).all(), expr
+    R = exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))")
+
+    def refuse(*args):
+        raise AssertionError("a full-table pass ran")
+    monkeypatch.setattr(inv, "units_bool", refuse)
+    monkeypatch.setattr(FiniteRing, "neg_table", refuse)
+    Q, proj = inv._mod_jacobson(_fresh(R))
+    # R/J(R) is M(2, Z(2)) x Z(2) x Z(2)
+    assert Q.order == 64 and len(proj) == R.order
+
+
+def _coset_quotient_by_columns(R, ideal):
+    # the strided column gather that the minimum over I's rows replaced:
+    # x's class is numbered by the least element of x + I
+    least = R.add[:, np.flatnonzero(ideal)].min(axis=1)
+    reps = np.unique(least)
+    proj = np.searchsorted(reps, least)
+    return (proj[R.add[np.ix_(reps, reps)]], proj[R.mul[np.ix_(reps, reps)]],
+            proj)
+
+
+def _some_ideals(R):
+    """J(R), 0, R and the ideal generated by the last element, as boolean
+    vectors, without repeats."""
+    masks = {inv.jacobson_radical(R), 1 << R.zero, (1 << R.order) - 1,
+             inv.two_sided_ideal_generated(R, 1 << (R.order - 1))}
+    return [mask_to_bool(m, R.order) for m in sorted(masks)]
+
+
+def test_coset_representatives_in_row_blocks_are_the_least(oracle_rings,
+                                                           monkeypatch):
+    # at a budget of 64 or 1 byte a block holds one row of R.add (up to four
+    # below order 16); x's class must still be numbered by the least element
+    # of x + I, read from the whole n x |I| plane of columns
+    from ringlab import exprs
+    quotients = 0
+    for budget in (core._BLOCK_BYTES, 64, 1):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+        for R in oracle_rings + [exprs.build("SkewTrunc(Z(2), id, 5)")]:
+            for ideal in _some_ideals(R):
+                add, mul, proj = _coset_quotient_by_columns(R, ideal)
+                Q, got = inv._coset_quotient(R, ideal, "Q")
+                assert (got == proj).all(), (R.name, budget)
+                assert (Q.add == add).all() and (Q.mul == mul).all(), R.name
+                assert (Q.zero, Q.one) == (proj[R.zero], proj[R.one])
+                quotients += 1
+        # cons.quotient reads its cosets through the same code
+        R = zmod(8)
+        Q = exprs.build("Quo(Z(8), gen(4))")
+        add, mul, proj = _coset_quotient_by_columns(
+            R, mask_to_bool(1 << 0 | 1 << 4, 8))
+        assert (Q.add == add).all() and (Q.mul == mul).all()
+        assert Q.order == 4
+    assert quotients > 3 * len(oracle_rings)
 
 
 def test_jacobson_equals_intersection_of_maximal_left_ideals():
