@@ -53,9 +53,26 @@ when its image is 0: (a, b, c) is a witness exactly when its image is one
 in Q.  One packed scan of Q gives the classes of a with a witness, and R's
 least a, b and c are each the least index of R in a set of classes read off
 Q's planes (``_lifted_witness``).  Smaller rings keep the scan, and so do a
-non-commutative ring's predicates with a zero premise and, when J(R) = 0,
-all of its triple predicates.  The tests use the scan as the oracle of both
-routes.
+non-commutative ring's predicates with a zero premise, unless the one-way
+route below settles them, and, when J(R) = 0, all of its triple
+predicates.  The tests use the scan as the oracle of every route.
+
+Above the same order, when J(R) is not 0, three properties pass one way,
+from Q up to R, and R is settled when Q has the property
+(``_holds_mod_jacobson``):
+
+* gws, and any triple form whose premise is a zero product and whose
+  conclusion reads a J-saturated set: the image of a witness of R has a zero
+  premise in Q and a conclusion in the image of its set, so it is a
+  witness of Q;
+* clean: if the image of a is e' + u' in Q, lift the idempotent e' to an
+  idempotent e of R (idempotents lift modulo a nil ideal); a - e maps to
+  the unit u', and an element that is a unit modulo J(R) is a unit, so
+  a = e + (a - e) in R;
+* exchange: R is exchange when Q is and idempotents lift modulo J(R)
+  (Nicholson, "Lifting idempotents and exchange rings", 1977).
+
+When Q fails, R is scanned as before, so every witness is R's least.
 
 Exchange and semiperiodicity ask one question per element a and take a in
 blocks of 1, 4, 16, ... up to the same byte budget: column scatters of
@@ -205,7 +222,9 @@ _J_SATURATED = frozenset({"nil", "not_nil", "not_jac"})
 #: on R/J(R).  The rule suite's corpus and derived rings are no larger, so
 #: R12 and R13 ("R/J NJ-symmetric implies R NJ-symmetric") compare a scan
 #: of R with one of R/J(R), and R2-R4 ("symmetric implies NJ-symmetric",
-#: ...) compare the scans of two predicates on one ring.
+#: ...) compare the scans of two predicates on one ring.  Above it gws, clean
+#: and exchange also hold when R/J(R) has them, by the one-way transfers of
+#: the module docstring.
 _SCAN_MAX_ORDER = 256
 
 
@@ -546,6 +565,15 @@ def _lifted_witness(Q: FiniteRing, proj: np.ndarray,
     return dict(zip(form.roles, (a, b, int(np.argmax(row[proj])))))
 
 
+def _holds_mod_jacobson(R: FiniteRing, name: str) -> bool:
+    """Whether R/J(R) has a property that passes from it up to R, above
+    _SCAN_MAX_ORDER and when J(R) is not 0.  False settles nothing."""
+    if R.order <= _SCAN_MAX_ORDER:
+        return False
+    Q, proj = inv._mod_jacobson(R)
+    return proj is not None and check_property(Q, name).holds
+
+
 def _form_witnesses(R: FiniteRing, name: str) -> tuple[Optional[dict], ...]:
     """The least witness of each form, memoized: the rule suite asks for
     the forms of a ring and for its verdict."""
@@ -557,6 +585,10 @@ def _form_witnesses(R: FiniteRing, name: str) -> tuple[Optional[dict], ...]:
         route = _quotient_route(R, forms)
         if route is not None:
             return tuple(_lifted_witness(*route, f) for f in forms)
+        if all(f.premise[0] == "zero" and f.conclusion[0] in _J_SATURATED
+               for f in forms) and _holds_mod_jacobson(R, name):
+            # a witness of R maps to one of R/J(R), which has none
+            return (None,) * len(forms)
         # classes before the first block: building the tables (J(R) above
         # all) takes the largest temporaries of a scan, and freed before any
         # block exists they leave no holes under the blocks that would raise
@@ -713,7 +745,16 @@ def is_abelian(R: FiniteRing) -> Optional[dict]:
 
 @_property("clean")
 def is_clean(R: FiniteRing) -> Optional[dict]:
-    """Every element is idempotent + unit."""
+    """Every element is idempotent + unit.
+
+    R is clean when R/J(R) is (see the module docstring); otherwise every
+    sum e + u is formed.
+    """
+    return None if _holds_mod_jacobson(R, "clean") else _clean_scan(R)
+
+
+def _clean_scan(R: FiniteRing) -> Optional[dict]:
+    """The least a that is no sum of an idempotent and a unit, or None."""
     reach = _reachable_by_sums(R, inv.idempotents_bool(R), inv.units_bool(R))
     if reach.all():
         return None
@@ -781,9 +822,15 @@ def _left_multiples(R: FiniteRing, xs: np.ndarray) -> np.ndarray:
 def is_exchange(R: FiniteRing) -> Optional[dict]:
     """Every a has an idempotent e with e in Ra and 1-e in R(1-a).
 
-    Every finite ring is semiperfect, hence exchange (Nicholson 1977), so
-    this scans every pair {a, 1 - a}; the witness is kept as a check.
+    Every finite ring is semiperfect, hence exchange (Nicholson 1977).  R is
+    exchange when R/J(R) is (see the module docstring); otherwise every pair
+    {a, 1 - a} is scanned, and the witness is kept as a check.
     """
+    return None if _holds_mod_jacobson(R, "exchange") else _exchange_scan(R)
+
+
+def _exchange_scan(R: FiniteRing) -> Optional[dict]:
+    """The least a with no idempotent e in Ra and 1-e in R(1-a), or None."""
     one_minus = _one_minus(R)
     idem = np.flatnonzero(inv.idempotents_bool(R))
     # e works for a exactly when 1 - e works for 1 - a, so a fails exactly

@@ -483,7 +483,9 @@ def test_routed_ring_builds_no_row_classes(monkeypatch):
     ("Prod(M(2, Z(3)), Z(5))", tuple(props.TRIPLE_FORMS), False),
     # J != 0 at the bound
     ("Prod(T(3, Z(2)), Z(4))", ("weak_symmetric", "nj_symmetric"), True),
-    # zero premises on a ring whose J-saturated predicates are routed
+    # zero premises on a ring whose J-saturated predicates are routed:
+    # "nonzero" is not J-saturated, and gws passes only one way, from R/J(R)
+    # to R, while R/J(R) = M_2(F_2) x ... has a gws witness
     ("Prod(M(2, Z(2)), T(2, Z(4)))", ("symmetric", "semicommutative", "gws"),
      False),
 ])
@@ -537,3 +539,95 @@ def test_commutative_route_at_the_bound(expr, monkeypatch):
     R = exprs.build(expr)
     assert R.order > props._SCAN_MAX_ORDER
     assert_commutative_route_matches_scan(R, monkeypatch)
+
+
+# -- properties that pass from R/J(R) up to R ----------------------------------
+
+#: The scans the one-sided route skips, as its oracles.
+_ONE_SIDED_SCANS = {
+    "gws": lambda R: props._first_witness(R, props.TRIPLE_FORMS["gws"][0]),
+    "clean": props._clean_scan,
+    "exchange": props._exchange_scan,
+}
+
+
+def _record_routes(monkeypatch) -> list:
+    """The (ring, property) pairs that R/J(R) settles from now on."""
+    settled = []
+    holds_mod_jacobson = props._holds_mod_jacobson
+
+    def record(R, name):
+        held = holds_mod_jacobson(R, name)
+        if held:
+            settled.append((R.name, name))
+        return held
+    monkeypatch.setattr(props, "_holds_mod_jacobson", record)
+    return settled
+
+
+def test_one_sided_route_matches_scan_on_small_rings(monkeypatch):
+    # once the order bound is 0, every ring with J(R) != 0 whose R/J(R) has
+    # the property is settled there.  The other zero-premise predicates
+    # read "nonzero", which is not J-saturated, and must keep the scan's
+    # witnesses.  No corpus ring with J(R) != 0 fails gws, so two are added
+    # whose R/J(R) has a witness and that are scanned.
+    from ringlab import exprs
+    monkeypatch.setattr(props, "_SCAN_MAX_ORDER", 0)
+    settled = _record_routes(monkeypatch)
+    rings = (_DEFAULT + [R for seed in range(6)
+                         for R in harness.random_corpus(seed, 30)]
+             + [exprs.build(e)
+                for e in ("M(2, Z(4))", "Prod(M(2, Z(2)), Z(4))")])
+    failing = []
+    for R in rings:
+        for name, scan in _ONE_SIDED_SCANS.items():
+            want = scan(_fresh(R))
+            assert props.check_property(_fresh(R), name).witness == want, \
+                (R.name, name)
+            if want is not None and inv._mod_jacobson(R)[1] is not None:
+                failing.append(name)
+        for name in ("symmetric", "semicommutative"):
+            assert props._form_witnesses(_fresh(R), name) == \
+                _scans(_fresh(R), name), (R.name, name)
+    assert {name for _, name in settled} == set(_ONE_SIDED_SCANS), settled
+    assert "gws" in failing
+
+
+def _refuse_scans_of(R: FiniteRing, monkeypatch) -> None:
+    """Make scanning R, not another ring, for clean or exchange fail."""
+    for attr in ("_clean_scan", "_exchange_scan"):
+        def not_of_R(S, scan=getattr(props, attr), attr=attr):
+            if S is R:
+                raise AssertionError(f"{attr} ran on R")
+            return scan(S)
+        monkeypatch.setattr(props, attr, not_of_R)
+
+
+@pytest.mark.parametrize("expr, settled, gws", [
+    # J != 0 and R/J(R) has all three
+    ("Prod(WSC(0), Z(8))", ("gws", "clean", "exchange"), None),
+    # R/J(R) = M_2(F_2) x ... has a gws witness, so R is scanned for R's
+    # least one
+    ("Prod(M(2, Z(2)), T(2, Z(4)))", ("clean", "exchange"),
+     {"a": 64, "b": 192, "c": 320}),
+    # J = 0: nothing to pass up from
+    ("M(2, Z(5))", (), {"a": 1, "b": 6, "c": 29}),
+])
+def test_one_sided_route_at_the_bound(expr, settled, gws, monkeypatch):
+    from ringlab import exprs
+    R = _fresh(exprs.build(expr))
+    assert R.order > props._SCAN_MAX_ORDER
+    assert (inv._mod_jacobson(R)[1] is None) is (not settled)
+    want = {name: scan(_fresh(R)) for name, scan in _ONE_SIDED_SCANS.items()}
+    assert want["gws"] == gws
+    with monkeypatch.context() as m:
+        if "gws" in settled:
+            _refuse_row_classes_of(R, m)
+        if "clean" in settled:
+            _refuse_scans_of(R, m)
+        routed = _record_routes(m)
+        for name in _ONE_SIDED_SCANS:
+            v = props.check_property(R, name)
+            assert v.witness == want[name], (expr, name)
+            assert v.holds or props.reverify_witness(R, v)
+    assert [name for _, name in routed] == list(settled)
