@@ -12,10 +12,9 @@ import ctypes
 import functools
 import os
 import sys
-import threading
 
 from .core import (MAX_ORDER, BadArgumentError, RingError, SizeError,
-                   _memoize_fingerprint, canonical_fingerprint, mask_indices)
+                   canonical_fingerprint, mask_indices)
 from . import cache as cache_mod
 from . import exprs
 from . import harness
@@ -39,9 +38,8 @@ def _global_flags(p: argparse.ArgumentParser) -> None:
                         "and ideals --json)")
     p.add_argument("--threads", type=int, metavar="N",
                    default=os.cpu_count() or 1,
-                   help="accepted for compatibility; the rule suite runs "
-                        "in one thread and the output is the same for any "
-                        "value")
+                   help="ignored, and kept for existing callers: every "
+                        "command runs in one thread")
 
 
 # built once per process; building it took about 1.5 ms of every main() call
@@ -98,40 +96,6 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _emit(obj: dict) -> None:
     sys.stdout.write(cache_mod._dumps(obj) + "\n")
-
-
-#: Tables (R.add plus R.mul) of at least this many bytes, order 512 and up,
-#: are hashed on a second thread while the command decides the ring it
-#: prints.  hashlib and numpy's gathers drop the GIL, so the two run side by
-#: side; below this a thread costs more to start and join than hashing the
-#: tables inline.
-HASH_THREAD_BYTES = 1 << 21
-
-
-def _with_fingerprint(R, work, index=None):
-    """(work(), canonical_fingerprint(R)), hashing a large ring's tables
-    on a thread of its own while work runs.  The thread is joined before
-    this returns or raises.  With the expression index of the expression
-    that built R, R takes its fingerprint from there when it can, and is
-    then not hashed at all."""
-    if index is not None:
-        index.memoize(R)
-    if (R._fingerprint is not None
-            or R.add.nbytes + R.mul.nbytes < HASH_THREAD_BYTES):
-        result = work()
-    else:
-        hasher = threading.Thread(target=_memoize_fingerprint, args=(R,),
-                                  name="ringlab-fingerprint")
-        hasher.start()
-        try:
-            result = work()
-        finally:
-            hasher.join()
-    # read from the index, hashed inline here, or memoized by the thread
-    fingerprint = canonical_fingerprint(R)
-    if index is not None:
-        index.record(R)
-    return result, fingerprint
 
 
 def _open_cache(args):
@@ -222,12 +186,13 @@ def _cmd_prop(args) -> int:
     tree = exprs.parse(args.expr)
     R = exprs.evaluate(tree, max_order=args.max_order)
     if args.json:
-        verdict, fingerprint = _with_fingerprint(
-            R, lambda: props.check_property(R, args.name),
-            _ExpressionIndex(_open_cache(args), args, tree))
+        index = _ExpressionIndex(_open_cache(args), args, tree)
+        index.memoize(R)
+        verdict = props.check_property(R, args.name)
         out = verdict.to_dict()
         out["ring"] = R.name
-        out["fingerprint"] = fingerprint
+        out["fingerprint"] = canonical_fingerprint(R)
+        index.record(R)
         _emit(out)
     else:
         verdict = props.check_property(R, args.name)
@@ -257,26 +222,33 @@ def _load_corpus_file(path: str, max_order: int) -> harness.Corpus:
     rings = []
     skipped = []
     extra = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("random"):
-                try:
-                    opts = dict(kv.split("=", 1) for kv in line.split()[1:])
-                    seed, count = int(opts.get("seed", 0)), int(opts["count"])
-                except (KeyError, ValueError):
-                    raise BadArgumentError(
-                        f"{path}:{lineno}: expected 'random seed=N count=M', "
-                        f"got {line!r}") from None
-                extra.extend(harness.random_corpus(seed, count,
-                                                   max_order=max_order))
-                continue
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise BadArgumentError(
+            f"cannot read corpus file {path!r}: {e}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("random"):
             try:
-                rings.append(exprs.build(line, max_order=max_order))
-            except (exprs.ExprError, SizeError) as e:
-                skipped.append((f"{path}:{lineno} {line}", str(e)))
+                opts = dict(kv.split("=", 1) for kv in line.split()[1:])
+                seed, count = int(opts.get("seed", 0)), int(opts["count"])
+                if count < 0:
+                    raise ValueError
+            except (KeyError, ValueError):
+                raise BadArgumentError(
+                    f"{path}:{lineno}: expected 'random seed=N count=M' "
+                    f"with M >= 0, got {line!r}") from None
+            extra.extend(harness.random_corpus(seed, count,
+                                               max_order=max_order))
+            continue
+        try:
+            rings.append(exprs.build(line, max_order=max_order))
+        except (exprs.ExprError, SizeError) as e:
+            skipped.append((f"{path}:{lineno} {line}", str(e)))
     rings.extend(extra)
     return harness.Corpus(rings, skipped)
 
@@ -348,8 +320,11 @@ def _cmd_ideals(args) -> int:
                 inv.all_right_ideals(R, cap=args.cap),
                 inv.all_two_sided_ideals(R, cap=args.cap))
     if args.json:
-        (left, right, two), fingerprint = _with_fingerprint(
-            R, lattices, _ExpressionIndex(_open_cache(args), args, tree))
+        index = _ExpressionIndex(_open_cache(args), args, tree)
+        index.memoize(R)
+        left, right, two = lattices()
+        fingerprint = canonical_fingerprint(R)
+        index.record(R)
         _emit({"format": "ideals v1", "ring": R.name, "order": R.order,
                "fingerprint": fingerprint,
                "left": [mask_indices(m) for m in sorted(left.ideals)],

@@ -100,13 +100,9 @@ class FiniteRing:
     ``labels`` is a sequence of element names, or a zero-argument callable
     that makes it when ``labels`` is first read.  Values memoized in
     ``_cache``, and the labels, are computed without a lock, so threads
-    sharing a ring may compute one of them twice.  One such thread is the
-    CLI's fingerprint hasher (``cli._with_fingerprint``): it fills
-    ``_fingerprint`` beside the main thread's work on the ring the command
-    prints, and the main thread reads the digest only after joining it.
-    The CLI also fills ``_fingerprint`` from its expression index, before
-    any thread starts, so that a ring it has printed before is not hashed.
-    A ring never starts a thread of its own.
+    sharing a ring may compute one of them twice.  The CLI fills
+    ``_fingerprint`` from its expression index, so that a ring it has
+    printed before is not hashed.  A ring never starts a thread.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "_labels", "name",
@@ -326,9 +322,8 @@ def canonical_fingerprint(R: FiniteRing) -> str:
 def _memoize_fingerprint(R: FiniteRing) -> None:
     """Hash R's tables into ``R._fingerprint``.
 
-    The CLI runs this on a second thread, under its private name: the
-    outside-in tracer of ``perfbench/tracing.py`` wraps public functions
-    only, and its spans assume one thread.
+    The one place where tables are hashed, so that a test can count or
+    refuse hashes by patching it.
     """
     h = hashlib.sha256(f"ring-fp-v1 {R.order} {R.zero} {R.one}".encode())
     # hash the table buffers in place: a copy of each is 4 n^2 bytes

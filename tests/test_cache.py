@@ -5,6 +5,7 @@ build-and-fingerprint path stays the oracle every answer is compared with.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -295,12 +296,10 @@ def _refuse_hashing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a warm run hashed a ring or started a thread")
     monkeypatch.setattr(core, "_memoize_fingerprint", refuse)
-    monkeypatch.setattr(cli, "_memoize_fingerprint", refuse)
-    monkeypatch.setattr(cli.threading, "Thread", refuse)
+    monkeypatch.setattr(threading, "Thread", refuse)
 
 
-# an order-1024 ring hashed on a thread when cold, an order-512 lattice, and
-# small rings hashed inline
+# an order-1024 ring, an order-512 lattice, and small rings
 FINGERPRINTED = [
     ["prop", "nj_symmetric", "Prod(M(2, Z(2)), T(2, Z(4)))", "--json"],
     ["prop", "weak_symmetric", "Prod(M(2, Z(2)), T(2, Z(4)))", "--json"],
@@ -374,7 +373,7 @@ def test_damaged_entry_is_rehashed_and_rewritten(tmp_path, capsys,
     good = entry.read_text()
     damage(entry)
     hashed = []
-    memoize = cli._memoize_fingerprint
+    memoize = core._memoize_fingerprint
     with monkeypatch.context() as m:
         m.setattr(core, "_memoize_fingerprint",
                   lambda R: hashed.append(R.name) or memoize(R))

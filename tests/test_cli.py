@@ -1,11 +1,11 @@
 import json
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from ringlab import cache as cache_mod
 from ringlab import cli
 from ringlab import core
 from ringlab import constructions as cons
@@ -94,40 +94,40 @@ def test_prop_exit_codes(capsys):
 
 
 @pytest.fixture
-def hashers(monkeypatch):
-    """The thread of each hasher the CLI starts, each slowed down so that
-    one left unjoined is still alive when main returns."""
-    threads = []
-    memoize = cli._memoize_fingerprint
-
-    def slow_memoize(R):
-        threads.append(threading.current_thread())
-        time.sleep(0.05)
-        memoize(R)
-    monkeypatch.setattr(cli, "_memoize_fingerprint", slow_memoize)
-    return threads
+def no_threads(monkeypatch):
+    """Make starting any thread fail the test."""
+    def refuse(thread):
+        raise AssertionError(f"a command started thread {thread.name!r}")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
-def _serial_fingerprint(R):
-    """The digest of R's tables hashed on this thread, from a fresh copy."""
-    S = core.FiniteRing(R.add.copy(), R.mul.copy(), R.zero, R.one)
-    core._memoize_fingerprint(S)
-    return S._fingerprint
-
-
-@pytest.mark.parametrize("name, expr, threaded", [
-    ("semicommutative", "Prod(Z(32), Z(32))", True),
-    ("nj_symmetric", "T(2, Z(4))", False)], ids=["thread", "inline"])
-def test_prop_json_fingerprint_is_that_of_a_fresh_build(capsys, hashers,
-                                                        name, expr, threaded):
+@pytest.mark.parametrize("name, expr", [
+    ("semicommutative", "Prod(Z(32), Z(32))"),
+    ("nj_symmetric", "T(2, Z(4))")], ids=["order-1024", "order-64"])
+def test_prop_json_fingerprint_is_that_of_a_fresh_build(
+        capsys, monkeypatch, serial_fingerprint, name, expr):
+    hashed = []
+    memoize = core._memoize_fingerprint
+    monkeypatch.setattr(core, "_memoize_fingerprint",
+                        lambda R: hashed.append(R.name) or memoize(R))
     code, out, _ = run(capsys, "prop", name, expr, "--json")
     assert code == 0
     # only the printed ring is hashed, never its factors
-    assert len(hashers) == threaded
-    assert threading.main_thread() not in hashers
     R = exprs.build(expr)
-    assert (R.add.nbytes + R.mul.nbytes >= cli.HASH_THREAD_BYTES) is threaded
-    assert json.loads(out)["fingerprint"] == _serial_fingerprint(R)
+    assert hashed == [R.name]
+    assert json.loads(out)["fingerprint"] == serial_fingerprint(R)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["prop", "nj_symmetric", "Prod(M(2, Z(2)), T(2, Z(4)))"], 1),
+    (["ideals", "Prod(Z(32), Z(16))"], 0)], ids=["prop", "ideals"])
+def test_no_command_starts_a_thread(capsys, no_threads, serial_fingerprint,
+                                    argv, code):
+    # cold runs at order 1024 and 512: the printed ring is hashed in place
+    got = run(capsys, *argv, "--json", "--no-cache")
+    doc = json.loads(got[1])
+    doc["fingerprint"] = serial_fingerprint(exprs.build(argv[-1]))
+    assert got == (code, cache_mod._dumps(doc) + "\n", "")
 
 
 def _raising_check(R):
@@ -141,11 +141,8 @@ def _raising_check(R):
     (["prop", "nj_symmetric", "Z(2)", "--json"], None),
     (["ideals", "M(2, Z(2))", "--json"], 0)],
     ids=["holds", "fails", "unknown-property", "check-raises", "ideals"])
-def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
-    # every printed ring on the hasher thread, which main joins before it
-    # returns or raises
-    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
-    before = set(threading.enumerate())
+def test_no_thread_outlives_main(capsys, no_threads, monkeypatch, argv, code):
+    # no exit path, a raising check included, starts a thread
     if code is None:
         monkeypatch.setitem(props.PROPERTY_CHECKS, "nj_symmetric",
                             _raising_check)
@@ -153,46 +150,6 @@ def test_no_thread_outlives_main(capsys, hashers, monkeypatch, argv, code):
             cli.main(argv)
     else:
         assert cli.main(argv) == code
-    assert set(threading.enumerate()) == before
-    assert len(hashers) == 1 and hashers[0] is not threading.main_thread()
-
-
-def test_hashers_beside_their_work_under_contention():
-    # more callers than cores, each with a hasher, switching threads often:
-    # every caller gets its verdict and the serial digest
-    R = exprs.build("Prod(Z(16), Z(32))")
-    assert R.add.nbytes + R.mul.nbytes >= cli.HASH_THREAD_BYTES
-    want = (True, _serial_fingerprint(R))
-    results = []
-
-    def call():
-        S = core.FiniteRing(R.add, R.mul, R.zero, R.one, name=R.name)
-        results.append(cli._with_fingerprint(
-            S, lambda: props.check_property(S, "semicommutative").holds))
-    callers = [threading.Thread(target=call) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in callers)
-    assert results == [want] * 4
-
-
-def test_ideals_json_is_the_same_from_either_thread(capsys, hashers,
-                                                    monkeypatch):
-    # --no-cache: a fingerprint read from the expression index is hashed
-    # on no thread at all
-    argv = ["ideals", "T(2, Z(4))", "--json", "--no-cache"]
-    inline = run(capsys, *argv)
-    assert hashers == []
-    monkeypatch.setattr(cli, "HASH_THREAD_BYTES", 0)
-    assert run(capsys, *argv) == inline
-    assert len(hashers) == 1 and hashers[0] is not threading.main_thread()
 
 
 def test_parse_error_exits_2(capsys):
@@ -488,7 +445,7 @@ def test_library_errors_are_ring_errors():
 
 
 @pytest.mark.parametrize("line", ["random seed=1", "random count=x",
-                                  "random seed"])
+                                  "random seed", "random seed=1 count=-5"])
 def test_corpus_random_line_errors_name_file_and_line(tmp_path, capsys, line):
     f = tmp_path / "corpus.txt"
     f.write_text(f"Z(4)\n{line}\n")
@@ -497,6 +454,18 @@ def test_corpus_random_line_errors_name_file_and_line(tmp_path, capsys, line):
     assert code == 2
     assert f"{f}:2" in err and "offset" not in err
     assert out == ""
+    with pytest.raises(BadArgumentError):
+        cli._load_corpus_file(str(f), MAX_ORDER)
+
+
+def test_undecodable_corpus_file_is_a_bad_argument(tmp_path, capsys):
+    f = tmp_path / "corpus.txt"
+    f.write_bytes(b"Z(4)\n\xff\xfe bad\n")
+    code, out, err = run(capsys, "verify", "--corpus", str(f),
+                         "--rules", "R1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read corpus file")
+    assert str(f) in err and err.count("\n") == 1
     with pytest.raises(BadArgumentError):
         cli._load_corpus_file(str(f), MAX_ORDER)
 

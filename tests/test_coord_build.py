@@ -478,9 +478,8 @@ def test_value_off_its_carrier_raises():
 
 
 def test_a_failing_large_build_starts_no_thread(monkeypatch):
-    # 512 elements reach the CLI's threshold for hashing on a thread, but a
-    # build hashes nothing: a product that leaves the carrier raises its
-    # RingError with no thread started
+    # a build of 512 elements hashes nothing: a product that leaves the
+    # carrier raises its RingError with no thread started
     z8 = cons.zmod(8)
     started = []
 

@@ -1,10 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlab import cli, core
+from ringlab import core
 from ringlab.constructions import direct_product, matrix_ring, zmod
 from ringlab.exprs import build
 
@@ -38,56 +36,17 @@ def test_table_entries_out_of_range_raise(table, value):
         core.FiniteRing(tables["add"], tables["mul"], R.zero, R.one)
 
 
-def _serial_fingerprint(R):
-    """The digest of R's tables hashed on this thread, from a fresh copy."""
-    S = core.FiniteRing(R.add.copy(), R.mul.copy(), R.zero, R.one)
-    core._memoize_fingerprint(S)
-    return S._fingerprint
-
-
-def _hasher_threads(monkeypatch):
-    """The thread of each hash the CLI's fingerprint helper runs."""
-    threads = []
-    memoize = cli._memoize_fingerprint
-
-    def record(R):
-        threads.append(threading.current_thread())
-        memoize(R)
-    monkeypatch.setattr(cli, "_memoize_fingerprint", record)
-    return threads
-
-
 @pytest.mark.parametrize("expr", [
     "Prod(M(2, Z(2)), T(2, Z(4)))", "Prod(WSC(0), Z(8))", "T(4, Z(2))",
     "SkewTrunc(Z(2), id, 10)",
-    # order 512, the least order hashed on a thread: the corner at (1, 1, 0)
+    # order 512: the corner at (1, 1, 0)
     "Corner(Prod(Prod(Z(16), Z(32)), Z(2)), 66)"])
-def test_pipelined_digests_equal_the_serial_digest(expr, monkeypatch):
-    threads = _hasher_threads(monkeypatch)
+def test_digests_equal_the_serial_digest(expr, serial_fingerprint):
+    # a build hashes nothing
     R = build(expr)
     assert R.order >= 512 and R._fingerprint is None
-    result, fingerprint = cli._with_fingerprint(R, lambda: "work")
-    assert result == "work"
-    assert fingerprint == _serial_fingerprint(R) == R._fingerprint
-    assert len(threads) == 1 and threads[0] is not threading.main_thread()
-    assert not threads[0].is_alive()
-
-
-def test_small_rings_hash_inline(monkeypatch):
-    # below the threshold no thread starts, before or during the work
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-    monkeypatch.setattr(threading, "Thread", Recorded)
-    R = build("Prod(Z(16), Z(16))")
-    assert R.add.nbytes + R.mul.nbytes < cli.HASH_THREAD_BYTES
-    before = threading.active_count()
-    result, fingerprint = cli._with_fingerprint(R, threading.active_count)
-    assert (result, started) == (before, [])
-    assert fingerprint == _serial_fingerprint(R)
+    fingerprint = core.canonical_fingerprint(R)
+    assert fingerprint == serial_fingerprint(R) == R._fingerprint
 
 
 def test_size_cap():
