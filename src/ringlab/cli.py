@@ -234,9 +234,11 @@ def _load_corpus_file(path: str, max_order: int) -> harness.Corpus:
             continue
         if line.startswith("random"):
             try:
-                opts = dict(kv.split("=", 1) for kv in line.split()[1:])
+                pairs = [kv.split("=", 1) for kv in line.split()[1:]]
+                opts = dict(pairs)
                 seed, count = int(opts.get("seed", 0)), int(opts["count"])
-                if count < 0:
+                if (count < 0 or len(opts) < len(pairs)
+                        or opts.keys() - {"seed", "count"}):
                     raise ValueError
             except (KeyError, ValueError):
                 raise BadArgumentError(

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (MAX_ORDER, BadArgumentError, FiniteRing, Labels,
                    RingError, RingHom, SizeError, StructureError, _span,
                    _triple_law_violation, mask_indices, mask_to_bool)
@@ -70,19 +71,6 @@ def _check_power(base: int, coords: int, max_order: int, what: str) -> None:
         raise SizeError(f"{what} would have order {base}**{coords} > max "
                         f"order {max_order}")
     _check_order(base ** coords, max_order, what)
-
-
-# Index arithmetic runs in blocks of table rows sized so that a block's
-# temporaries take at most this many bytes: 8 a cell for each coordinate and
-# for the element indices while the products of single-coordinate elements
-# are evaluated.  Much larger temporaries are returned to the system when
-# freed, and every later build faults them in again.  Product rows are
-# folded in blocks of a quarter of this, 16 bytes a cell (a sum of two
-# rows, numpy's intp copy of it and the gathered values): that keeps the
-# intp copy under glibc's 128 KiB mmap threshold, so the blocks reuse heap
-# memory instead of mapping fresh pages and raising the threshold, which
-# would leave later tables' memory resident.
-_BLOCK_BYTES = 1 << 19
 
 
 #: Folds of at most this many pairs broadcast in four axes, in three numpy
@@ -138,7 +126,10 @@ def _product_rows(rows: list, flat: np.ndarray) -> np.ndarray:
     left, right = _product_rows(rows[:h], flat), _product_rows(rows[h:], flat)
     n = left.shape[1]
     out = np.empty((len(left), len(right), n), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (4 * 16 * n))
+    # a quarter of the block budget at 16 bytes a cell (a sum of two rows,
+    # numpy's intp copy of it and the gathered values) keeps the intp copy
+    # under glibc's default 128 KiB mmap threshold
+    step = max(1, core._BLOCK_BYTES // (4 * 16 * n))
     bl, br = max(1, step // len(right)), min(step, len(right))
     for l0 in range(0, len(left), bl):
         for r0 in range(0, len(right), br):
@@ -231,10 +222,10 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
     cols = [carrier.take(np.arange(n) // s % q)[None, :]
             for carrier, s, q in zip(carriers, strides, radices)]
     prods = np.empty((starts[-1], n), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (8 * n * (k + 1)))
-    for r0 in range(0, starts[-1], step):
-        xs = [v[r0:r0 + step, None] for v in singles]
-        prods[r0:r0 + step] = index(mul_fn(xs, cols), "a product")
+    # 8 bytes a cell for each coordinate and for the element indices
+    for rows in core._row_blocks(starts[-1], 8 * n * (k + 1)):
+        xs = [v[rows, None] for v in singles]
+        prods[rows] = index(mul_fn(xs, cols), "a product")
     mul = _product_rows([prods[a:b] for a, b in zip(starts, starts[1:])],
                         add.ravel())
     return FiniteRing(add, mul, zero_at, one_at, name=name, labels=labels)

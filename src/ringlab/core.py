@@ -17,8 +17,16 @@ import numpy as np
 #: memory bounded; raise at your own risk.
 MAX_ORDER = 4096
 
-#: Bound on one row block's temporaries, here and in ``invariants``.
-_BLOCK_BYTES = 1 << 20
+#: Bound on the temporaries of one block of any chunked table pass; every
+#: pass reads it when it runs, most of them through ``_row_blocks``.
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(count: int, row_bytes: int) -> list[slice]:
+    """Slices of range(count), each of as many rows of row_bytes as fit
+    _BLOCK_BYTES (at least one)."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(r, min(r + step, count)) for r in range(0, count, step)]
 
 
 class RingError(Exception):
@@ -168,11 +176,9 @@ class FiniteRing:
         held."""
         if self._neg is None:
             n = self.order
-            step = max(1, _BLOCK_BYTES // n)    # one bool per cell
             neg = np.empty(n, dtype=np.int32)
-            for i in range(0, n, step):
-                neg[i:i + step] = np.argmax(self.add[i:i + step] == self.zero,
-                                            axis=1)
+            for rows in _row_blocks(n, n):      # one bool a cell
+                neg[rows] = np.argmax(self.add[rows] == self.zero, axis=1)
             neg.setflags(write=False)
             self._neg = neg
         return self._neg

@@ -62,10 +62,9 @@ def units_bool(R: FiniteRing) -> np.ndarray:
     boolean plane of the whole table is never held."""
     def compute():
         n = R.order
-        step = max(1, core._BLOCK_BYTES // n)    # one bool per cell
         u = np.empty(n, dtype=bool)
-        for i in range(0, n, step):
-            u[i:i + step] = (R.mul[i:i + step] == R.one).any(axis=1)
+        for rows in core._row_blocks(n, n):     # one bool a cell
+            u[rows] = (R.mul[rows] == R.one).any(axis=1)
         u.setflags(write=False)
         return u
     return _cached(R, "units_b", compute)
@@ -156,10 +155,9 @@ def jacobson_bool(R: FiniteRing) -> np.ndarray:
         n = R.order
         nil = nilpotents_bool(R)
         rows = np.flatnonzero(nil)
-        step = max(1, core._BLOCK_BYTES // (13 * n))  # int32 row, intp, bool
         j = np.zeros(n, dtype=bool)
-        for i in range(0, len(rows), step):
-            x = rows[i:i + step]
+        for block in core._row_blocks(len(rows), 13 * n):  # int32, intp, bool
+            x = rows[block]
             j[x] = nil.take(R.mul[x]).all(axis=1)
         j.setflags(write=False)
         return j
@@ -255,10 +253,9 @@ def _cyclic_left_ideals(R: FiniteRing, opposite: bool) -> list[int]:
     def compute():
         n = R.order
         mul = R.mul.T if opposite else R.mul     # opposite ring: a*b = b*a
-        step = max(1, core._BLOCK_BYTES // (8 * n))   # intp index of one block
         cyclic = set()
-        for a0 in range(0, n, step):             # row a of block: True at r*a
-            cols = mul[:, a0:a0 + step]
+        for a in core._row_blocks(n, 8 * n):     # an intp index a cell
+            cols = mul[:, a]            # row a of block is True at each r*a
             block = np.zeros((cols.shape[1], n), dtype=bool)
             block[np.arange(cols.shape[1]), cols] = True
             cyclic.update(mask_from_bool(row) for row in block)
@@ -331,11 +328,10 @@ def _coset_quotient(R: FiniteRing, ideal: np.ndarray,
     R.add's contiguous rows at I's members.  Those rows are read in blocks
     within ``core._BLOCK_BYTES``, so the |I| x n plane is never held whole."""
     members = np.flatnonzero(ideal)
-    step = max(1, core._BLOCK_BYTES // (4 * R.order))     # int32 cells
-    rep_of = R.add[members[:step]].min(axis=0)
-    for i in range(step, len(members), step):
-        np.minimum(rep_of, R.add[members[i:i + step]].min(axis=0),
-                   out=rep_of)
+    first, *rest = core._row_blocks(len(members), 4 * R.order)   # int32 cells
+    rep_of = R.add[members[first]].min(axis=0)
+    for rows in rest:
+        np.minimum(rep_of, R.add[members[rows]].min(axis=0), out=rep_of)
     # x represents its coset exactly when it is the least of x + I; read
     # so, not by np.unique, which imports numpy.ma on its first call
     reps = np.flatnonzero(rep_of == np.arange(R.order))
@@ -405,10 +401,9 @@ def _socle(R: FiniteRing) -> int:
     def compute():
         n = R.order
         jac = np.flatnonzero(jacobson_bool(R))
-        step = max(1, core._BLOCK_BYTES // (5 * n))  # int32 row + bool a cell
         soc = np.ones(n, dtype=bool)
-        for j0 in range(0, len(jac), step):
-            soc &= (R.mul[jac[j0:j0 + step]] == R.zero).all(axis=0)
+        for rows in core._row_blocks(len(jac), 5 * n):  # int32 + bool a cell
+            soc &= (R.mul[jac[rows]] == R.zero).all(axis=0)
         return mask_from_bool(soc)
     return _cached(R, "socle", compute)
 

@@ -35,7 +35,7 @@ decides each form in two steps:
 * the least (b, c), from the boolean plane of that a, evaluated on the
   tables directly, so every witness is the one a plain scan finds.  Each
   product of the plane is a gather of whole rows of R.mul, of its column
-  a or of a block of its columns, in row chunks of b.  A packed hit that
+  a or of a block of its columns, in row blocks of b.  A packed hit that
   the boolean plane does not confirm raises InternalCheckError.
 
 Above order ``_SCAN_MAX_ORDER``, a commutative ring (its memoized center
@@ -97,7 +97,7 @@ import numpy as np
 
 from .core import (FiniteRing, RingError, _first_true, mask_indices,
                    mask_to_bool)
-from . import invariants as inv
+from . import core, invariants as inv
 
 
 class InternalCheckError(RingError):
@@ -204,9 +204,6 @@ _SETS: dict[str, Callable[[FiniteRing], np.ndarray]] = {
 #: other's with every bit flipped, row for row, so they share its classes.
 _COMPLEMENTS = {"nonzero": "zero", "not_nil": "nil"}
 
-#: Bytes of temporaries per block of a scan.
-_BLOCK_BYTES = 1 << 18
-
 #: Element sets that a rotated product stays in: xy is nilpotent exactly
 #: when yx is, since (yx)^(k+1) = y(xy)^k x.
 _ROTATION_INVARIANT = frozenset({"nil", "not_nil"})
@@ -297,22 +294,14 @@ def _scan_plan(form: TripleForm) -> tuple[_Reading, _Reading]:
     raise AssertionError(f"no common packing for {form}")
 
 
-def _row_chunks(n: int, count: Optional[int] = None) -> list[slice]:
-    """Row slices of a count x n gather (n x n by default) whose intp index
-    fits _BLOCK_BYTES."""
-    count = n if count is None else count
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    return [slice(r, min(r + step, count)) for r in range(0, count, step)]
-
-
 def _packed_rows(count: int, n: int,
                  bits: Callable[[slice], np.ndarray]) -> np.ndarray:
     """The count x n boolean table whose rows are bits(rows), taken in row
-    chunks, in little-endian uint64 words: bit j of byte k is x = 8k + j,
-    and the bits past x = n - 1 are zero."""
+    blocks of an intp index a cell, in little-endian uint64 words: bit j of
+    byte k is x = 8k + j, and the bits past x = n - 1 are zero."""
     out = np.zeros((count, -(-n // 64)), dtype="<u8")
     raw = out.view(np.uint8)
-    for rows in _row_chunks(n, count):
+    for rows in core._row_blocks(count, 8 * n):
         raw[rows, :-(-n // 8)] = np.packbits(bits(rows), axis=1,
                                              bitorder="little")
     return out
@@ -320,10 +309,10 @@ def _packed_rows(count: int, n: int,
 
 def _column_blocks(n: int) -> list[slice]:
     """Row slices of R.mul that a column table is packed from, of heights
-    that are multiples of 8 whose lookups fit _BLOCK_BYTES.  A block of h
-    rows makes lookups of h/8 rows at a time, each through an intp index
+    that are multiples of 8 whose lookups fit core._BLOCK_BYTES.  A block of
+    h rows makes lookups of h/8 rows at a time, each through an intp index
     into a uint8 array beside a uint8 accumulator: 10 bytes a cell."""
-    step = 8 * max(1, _BLOCK_BYTES // (10 * n))
+    step = 8 * max(1, core._BLOCK_BYTES // (10 * n))
     return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
@@ -415,15 +404,13 @@ def _row_classes(R: FiniteRing,
 def _bad_pairs(p_rows: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
     """bad[i, j]: rows p_rows[i] and q_rows[j] share a set bit.
 
-    Rows i are taken in chunks whose AND fits _BLOCK_BYTES; the words of a
+    Rows i are taken in ``core._row_blocks`` of their AND; the words of a
     row run along the middle axis, so ``any`` ORs whole rows of j at once.
     """
     bad = np.empty((len(p_rows), len(q_rows)), dtype=bool)
     q_words = np.ascontiguousarray(q_rows.T)
-    step = max(1, _BLOCK_BYTES // q_rows.nbytes)
-    for i in range(0, len(p_rows), step):
-        (p_rows[i:i + step, :, None] & q_words).any(axis=1,
-                                                     out=bad[i:i + step])
+    for i in core._row_blocks(len(p_rows), q_rows.nbytes):
+        (p_rows[i, :, None] & q_words).any(axis=1, out=bad[i])
     return bad
 
 
@@ -454,7 +441,7 @@ def _block_hits(R: FiniteRing, form: TripleForm):
     p_rows, p_cls = _row_classes(R, p)
     q_rows, q_cls = _row_classes(R, q)
     if p_rows.shape[1] == 1:
-        for rows in _row_chunks(R.order):
+        for rows in core._row_blocks(R.order, 8 * R.order):
             yield rows.start, (_plane_keys(R, p, p_rows[:, 0], rows)
                                & _plane_keys(R, q, q_rows[:, 0], rows)
                                ).any(axis=1)
@@ -464,7 +451,7 @@ def _block_hits(R: FiniteRing, form: TripleForm):
     key = np.min_scalar_type(bad.size - 1)
     p_keys = np.multiply(p_cls, len(q_rows), dtype=key)
     q_keys = q_cls.astype(key, copy=False)
-    for rows in _row_chunks(R.order):
+    for rows in core._row_blocks(R.order, 8 * R.order):
         pair = (_plane_keys(R, p, p_keys, rows)
                 + _plane_keys(R, q, q_keys, rows))
         yield rows.start, bad.take(pair).any(axis=1)
@@ -517,8 +504,8 @@ def _plane(R: FiniteRing, form: TripleForm, a: int,
 
 
 def _least_bc(R: FiniteRing, form: TripleForm, a: int) -> tuple[int, int]:
-    """The least (b, c) on the boolean plane of a, read in row chunks."""
-    for rows in _row_chunks(R.order):
+    """The least (b, c) on the boolean plane of a, read in row blocks."""
+    for rows in core._row_blocks(R.order, 8 * R.order):
         plane = _plane(R, form, a, rows)
         if plane.any():
             b, c = _first_true(plane)
@@ -554,8 +541,8 @@ def _lifted_witness(Q: FiniteRing, proj: np.ndarray,
         return None
     a = int(np.argmax(classes[proj]))
     qa = int(proj[a])
-    b_classes = np.concatenate([_plane(Q, form, qa, rows).any(axis=1)
-                                for rows in _row_chunks(Q.order)])
+    b_classes = np.concatenate([_plane(Q, form, qa, rows).any(axis=1) for rows
+                                in core._row_blocks(Q.order, 8 * Q.order)])
     b = int(np.argmax(b_classes[proj]))
     qb = int(proj[b])
     row = _plane(Q, form, qa, slice(qb, qb + 1))[0]
@@ -785,14 +772,14 @@ def is_j_clean(R: FiniteRing) -> Optional[dict]:
 
 
 # Exchange is decided, and semiperiodicity below, on blocks of a at once.
-# Blocks start at one a and grow fourfold up to what fits _BLOCK_BYTES, so
-# an early witness costs few elements and a full scan few blocks; the first
-# a of the first block that fails is the witness.
+# Blocks start at one a and grow fourfold up to what fits core._BLOCK_BYTES,
+# so an early witness costs few elements and a full scan few blocks; the
+# first a of the first block that fails is the witness.
 
 def _a_blocks(count: int, item_bytes: int):
     """Slices of range(count) of 1, 4, 16, ... items, each at most the
-    number of item_bytes that fit _BLOCK_BYTES (and at least one)."""
-    cap = max(1, _BLOCK_BYTES // item_bytes)
+    number of item_bytes that fit core._BLOCK_BYTES (and at least one)."""
+    cap = max(1, core._BLOCK_BYTES // item_bytes)
     start, size = 0, 1
     while start < count:
         stop = min(start + size, count)
@@ -807,10 +794,10 @@ def _one_minus(R: FiniteRing) -> np.ndarray:
 
 def _left_multiples(R: FiniteRing, xs: np.ndarray) -> np.ndarray:
     """Column i: which elements lie in R*xs[i], the values in column xs[i]
-    of R.mul, scattered from row chunks of R.mul within _BLOCK_BYTES."""
+    of R.mul, scattered from row blocks of R.mul within core._BLOCK_BYTES."""
     out = np.zeros((R.order, len(xs)), dtype=bool)
     at = np.arange(len(xs), dtype=np.int32)
-    for rows in _row_chunks(len(xs), R.order):
+    for rows in core._row_blocks(R.order, 8 * len(xs)):
         flat = R.mul[rows].take(xs, axis=1)
         flat *= len(xs)
         flat += at              # out[v, i] is out.ravel()[v*b + i], b <= 2n
@@ -949,7 +936,7 @@ def is_semiperiodic(R: FiniteRing) -> Optional[dict]:
     (power, parity) pair.  a^q - a^p is nilpotent exactly when a^p - a^q
     is, so it is enough to take q even and p odd.  A block of a takes its
     windows from ``_power_windows`` and tests every such pair in one padded
-    plane, in chunks of a within _BLOCK_BYTES.
+    plane, in blocks of a within core._BLOCK_BYTES.
     """
     outside = np.flatnonzero(~(inv.jacobson_bool(R) | inv.center_bool(R)))
     nil = inv.nilpotents_bool(R)
@@ -958,7 +945,8 @@ def is_semiperiodic(R: FiniteRing) -> Optional[dict]:
         pw, valid = _power_windows(R, outside[rows])
         q, minus_p = pw[1::2, None], neg[pw[None, 0::2]]   # q even, p odd
         pair = valid[1::2, None] & valid[None, 0::2]
-        for sub in _row_chunks(q.shape[0] * minus_p.shape[1], pw.shape[1]):
+        for sub in core._row_blocks(pw.shape[1],
+                                    8 * q.shape[0] * minus_p.shape[1]):
             ok = (nil[R.add[q[..., sub], minus_p[..., sub]]]
                   & pair[..., sub]).any(axis=(0, 1))
             if not ok.all():

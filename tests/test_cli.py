@@ -93,6 +93,24 @@ def test_prop_exit_codes(capsys):
     assert code == 2 and "bogus" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--json"],
+    ["analyze", "--json", "--no-cache", "Prod(T(3, Z(2)), Z(4))"],
+    ["analyze", "--json", "--no-cache", "Prod(M(2, Z(2)), T(2, Z(4)))"],
+    ["ideals", "--json", "--no-cache", "T(2, Z(4))"]],
+    ids=["verify", "analyze-scanned", "analyze-routed", "ideals"])
+def test_one_byte_blocks_print_what_the_default_budget_prints(
+        capsys, monkeypatch, argv):
+    # at a budget of 1 byte every chunked table pass takes one row a block
+    # (eight for a column table), so a join that drops or repeats a block
+    # shows.  The rule suite, a scanned ring of order 256, a ring of order
+    # 1024 decided through R/J(R) and an ideal lattice together run every
+    # blocked pass of core, invariants, properties and constructions
+    want = run(capsys, *argv)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
+    assert run(capsys, *argv) == want
+
+
 @pytest.fixture
 def no_threads(monkeypatch):
     """Make starting any thread fail the test."""
@@ -445,7 +463,9 @@ def test_library_errors_are_ring_errors():
 
 
 @pytest.mark.parametrize("line", ["random seed=1", "random count=x",
-                                  "random seed", "random seed=1 count=-5"])
+                                  "random seed", "random seed=1 count=-5",
+                                  "random seed=1 count=2 junk=3",
+                                  "random seed=1 seed=2 count=1"])
 def test_corpus_random_line_errors_name_file_and_line(tmp_path, capsys, line):
     f = tmp_path / "corpus.txt"
     f.write_text(f"Z(4)\n{line}\n")

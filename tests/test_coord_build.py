@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ringlab import constructions as cons
+from ringlab import core
 from ringlab import harness
 from ringlab.core import FiniteRing, RingError, canonical_fingerprint
 
@@ -395,7 +396,7 @@ def _each_construction():
 
 
 def test_one_row_blocks_give_the_same_tables(monkeypatch):
-    monkeypatch.setattr(cons, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1)
     for name, build, ref in _each_construction():
         assert_same_ring(build(), ref())
 
@@ -404,7 +405,7 @@ def test_blocks_of_part_of_a_coordinate_give_the_same_tables(monkeypatch):
     # product rows are folded in blocks of 6 rows of order 81, two left rows
     # against a right run of 3 or part of a left row against a right run of
     # 9, and of 2 rows of order 256, part of a right run of 4 or 16
-    monkeypatch.setattr(cons, "_BLOCK_BYTES", 1 << 15)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 1 << 15)
     for name, build, ref in _each_construction() + [
             ("M(2, Z(4))", lambda: cons.matrix_ring(Z[4], 2),
              lambda: ref_matrix_ring(Z[4], 2))]:
@@ -438,11 +439,11 @@ def _shifted_z4():
                       labels=[str(int(x)) for x in np.argsort(new)])
 
 
-@pytest.mark.parametrize("budget", [cons._BLOCK_BYTES, 1])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 1])
 def test_a_base_whose_zero_is_not_element_0(budget, monkeypatch):
     # zero sits at position 2 of every coordinate, so no fold may take a
     # run's first row for its zero part, in blocks of any size
-    monkeypatch.setattr(cons, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     R = _shifted_z4()
     assert R.zero == 2 and R.one == 3
     ident = np.arange(4)

@@ -96,7 +96,7 @@ def test_row_blocks_match_the_whole_plane(name, budget, monkeypatch):
              + [exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))"),
                 exprs.build("M(2, Z(5))")])
     if budget == core._BLOCK_BYTES:
-        # 256 rows a block, 16 blocks
+        # 64 rows a block, 64 blocks
         rings.append(exprs.build("T(3, Z(4))"))
     monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     for R in rings:
@@ -195,10 +195,9 @@ def _jacobson_all_rows(R):
     # blocks
     n = R.order
     quasi = inv.units_bool(R)[R.add[R.one][R.neg_table()]]
-    step = max(1, core._BLOCK_BYTES // (9 * n))
     j = np.ones(n, dtype=bool)
-    for r0 in range(0, n, step):
-        j &= quasi[R.mul[r0:r0 + step]].all(axis=0)
+    for rows in core._row_blocks(n, 9 * n):
+        j &= quasi[R.mul[rows]].all(axis=0)
     return j
 
 

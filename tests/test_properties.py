@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ringlab import constructions as cons
+from ringlab import core
 from ringlab import invariants as inv
 from ringlab import properties as props
 from ringlab.core import mask_contains
@@ -407,12 +408,12 @@ def per_element_rings():
         + [exprs.build(e) for e in PER_ELEMENT_RINGS]) if R.order > 1]
 
 
-@pytest.mark.parametrize("budget", [props._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
 def test_per_element_predicates_match_the_loops(per_element_rings, budget,
                                                 monkeypatch):
     # at 64 bytes every block holds one a and every chunk one row, so the
     # block ramp, the cap and the early exits all run
-    monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     failing = {name: 0 for name in ORACLES}
     for R in per_element_rings:
         for name, oracle in ORACLES.items():
@@ -467,7 +468,7 @@ def _trivial_idempotents(R):
     return e
 
 
-@pytest.mark.parametrize("budget", [props._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
 def test_exchange_over_the_trivial_idempotents(per_element_rings, budget,
                                                monkeypatch):
     # every finite ring is exchange, so only a smaller idempotent set makes
@@ -475,7 +476,7 @@ def test_exchange_over_the_trivial_idempotents(per_element_rings, budget,
     # is a unit.  The scan is called itself: above order 256 the registered
     # check may answer from the verdict of R/J(R), memoized over every
     # idempotent by an earlier test
-    monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     monkeypatch.setattr(inv, "idempotents_bool", _trivial_idempotents)
     failing = 0
     for R in per_element_rings:
@@ -488,7 +489,7 @@ def test_exchange_over_the_trivial_idempotents(per_element_rings, budget,
     assert failing > 0
 
 
-@pytest.mark.parametrize("budget", [props._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
 @pytest.mark.parametrize("expr", ["T(3, Z(2))", "M(2, Z(3))", "M(2, Z(4))",
                                   "Prod(T(3, Z(2)), Prod(Z(2), Z(2)))"])
 def test_double_commutant_pairs_match_definition(expr, budget, monkeypatch):
@@ -497,7 +498,7 @@ def test_double_commutant_pairs_match_definition(expr, budget, monkeypatch):
     # which lies in the double commutant.  So the packed test is checked
     # here against the definition, on orders of one to four words a row.
     from ringlab import exprs
-    monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
     R = exprs.build(expr)
     idem = np.flatnonzero(inv.idempotents_bool(R))
     outside = props._bad_pairs(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ringlab import core
 from ringlab import harness
 from ringlab import invariants as inv
 from ringlab import properties as props
@@ -127,7 +128,7 @@ _DEFAULT = harness.default_corpus().rings
 def block_bytes(request, monkeypatch):
     """The default block budget, and one so small most blocks hold one a."""
     if request.param is not None:
-        monkeypatch.setattr(props, "_BLOCK_BYTES", request.param)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", request.param)
     return request.param
 
 
@@ -157,7 +158,7 @@ def test_late_witness_in_a_later_block():
     # budget, so the block walk and its offsets are exercised
     from ringlab import exprs
     R = exprs.build("Prod(M(2, Z(2)), T(2, Z(4)))")
-    assert props._row_chunks(R.order)[0].stop < 64
+    assert core._row_blocks(R.order, 8 * R.order)[0].stop < 64
     nil = inv.nilpotents_bool(R)
     jac = inv.jacobson_bool(R)
     want = _scan_triples(R, lambda a: nil[_abc(R, a)] & ~jac[_bac(R, a)])
@@ -175,8 +176,8 @@ def test_failing_rings_match_oracle_in_every_form(expr, monkeypatch):
     want = {name: tuple(_scan_triples(R, plane) for plane in planes[name])
             for name in ("weak_symmetric", "nj_symmetric")}
     assert None not in want["weak_symmetric"] + want["nj_symmetric"]
-    for budget in (props._BLOCK_BYTES, 64):
-        monkeypatch.setattr(props, "_BLOCK_BYTES", budget)
+    for budget in (core._BLOCK_BYTES, 64):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
         S = _fresh(R)
         assert props.weak_symmetric_forms(S) == want["weak_symmetric"]
         assert props.nj_symmetric_forms(S) == want["nj_symmetric"]
@@ -205,7 +206,7 @@ def test_least_bc_matches_flat_index_plane(monkeypatch):
              for name, forms in props.TRIPLE_FORMS.items()
              for form, w in zip(forms, props._form_witnesses(R, name))
              if w is not None]
-    monkeypatch.setattr(props, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 64)
     for R, form, w in cases:
         a, b, c = (w[r] for r in form.roles)
         want = _flat_index_bc(R, form, a)
@@ -293,7 +294,7 @@ def assert_hits_match_definition(R: FiniteRing) -> None:
         for form in forms:
             starts, hits = zip(*props._block_hits(R, form))
             assert starts == tuple(
-                rows.start for rows in props._row_chunks(R.order))
+                rows.start for rows in core._row_blocks(R.order, 8 * R.order))
             want = [_definition_plane(R, form, a).any()
                     for a in range(R.order)]
             assert np.concatenate(hits).tolist() == want, (R.name, form)
@@ -392,7 +393,7 @@ def test_bad_pairs_in_several_chunks(monkeypatch):
     # the chunk loop of _bad_pairs runs once per premise class
     from ringlab import exprs
     R = exprs.build("M(2, Z(3))")
-    monkeypatch.setattr(props, "_BLOCK_BYTES", 64)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 64)
     for reading in _plan_readings():
         rows, _ = props._row_classes(R, reading)
         assert rows.shape[1] == 2
