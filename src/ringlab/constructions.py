@@ -29,9 +29,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import core
-from .core import (MAX_ORDER, BadArgumentError, FiniteRing, Labels,
-                   RingError, RingHom, SizeError, StructureError, _span,
-                   _triple_law_violation, mask_indices, mask_to_bool)
+from .core import (MAX_ORDER, TABLE_MAX_ORDER, BadArgumentError, FiniteRing,
+                   Labels, RingError, RingHom, SizeError, StructureError,
+                   _narrowed, _renumbering, _span, _triple_law_violation,
+                   mask_indices, mask_to_bool)
 from .invariants import (NotAnIdealError, _coset_quotient,
                          two_sided_ideal_violation)
 
@@ -53,8 +54,13 @@ class BimoduleLawError(RingError):
 
 
 def _check_order(n: int, max_order: int, what: str) -> None:
+    """Refuse an order past max_order, or past what a uint16 table indexes
+    whatever max_order is, before any table is allocated."""
     if n > max_order:
         raise SizeError(f"{what} would have order {n} > max order {max_order}")
+    if n > TABLE_MAX_ORDER:
+        raise SizeError(f"{what} would have order {n} > {TABLE_MAX_ORDER}, "
+                        "the most a uint16 table indexes")
 
 
 def _check_power(base: int, coords: int, max_order: int, what: str) -> None:
@@ -85,7 +91,9 @@ def _fold(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Row (a, b) is A's row a, each entry times len(B) repeated len(B) times,
     plus B's row b tiled len(A) times: one broadcast whose last axis runs
-    along a whole row, where a four-axis one runs along rows of B."""
+    along a whole row, where a four-axis one runs along rows of B.  Entries
+    stay in A's and B's dtype: the largest, (na - 1) nb + nb - 1, is below
+    the order n, which uint16 holds."""
     na, nb = len(A), len(B)
     n = na * nb
     if n <= _FOLD_4D_MAX:
@@ -125,16 +133,17 @@ def _product_rows(rows: list, flat: np.ndarray) -> np.ndarray:
     h = _cut([len(r) for r in rows])
     left, right = _product_rows(rows[:h], flat), _product_rows(rows[h:], flat)
     n = left.shape[1]
-    out = np.empty((len(left), len(right), n), dtype=np.int32)
-    # a quarter of the block budget at 16 bytes a cell (a sum of two rows,
-    # numpy's intp copy of it and the gathered values) keeps the intp copy
-    # under glibc's default 128 KiB mmap threshold
-    step = max(1, core._BLOCK_BYTES // (4 * 16 * n))
+    out = np.empty((len(left), len(right), n), dtype=np.uint16)
+    # a quarter of the block budget at 10 bytes a cell (the intp sum of two
+    # rows and the gathered values) keeps the intp sum under glibc's default
+    # 128 KiB mmap threshold
+    step = max(1, core._BLOCK_BYTES // (4 * 10 * n))
     bl, br = max(1, step // len(right)), min(step, len(right))
     for l0 in range(0, len(left), bl):
         for r0 in range(0, len(right), br):
-            out[l0:l0 + bl, r0:r0 + br] = flat.take(
-                left[l0:l0 + bl, None] * n + right[r0:r0 + br])
+            # intp: left * n + right passes 65,535 above order 256
+            out[l0:l0 + bl, r0:r0 + br] = flat.take(np.multiply(
+                left[l0:l0 + bl, None], n, dtype=np.intp) + right[r0:r0 + br])
     return out.reshape(-1, n)
 
 
@@ -163,7 +172,7 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
     rings are rings, bimodules pass ``Bimodule.validate`` and skew maps are
     checked endomorphisms.
     """
-    carriers = [np.asarray(c, dtype=np.int32) for c in carriers]
+    carriers = [np.asarray(c, dtype=np.uint16) for c in carriers]
     radices = [len(c) for c in carriers]
     k, n = len(radices), math.prod(radices)
     strides = [math.prod(radices[c + 1:]) for c in range(k)]
@@ -184,7 +193,7 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
             if s.min() < 0:
                 raise RingError(
                     f"{name}: a sum leaves the carrier of coordinate {c}")
-            sums_of[key, id(table)] = s
+            sums_of[key, id(table)] = s.astype(np.uint16)
         sums.append(sums_of[key, id(table)])
 
     # numpy takes at most 64 axes, but a zero ring gives matrix rings up to
@@ -215,13 +224,13 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
     # product rows against every element.  A coordinate of radix 1 holds
     # only zero's value, so its single element is zero and adds nothing
     starts = [0, *itertools.accumulate(radices[c] for c in wide)]
-    singles = np.repeat(np.asarray(zero, dtype=np.int32)[:, None],
+    singles = np.repeat(np.asarray(zero, dtype=np.uint16)[:, None],
                         starts[-1], 1)
     for w, c in enumerate(wide):
         singles[c, starts[w]:starts[w + 1]] = carriers[c]
     cols = [carrier.take(np.arange(n) // s % q)[None, :]
             for carrier, s, q in zip(carriers, strides, radices)]
-    prods = np.empty((starts[-1], n), dtype=np.int32)
+    prods = np.empty((starts[-1], n), dtype=np.uint16)
     # 8 bytes a cell for each coordinate and for the element indices
     for rows in core._row_blocks(starts[-1], 8 * n * (k + 1)):
         xs = [v[rows, None] for v in singles]
@@ -232,9 +241,14 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
 
 
 def _op(T: np.ndarray) -> Callable:
-    """``T[x, y]`` on broadcast index arrays, as one flat gather."""
+    """``T[x, y]`` on broadcast index arrays, as one flat gather.  The flat
+    index x * width + y is below T.size, so it wraps in uint16 only past
+    2**16 cells; there it is formed in intp, which costs more on the small
+    blocks of a build."""
     flat, width = T.ravel(), T.shape[1]
-    return lambda x, y: flat.take(x * width + y)
+    if T.size <= 1 << 16:
+        return lambda x, y: flat.take(x * width + y)
+    return lambda x, y: flat.take(np.multiply(x, width, dtype=np.intp) + y)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +260,9 @@ def zmod(n: int, max_order: int = MAX_ORDER) -> FiniteRing:
     if n < 1:
         raise BadArgumentError("order must be positive")
     _check_order(n, max_order, "Z(n)")
-    idx = np.arange(n)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    idx = np.arange(n, dtype=np.uint32)     # i * j < 2**32 up to order 2**16
+    add = ((idx[:, None] + idx) % n).astype(np.uint16)
+    mul = ((idx[:, None] * idx) % n).astype(np.uint16)
     one = 1 % n
     return FiniteRing(add, mul, 0, one, name=f"Z({n})",
                       labels=[str(i) for i in range(n)])
@@ -454,8 +468,7 @@ def subring_generated(R: FiniteRing, seed_mask: int) -> FiniteRing:
 def _restrict(R: FiniteRing, carrier: np.ndarray, one: int,
               name: str) -> FiniteRing:
     """R's tables on a sorted carrier closed under them, renumbered 0..k-1."""
-    lut = np.full(R.order, -1, dtype=np.int32)
-    lut[carrier] = np.arange(len(carrier))
+    lut = _renumbering(R.order, carrier)
     block = np.ix_(carrier, carrier)
     return FiniteRing(lut[R.add[block]], lut[R.mul[block]], int(lut[R.zero]),
                       int(lut[one]), name=name)
@@ -481,12 +494,11 @@ class Bimodule:
     name: str = ""
 
     def __post_init__(self):
-        self.add = np.ascontiguousarray(self.add, dtype=np.int32)
-        self.left_act = np.ascontiguousarray(self.left_act, dtype=np.int32)
-        self.right_act = np.ascontiguousarray(self.right_act, dtype=np.int32)
+        self.add = np.asarray(self.add)
+        self.left_act = np.asarray(self.left_act)
+        self.right_act = np.asarray(self.right_act)
         if self.internal_mul is not None:
-            self.internal_mul = np.ascontiguousarray(self.internal_mul,
-                                                     dtype=np.int32)
+            self.internal_mul = np.asarray(self.internal_mul)
         m = self.order
         if self.add.shape != (m, m):
             raise StructureError("bimodule add table is not square")
@@ -496,11 +508,10 @@ class Bimodule:
             raise StructureError("right action table has wrong height")
         if self.internal_mul is not None and self.internal_mul.shape != (m, m):
             raise StructureError("internal mul table is not square")
-        for table in (self.add, self.left_act, self.right_act,
-                      self.internal_mul):
-            if table is not None and table.size and (
-                    table.min() < 0 or table.max() >= m):
-                raise StructureError("bimodule table entry out of range")
+        for key in ("add", "left_act", "right_act", "internal_mul"):
+            table = getattr(self, key)
+            if table is not None and table.size:
+                setattr(self, key, _narrowed(table, m, "bimodule"))
 
     @property
     def order(self) -> int:

@@ -17,6 +17,10 @@ import numpy as np
 #: memory bounded; raise at your own risk.
 MAX_ORDER = 4096
 
+#: Every table is uint16: the largest order whose element indices it holds,
+#: whatever cap a caller asks for.
+TABLE_MAX_ORDER = 1 << 16
+
 #: Bound on the temporaries of one block of any chunked table pass; every
 #: pass reads it when it runs, most of them through ``_row_blocks``.
 _BLOCK_BYTES = 1 << 18
@@ -101,10 +105,35 @@ def mask_size(mask: int) -> int:
 Labels = Union[Sequence[str], Callable[[], Sequence[str]], None]
 
 
+def _narrowed(table: np.ndarray, n: int, what: str) -> np.ndarray:
+    """The table as a contiguous uint16 array, its entries checked to lie
+    in 0..n-1: a uint16 table by one max pass, any other before it is
+    narrowed, so an entry of 2**16 or more raises instead of wrapping."""
+    if n > TABLE_MAX_ORDER:
+        raise SizeError(f"order {n} > {TABLE_MAX_ORDER}, the most a uint16 "
+                        "table indexes")
+    if table.dtype != np.uint16:
+        if table.min() < 0 or table.max() >= n:
+            raise StructureError(f"{what} table entry out of range")
+        table = table.astype(np.uint16)
+    elif table.max() >= n:
+        raise StructureError(f"{what} table entry out of range")
+    return np.ascontiguousarray(table)
+
+
+def _renumbering(n: int, members: np.ndarray) -> np.ndarray:
+    """The uint16 lookup that numbers the sorted members 0..k-1.  Any other
+    element reads 65,535, which the table of a ring of k < 2**16 elements
+    refuses, so a lookup off the members cannot pass unseen."""
+    lut = np.full(n, TABLE_MAX_ORDER - 1, dtype=np.uint16)
+    lut[members] = np.arange(len(members))
+    return lut
+
+
 class FiniteRing:
     """A finite associative unital ring given by explicit tables.
 
-    Immutable after construction; all tables are read-only numpy arrays.
+    Immutable after construction; all tables are read-only uint16 arrays.
     ``labels`` is a sequence of element names, or a zero-argument callable
     that makes it when ``labels`` is first read.  Values memoized in
     ``_cache``, and the labels, are computed without a lock, so threads
@@ -118,8 +147,7 @@ class FiniteRing:
 
     def __init__(self, add, mul, zero: int, one: int, name: str = "",
                  labels: Labels = None):
-        add = np.ascontiguousarray(add, dtype=np.int32)
-        mul = np.ascontiguousarray(mul, dtype=np.int32)
+        add, mul = np.asarray(add), np.asarray(mul)
         if add.ndim != 2 or add.shape[0] != add.shape[1]:
             raise StructureError(f"add table is not square: shape {add.shape}")
         n = add.shape[0]
@@ -128,11 +156,7 @@ class FiniteRing:
         if mul.shape != (n, n):
             raise StructureError(
                 f"mul table shape {mul.shape} does not match order {n}")
-        # a negative entry reads as 2**31 or more without its sign
-        if add.view(np.uint32).max() >= n:
-            raise StructureError("add table entry out of range")
-        if mul.view(np.uint32).max() >= n:
-            raise StructureError("mul table entry out of range")
+        add, mul = _narrowed(add, n, "add"), _narrowed(mul, n, "mul")
         if not (0 <= zero < n) or not (0 <= one < n):
             raise StructureError("zero/one index out of range")
         if zero == one and n > 1:
@@ -331,10 +355,17 @@ def _memoize_fingerprint(R: FiniteRing) -> None:
     The one place where tables are hashed, so that a test can count or
     refuse hashes by patching it.
     """
-    h = hashlib.sha256(f"ring-fp-v1 {R.order} {R.zero} {R.one}".encode())
-    # hash the table buffers in place: a copy of each is 4 n^2 bytes
-    h.update(np.ascontiguousarray(R.add, dtype="<i4"))
-    h.update(np.ascontiguousarray(R.mul, dtype="<i4"))
+    n = R.order
+    h = hashlib.sha256(f"ring-fp-v1 {n} {R.zero} {R.one}".encode())
+    # the digest is of the tables as <i4 bytes, widened a row block at a
+    # time into one buffer, so no copy of a whole table is made
+    blocks = _row_blocks(n, 4 * n)
+    buf = np.empty((blocks[0].stop, n), dtype="<i4")
+    for table in (R.add, R.mul):
+        for rows in blocks:
+            part = buf[:rows.stop - rows.start]
+            part[...] = table[rows]
+            h.update(part)
     R._fingerprint = h.hexdigest()
 
 
@@ -431,6 +462,10 @@ def parse_ring(text: str) -> FiniteRing:
     if len(lines) != 1 + 2 * n:
         raise ValueError(f"expected {2 * n} table rows, got {len(lines) - 1}")
     rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
-    add = np.array(rows[:n], dtype=np.int32)
-    mul = np.array(rows[n:], dtype=np.int32)
-    return FiniteRing(add, mul, zero, one, name=name)
+    tables = []
+    for what, part in (("add", rows[:n]), ("mul", rows[n:])):
+        try:        # numpy refuses a Python int that uint16 cannot hold
+            tables.append(np.array(part, dtype=np.uint16))
+        except OverflowError:
+            raise StructureError(f"{what} table entry out of range") from None
+    return FiniteRing(*tables, zero, one, name=name)

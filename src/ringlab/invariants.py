@@ -31,8 +31,8 @@ import numpy as np
 
 from . import core
 from .core import (BadArgumentError, FiniteRing, RingError, _first_true,
-                   _span, mask_contains, mask_from_bool, mask_from_indices,
-                   mask_indices, mask_to_bool)
+                   _renumbering, _span, mask_contains, mask_from_bool,
+                   mask_from_indices, mask_indices, mask_to_bool)
 
 DEFAULT_LATTICE_CAP = 20000
 
@@ -84,7 +84,7 @@ def nilpotents_bool(R: FiniteRing) -> np.ndarray:
         flat = R.mul.ravel()
         cur = np.arange(n)
         for _ in range((n - 1).bit_length()):
-            # cell (x, x) is flat index x*(n + 1); intp, as n*n may pass int32
+            # cell (x, x) is flat index x*(n + 1); intp, as it passes uint16
             cur = flat.take(np.multiply(cur, n + 1, dtype=np.intp))
         nil = cur == R.zero
         nil.setflags(write=False)
@@ -156,7 +156,8 @@ def jacobson_bool(R: FiniteRing) -> np.ndarray:
         nil = nilpotents_bool(R)
         rows = np.flatnonzero(nil)
         j = np.zeros(n, dtype=bool)
-        for block in core._row_blocks(len(rows), 13 * n):  # int32, intp, bool
+        # a uint16 row, numpy's intp copy of it and a bool a cell
+        for block in core._row_blocks(len(rows), 11 * n):
             x = rows[block]
             j[x] = nil.take(R.mul[x]).all(axis=1)
         j.setflags(write=False)
@@ -328,16 +329,14 @@ def _coset_quotient(R: FiniteRing, ideal: np.ndarray,
     R.add's contiguous rows at I's members.  Those rows are read in blocks
     within ``core._BLOCK_BYTES``, so the |I| x n plane is never held whole."""
     members = np.flatnonzero(ideal)
-    first, *rest = core._row_blocks(len(members), 4 * R.order)   # int32 cells
+    first, *rest = core._row_blocks(len(members), 2 * R.order)  # uint16 cells
     rep_of = R.add[members[first]].min(axis=0)
     for rows in rest:
         np.minimum(rep_of, R.add[members[rows]].min(axis=0), out=rep_of)
     # x represents its coset exactly when it is the least of x + I; read
     # so, not by np.unique, which imports numpy.ma on its first call
     reps = np.flatnonzero(rep_of == np.arange(R.order))
-    lut = np.full(R.order, -1, dtype=np.int32)
-    lut[reps] = np.arange(len(reps))
-    proj = lut[rep_of]
+    proj = _renumbering(R.order, reps)[rep_of]
     Q = FiniteRing(proj[R.add[np.ix_(reps, reps)]],
                    proj[R.mul[np.ix_(reps, reps)]],
                    int(proj[R.zero]), int(proj[R.one]), name=name)
@@ -402,7 +401,7 @@ def _socle(R: FiniteRing) -> int:
         n = R.order
         jac = np.flatnonzero(jacobson_bool(R))
         soc = np.ones(n, dtype=bool)
-        for rows in core._row_blocks(len(jac), 5 * n):  # int32 + bool a cell
+        for rows in core._row_blocks(len(jac), 3 * n):  # uint16 + bool a cell
             soc &= (R.mul[jac[rows]] == R.zero).all(axis=0)
         return mask_from_bool(soc)
     return _cached(R, "socle", compute)

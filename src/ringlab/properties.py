@@ -239,12 +239,13 @@ def _members(R: FiniteRing, name: str) -> np.ndarray:
 
 def _holds(R: FiniteRing, term: tuple[str, str], a, b, c):
     """The term at (a, b, c); numpy arrays broadcast to a plane.  Each
-    product x*y is read from the flattened table at x*n + y."""
+    product x*y is read from the flattened table at x*n + y, an intp, as
+    x*n of a uint16 x would wrap."""
     name, word = term
     val = {"a": a, "b": b, "c": c}
     x = val[word[0]]
     for ch in word[1:]:
-        x = R.mul.take(x * R.order + val[ch])
+        x = R.mul.take(np.multiply(x, R.order, dtype=np.intp) + val[ch])
     return _members(R, name)[x]
 
 
@@ -796,11 +797,13 @@ def _left_multiples(R: FiniteRing, xs: np.ndarray) -> np.ndarray:
     """Column i: which elements lie in R*xs[i], the values in column xs[i]
     of R.mul, scattered from row blocks of R.mul within core._BLOCK_BYTES."""
     out = np.zeros((R.order, len(xs)), dtype=bool)
-    at = np.arange(len(xs), dtype=np.int32)
-    for rows in core._row_blocks(R.order, 8 * len(xs)):
-        flat = R.mul[rows].take(xs, axis=1)
-        flat *= len(xs)
-        flat += at              # out[v, i] is out.ravel()[v*b + i], b <= 2n
+    at = np.arange(len(xs))
+    for rows in core._row_blocks(R.order, 10 * len(xs)):  # uint16 and intp
+        # out[v, i] is out.ravel()[v*b + i], b <= 2n: intp, as v*b of a
+        # uint16 v would wrap
+        flat = np.multiply(R.mul[rows].take(xs, axis=1), len(xs),
+                           dtype=np.intp)
+        flat += at
         out.ravel()[flat] = True
     return out
 

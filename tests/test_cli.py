@@ -442,6 +442,39 @@ def test_max_order_flag(capsys):
     assert "order" in err.lower()
 
 
+class _NoBigArange:
+    """numpy, but refusing np.arange past 2**16 elements."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def arange(n, *args, **kwargs):
+        assert n <= core.TABLE_MAX_ORDER, f"np.arange({n}) past the size check"
+        return np.arange(n, *args, **kwargs)
+
+
+def _refuse_tables(*args, **kwargs):
+    raise AssertionError("a table builder ran past the size check")
+
+
+@pytest.mark.parametrize("expr", ["Z(70000)", "Prod(Z(300), Z(300))",
+                                  "M(2, Z(17))", "SkewTrunc(Z(17), id, 4)"])
+def test_orders_past_uint16_exit_2_before_any_table(capsys, monkeypatch,
+                                                    expr):
+    # 70,000, 90,000 and 83,521 are within --max-order but past 2**16, which
+    # a uint16 table cannot index.  The table builders refuse to run, so a
+    # size check that lets the order through fails here at once instead of
+    # allocating gigabytes
+    monkeypatch.setattr(cons, "np", _NoBigArange())
+    monkeypatch.setattr(cons, "_fold", _refuse_tables)
+    monkeypatch.setattr(cons, "_coord_build", _refuse_tables)
+    code, out, err = run(capsys, "prop", "commutative", "--max-order",
+                         "100000", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "> 65536" in err, err
+
+
 def test_library_errors_exit_2_without_traceback():
     # a non-idempotent corner is a usage error, not "property fails"
     import subprocess

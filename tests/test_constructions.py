@@ -303,7 +303,7 @@ def test_bimodule_validation_catches_a_poisoned_carrier_law(table, message):
     ("add", 2), ("left_act", -1), ("right_act", 5), ("internal_mul", -2)])
 def test_bimodule_rejects_entries_off_the_carrier(table, value):
     M = cons.ring_bimodule(cons.zmod(2))
-    tables = {name: getattr(M, name).copy() for name in
+    tables = {name: getattr(M, name).astype(np.int64) for name in
               ("add", "left_act", "right_act", "internal_mul")}
     tables[table][0, 0] = value
     with pytest.raises(core.StructureError, match="out of range"):

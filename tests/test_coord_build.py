@@ -439,7 +439,8 @@ def _shifted_z4():
                       labels=[str(int(x)) for x in np.argsort(new)])
 
 
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 1])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 1],
+                         ids=["default", "1"])
 def test_a_base_whose_zero_is_not_element_0(budget, monkeypatch):
     # zero sits at position 2 of every coordinate, so no fold may take a
     # run's first row for its zero part, in blocks of any size

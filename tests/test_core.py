@@ -25,11 +25,13 @@ def test_structure_validation_rejects_bad_tables():
 
 
 @pytest.mark.parametrize("table", ["add", "mul"])
-@pytest.mark.parametrize("value", [-1, -(1 << 31), 3, 1 << 30, (1 << 31) - 1])
+@pytest.mark.parametrize("value", [-1, -(1 << 31), 3, 1 << 30, (1 << 31) - 1,
+                                   1 << 16, (1 << 16) + 3])
 def test_table_entries_out_of_range_raise(table, value):
-    # negative entries and entries >= n each name the table they are in
+    # negative entries and entries >= n each name the table they are in;
+    # 2**16 and 2**16 + 3 would wrap to 0 and 3 if narrowed before the check
     R = zmod(3)
-    tables = {"add": R.add.copy(), "mul": R.mul.copy()}
+    tables = {"add": R.add.astype(np.int64), "mul": R.mul.astype(np.int64)}
     tables[table][1, 2] = value
     with pytest.raises(core.StructureError,
                        match=f"^{table} table entry out of range$"):

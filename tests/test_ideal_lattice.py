@@ -465,7 +465,8 @@ def wide_rings():
             + [exprs.build(e) for e in ON_R_RINGS])
 
 
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64],
+                         ids=["default", "64"])
 def test_socle_and_r_mod_j_match_the_routes_on_r(wide_rings, budget,
                                                  monkeypatch):
     # at 64 bytes the socle, J(R) and the cyclic ideals take one row of

@@ -86,7 +86,8 @@ WHOLE_PLANE = {
 }
 
 
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64, 1])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64, 1],
+                         ids=["default", "64", "1"])
 @pytest.mark.parametrize("name", WHOLE_PLANE)
 def test_row_blocks_match_the_whole_plane(name, budget, monkeypatch):
     from ringlab import exprs, harness
@@ -201,7 +202,8 @@ def _jacobson_all_rows(R):
     return j
 
 
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64],
+                         ids=["default", "64"])
 def test_jacobson_over_nilpotent_rows_matches_all_rows(oracle_rings, budget,
                                                        monkeypatch):
     # x*R nil for each nilpotent x, against the quasi-regular x of both

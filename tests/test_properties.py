@@ -408,7 +408,8 @@ def per_element_rings():
         + [exprs.build(e) for e in PER_ELEMENT_RINGS]) if R.order > 1]
 
 
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64],
+                         ids=["default", "64"])
 def test_per_element_predicates_match_the_loops(per_element_rings, budget,
                                                 monkeypatch):
     # at 64 bytes every block holds one a and every chunk one row, so the
@@ -468,7 +469,8 @@ def _trivial_idempotents(R):
     return e
 
 
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64],
+                         ids=["default", "64"])
 def test_exchange_over_the_trivial_idempotents(per_element_rings, budget,
                                                monkeypatch):
     # every finite ring is exchange, so only a smaller idempotent set makes
@@ -489,7 +491,8 @@ def test_exchange_over_the_trivial_idempotents(per_element_rings, budget,
     assert failing > 0
 
 
-@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64])
+@pytest.mark.parametrize("budget", [core._BLOCK_BYTES, 64],
+                         ids=["default", "64"])
 @pytest.mark.parametrize("expr", ["T(3, Z(2))", "M(2, Z(3))", "M(2, Z(4))",
                                   "Prod(T(3, Z(2)), Prod(Z(2), Z(2)))"])
 def test_double_commutant_pairs_match_definition(expr, budget, monkeypatch):
