@@ -241,13 +241,8 @@ def _coord_build(carriers: Sequence, adds: Sequence[np.ndarray],
 
 
 def _op(T: np.ndarray) -> Callable:
-    """``T[x, y]`` on broadcast index arrays, as one flat gather.  The flat
-    index x * width + y is below T.size, so it wraps in uint16 only past
-    2**16 cells; there it is formed in intp, which costs more on the small
-    blocks of a build."""
+    """``T[x, y]`` on broadcast index arrays, as one flat gather."""
     flat, width = T.ravel(), T.shape[1]
-    if T.size <= 1 << 16:
-        return lambda x, y: flat.take(x * width + y)
     return lambda x, y: flat.take(np.multiply(x, width, dtype=np.intp) + y)
 
 
@@ -621,8 +616,7 @@ def ideal_bimodule(R: FiniteRing, ideal_mask: int, name: str = "") -> Bimodule:
     if v is not None:
         raise NotAnIdealError(f"not a two-sided ideal: {v}", v)
     members = np.array(mask_indices(ideal_mask), dtype=np.intp)
-    lut = np.full(R.order, -1, dtype=np.int32)
-    lut[members] = np.arange(len(members))
+    lut = _renumbering(R.order, members)
     return Bimodule(
         add=lut[R.add[np.ix_(members, members)]],
         left_act=lut[R.mul[:, members]],

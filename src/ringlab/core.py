@@ -462,10 +462,5 @@ def parse_ring(text: str) -> FiniteRing:
     if len(lines) != 1 + 2 * n:
         raise ValueError(f"expected {2 * n} table rows, got {len(lines) - 1}")
     rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
-    tables = []
-    for what, part in (("add", rows[:n]), ("mul", rows[n:])):
-        try:        # numpy refuses a Python int that uint16 cannot hold
-            tables.append(np.array(part, dtype=np.uint16))
-        except OverflowError:
-            raise StructureError(f"{what} table entry out of range") from None
-    return FiniteRing(*tables, zero, one, name=name)
+    return FiniteRing(np.array(rows[:n]), np.array(rows[n:]), zero, one,
+                      name=name)

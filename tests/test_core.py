@@ -236,6 +236,20 @@ def test_serialization_escapes_names():
     assert core.parse_ring(core.serialize_ring(odd)).name == odd.name
 
 
+@pytest.mark.parametrize("row", [1, 4], ids=["add", "mul"])
+@pytest.mark.parametrize("value", [-1, 1 << 16, (1 << 16) + 1, 1 << 70])
+def test_parse_rejects_entries_out_of_range(row, value):
+    # 2**16 and 2**16 + 1 would wrap to 0 and 1, entries of Z(3)'s tables
+    lines = core.serialize_ring(zmod(3)).splitlines()
+    cells = lines[row].split()
+    cells[2] = str(value)
+    lines[row] = " ".join(cells)
+    what = "add" if row <= 3 else "mul"
+    with pytest.raises(core.StructureError,
+                       match=f"^{what} table entry out of range$"):
+        core.parse_ring("\n".join(lines) + "\n")
+
+
 def test_parse_rejects_bad_header():
     with pytest.raises(ValueError):
         core.parse_ring('ring v2 1 0 0 "x"\n0\n0\n')
